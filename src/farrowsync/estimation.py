@@ -44,6 +44,7 @@ iterations after the first reuse Q and are cheaper; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,11 +179,14 @@ def solve_sym2x2(h_a: float, h_b: float, h_c: float, g_a: float, g_b: float) -> 
     """Solve ``[[h_a, h_b], [h_b, h_c]] @ x = [g_a, g_b]`` in closed form.
 
     Eight general multiplications, three additions, one division.  Raises
-    :class:`SingularSystemError` when the determinant is at noise level
-    relative to the squared Frobenius norm of the matrix.
+    :class:`SingularSystemError` when the determinant or the squared
+    Frobenius norm of the matrix is not finite, or when the determinant is
+    at noise level relative to that norm.
     """
     det = h_a * h_c - h_b * h_b
     frob2 = h_a * h_a + 2.0 * h_b * h_b + h_c * h_c
+    if not (math.isfinite(det) and math.isfinite(frob2)):
+        raise SingularSystemError(f"2x2 system is not finite (det={det:.3e}, frob2={frob2:.3e})")
     if abs(det) <= 1e3 * np.finfo(np.float64).eps * frob2:
         raise SingularSystemError(f"2x2 system is singular to working precision (det={det:.3e})")
     inv_det = 1.0 / det
@@ -398,7 +402,8 @@ def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: Esti
     ``x1`` must cover the estimation window plus ``N_G`` run-up samples;
     ``x0`` supplies the reference shifted by the bulk delay ``N_G/2``, so
     window sample ``n`` compares ``y(n)`` against ``x0[n + N_G/2]``.  Inputs
-    must be real (use one component of a complex signal).
+    must be real (use one component of a complex signal), and the samples the
+    window reads must be finite.
     """
     x0 = np.asarray(x0)
     x1 = np.asarray(x1)
@@ -411,6 +416,8 @@ def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: Esti
         raise ValueError(f"need more than 2 window samples, got {n}")
     if x1.size < n + order or x0.size < n + gd:
         raise ValueError(f"inputs too short for a window of {n} samples (order {order})")
+    if not (np.isfinite(x1[: n + order]).all() and np.isfinite(x0[gd : gd + n]).all()):
+        raise ValueError("inputs hold non-finite samples inside the estimation window")
     u = compute_subfilter_outputs(x1[: n + order], bank)
     ref = np.asarray(x0[gd : gd + n], dtype=np.float64)
 

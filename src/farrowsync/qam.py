@@ -77,11 +77,6 @@ def _nearest_level_index(values: np.ndarray, m: int) -> np.ndarray:
     return np.clip(idx, 0, m - 1)
 
 
-def symbol_labels(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Bit labels of exact constellation points (hard decision at zero noise)."""
-    return hard_decision_labels(symbols, order)
-
-
 def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int) -> tuple[int, int]:
     """Hard-demodulate ``rx_symbols`` and count bit errors against the sent symbols.
 
@@ -90,7 +85,7 @@ def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int)
     if rx_symbols.shape != tx_symbols.shape:
         raise ValueError("rx and tx symbol arrays must have the same shape")
     rx_labels = hard_decision_labels(rx_symbols, order)
-    tx_labels = symbol_labels(tx_symbols, order)
+    tx_labels = hard_decision_labels(tx_symbols, order)
     diff = rx_labels ^ tx_labels
     errors = int(np.bitwise_count(diff.astype(np.uint64)).sum())
     total = rx_symbols.size * bits_per_symbol(order)

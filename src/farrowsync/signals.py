@@ -9,6 +9,13 @@ A model evaluated on an affine time grid ``t_j = t0 + j*step`` with a uniform
 frequency grid reduces to a chirp-z transform; that fast path is numerically
 equivalent to direct evaluation (checked in the tests to ~1e-12 relative) and
 is used automatically for large products of tone count and sample count.
+A chirp-z plan depends only on ``(n_tones, count, w, a)``, and within a
+campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
+sampling rate, so plans are kept in a bounded module-level cache and shared
+across trials and models.  Each model likewise computes its tone
+coefficients and its grid check once.  A cached plan or coefficient array is
+the result of the same arithmetic on the same inputs as a freshly built one,
+so the samples are bit-for-bit those of a plan built on every call.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -29,9 +36,10 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.signal import czt
+from scipy.signal import CZT
 
 MAX_OMEGA = 0.9 * np.pi
 
@@ -39,6 +47,12 @@ MAX_OMEGA = 0.9 * np.pi
 _FAST_PATH_THRESHOLD = 1 << 18
 
 _DIRECT_CHUNK = 4096
+
+# Plans held by the chirp-z cache.  No campaign needs more than 30 at once
+# (approx_sweep: 15 window lengths times 2 sampling rates).
+_CZT_PLAN_CACHE_SIZE = 64
+
+_czt_plan = lru_cache(maxsize=_CZT_PLAN_CACHE_SIZE)(CZT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +92,7 @@ class HarmonicSignalModel:
         p = float(np.sum(self.amplitudes**2))
         return p if self.is_complex else p / 2.0
 
-    @property
+    @cached_property
     def has_uniform_grid(self) -> bool:
         """True when the tone frequencies form an exact arithmetic progression."""
         if self.n_tones < 3:
@@ -86,14 +100,18 @@ class HarmonicSignalModel:
         steps = np.diff(self.omegas)
         return bool(np.all(np.abs(steps - steps[0]) <= 1e-12))
 
+    @cached_property
     def _coefficients(self) -> np.ndarray:
-        return self.amplitudes * np.exp(1j * self.phases)
+        """Complex tone coefficients ``a_k*exp(1j*phi_k)``, shared by every call (read-only)."""
+        coeffs = self.amplitudes * np.exp(1j * self.phases)
+        coeffs.setflags(write=False)
+        return coeffs
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Evaluate the waveform at arbitrary times by direct summation."""
         t = np.asarray(t, dtype=np.float64)
         flat = t.reshape(-1)
-        coeffs = self._coefficients()
+        coeffs = self._coefficients
         out = np.empty(flat.size, dtype=np.complex128)
         for lo in range(0, flat.size, _DIRECT_CHUNK):
             chunk = flat[lo : lo + _DIRECT_CHUNK]
@@ -122,8 +140,8 @@ class HarmonicSignalModel:
         w0 = float(self.omegas[0])
         dw = float(self.omegas[1] - self.omegas[0]) if self.n_tones > 1 else 0.0
         # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
-        x = self._coefficients() * np.exp(1j * dw * float(t0) * np.arange(self.n_tones))
-        spectrum = czt(x, m=count, w=np.exp(1j * dw * float(step)), a=1.0 + 0.0j)
+        x = self._coefficients * np.exp(1j * dw * float(t0) * np.arange(self.n_tones))
+        spectrum = _czt_plan(self.n_tones, count, np.exp(1j * dw * float(step)), 1.0 + 0.0j)(x)
         result = spectrum * np.exp(1j * w0 * (float(t0) + float(step) * np.arange(count)))
         return result if self.is_complex else result.real
 

@@ -124,6 +124,14 @@ class TestSolver:
         with pytest.raises(SingularSystemError):
             solve_sym2x2(0.0, 0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_matrix_raises(self, bad, slot):
+        entries = [2.0, 0.5, 1.0]
+        entries[slot] = bad
+        with pytest.raises(SingularSystemError, match="not finite"):
+            solve_sym2x2(*entries, 0.5, 0.5)
+
 
 class TestNormalMatrix:
     def test_determinant_positive_for_two_or_more_nonzeros(self):
@@ -306,6 +314,31 @@ class TestEstimateDriver:
             EstimatorConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             EstimatorConfig(method="simplified", sfo_only=True)
+
+    @pytest.mark.parametrize("method", ["newton", "ils", "simplified"])
+    @pytest.mark.parametrize("channel", ["x0", "x1"])
+    def test_non_finite_window_samples_are_rejected(self, method, channel):
+        bank = small_bank(2)
+        model = make_multisine(seed=28)
+        x0, x1 = sample_pair(model, ImpairmentSpec(delta=1e-4, epsilon=0.01), 200 + bank.order, start=-bank.group_delay)
+        target = x0 if channel == "x0" else x1
+        target[bank.group_delay + 50] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate(x0, x1, bank, EstimatorConfig(method=method))
+        target[bank.group_delay + 50] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate(x0, x1, bank, EstimatorConfig(method=method))
+
+    def test_non_finite_samples_outside_the_window_are_ignored(self):
+        bank = small_bank(2)
+        model = make_multisine(seed=28)
+        n = 200
+        x0, x1 = sample_pair(model, ImpairmentSpec(delta=1e-4, epsilon=0.01), n + bank.order + 10, start=-bank.group_delay)
+        config = EstimatorConfig(method="newton", n_samples=n)
+        want = estimate(x0, x1, bank, config).params
+        x0[-1] = np.nan
+        x1[-1] = np.nan
+        assert estimate(x0, x1, bank, config).params == want
 
     def test_trace_rows_match_header(self):
         bank = small_bank(2)

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.signal import czt
 
+from farrowsync.harness import Options, run_experiment
 from farrowsync.signals import (
+    _CZT_PLAN_CACHE_SIZE,
+    _czt_plan,
     HarmonicSignalModel,
     ImpairmentSpec,
     OfdmSpec,
@@ -82,6 +86,55 @@ class TestHarmonicModel:
             HarmonicSignalModel(np.array([1.0, np.nan]), np.array([0.1, 0.2]), np.zeros(2))
         with pytest.raises(ValueError, match="equal length"):
             HarmonicSignalModel(np.ones(3), np.array([0.1, 0.2]), np.zeros(2))
+
+
+def _uncached_fast_path(model, t0, step, count):
+    """The fast path with a chirp-z plan built on every call."""
+    w0 = float(model.omegas[0])
+    dw = float(model.omegas[1] - model.omegas[0])
+    x = model.amplitudes * np.exp(1j * model.phases) * np.exp(1j * dw * t0 * np.arange(model.n_tones))
+    spectrum = czt(x, m=count, w=np.exp(1j * dw * step), a=1.0 + 0.0j)
+    result = spectrum * np.exp(1j * w0 * (t0 + step * np.arange(count)))
+    return result if model.is_complex else result.real
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_cached_fast_path_is_bit_identical_to_a_fresh_plan(self, is_complex):
+        model = make_multisine(seed=5, complex_signal=is_complex)
+        cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257)]
+        for t0, step, count in cases:
+            assert np.array_equal(model.evaluate_affine(t0, step, count, fast=True), _uncached_fast_path(model, t0, step, count))
+        # Fill the cache with plans of other models, sizes and steps, then
+        # check that the original cases still come out bit-identical.
+        other, _ = make_ofdm(OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=2))
+        for k in range(5):
+            other.evaluate_affine(-7.0, 1.0 + k * 1e-4, 300, fast=True)
+            make_bandpass_noise(seed=k).evaluate_affine(0.0, 1.0 - k * 1e-4, 400, fast=True)
+        for t0, step, count in cases:
+            assert np.array_equal(model.evaluate_affine(t0, step, count, fast=True), _uncached_fast_path(model, t0, step, count))
+
+    def test_desk_grid_builds_one_plan_per_sampling_rate(self, tmp_path):
+        grid_points = 5  # the desk default
+        _czt_plan.cache_clear()
+        run_experiment("grid", Options({"trials": "1", "snrs": "20"}, "grid"), 42, False, tmp_path)
+        info = _czt_plan.cache_info()
+        assert 0 < info.misses <= 1 + grid_points
+        assert info.hits > 0
+
+    def test_coefficients_are_read_only(self):
+        model = make_multisine(seed=3)
+        coeffs = model._coefficients
+        assert coeffs is model._coefficients
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
+
+    def test_cache_stays_bounded(self):
+        model = make_bandpass_noise(seed=4)
+        for k in range(_CZT_PLAN_CACHE_SIZE + 16):
+            model.evaluate_affine(0.0, 1.0 + k * 1e-6, 600, fast=True)
+        assert _czt_plan.cache_info().currsize <= _CZT_PLAN_CACHE_SIZE
 
 
 class TestGenerators:
