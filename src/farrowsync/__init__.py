@@ -7,7 +7,7 @@ The package splits into small layers:
 * :mod:`farrowsync.design` - least-squares design of the branch filter bank
 * :mod:`farrowsync.estimation` - Newton, iterative-least-squares and
   simplified offset estimators with reference operation counting
-* :mod:`farrowsync.metrics` - NMSE, BER scoring and campaign statistics
+* :mod:`farrowsync.metrics` - NMSE and BER scoring
 * :mod:`farrowsync.harness` - seeded Monte-Carlo experiments and CSV output
 * :mod:`farrowsync.cli` - the ``farrow-sync`` command
 """
@@ -31,7 +31,7 @@ from .farrow import (
     load_bank,
     save_bank,
 )
-from .metrics import CampaignStats, TrialResult, campaign_stats, nmse, qam_demod_ber
+from .metrics import nmse, qam_demod_ber
 from .signals import (
     HarmonicSignalModel,
     ImpairmentSpec,
@@ -46,7 +46,6 @@ from .signals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CampaignStats",
     "CoefficientBank",
     "DesignSpec",
     "ERROR_FRONTIER",
@@ -60,9 +59,7 @@ __all__ = [
     "OpCounts",
     "SingularSystemError",
     "SubfilterOutputs",
-    "TrialResult",
     "add_awgn",
-    "campaign_stats",
     "compensate_complex",
     "compute_subfilter_outputs",
     "count_operations",

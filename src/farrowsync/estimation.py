@@ -91,16 +91,7 @@ class OpCounts:
         )
 
 
-@dataclass(frozen=True)
-class AccumulatorTriple:
-    """Final values of the three cascaded running sums of one input block."""
-
-    a1: float
-    a2: float
-    a3: float
-
-
-def cascaded_accumulate(v: np.ndarray) -> AccumulatorTriple:
+def cascaded_accumulate(v: np.ndarray) -> tuple[float, float, float]:
     """Run the three-accumulator cascade over ``v`` (one addition per stage and sample).
 
     Stage 1 sums ``v``; each later stage sums the running output of the one
@@ -110,15 +101,16 @@ def cascaded_accumulate(v: np.ndarray) -> AccumulatorTriple:
     c1 = np.cumsum(v)
     c2 = np.cumsum(c1)
     c3 = np.cumsum(c2)
-    return AccumulatorTriple(float(c1[-1]), float(c2[-1]), float(c3[-1]))
+    return float(c1[-1]), float(c2[-1]), float(c3[-1])
 
 
-def weighted_sums(acc: AccumulatorTriple, n_samples: int) -> tuple[float, float, float]:
-    """Recover ``(sum v, sum n*v, sum n^2*v)`` from the cascade outputs."""
+def weighted_sums(acc: tuple[float, float, float], n_samples: int) -> tuple[float, float, float]:
+    """Recover ``(sum v, sum n*v, sum n^2*v)`` from the cascade outputs ``(a1, a2, a3)``."""
     n = float(n_samples)
-    s0 = acc.a1
-    s1 = n * acc.a1 - acc.a2
-    s2 = n * n * acc.a1 - (2.0 * n + 1.0) * acc.a2 + 2.0 * acc.a3
+    a1, a2, a3 = acc
+    s0 = a1
+    s1 = n * a1 - a2
+    s2 = n * n * a1 - (2.0 * n + 1.0) * a2 + 2.0 * a3
     return s0, s1, s2
 
 

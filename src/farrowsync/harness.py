@@ -6,6 +6,10 @@ stream label), so runs are reproducible sample-for-sample regardless of
 execution order, and rerunning any experiment with the same base seed yields
 byte-identical CSV files.
 
+A campaign is a ``*_rows`` function whose keyword-only parameters are its
+config keys, desk-scale values as defaults; :data:`CAMPAIGNS` adds the rest.
+A trial whose update system is singular is dropped whole and counted once.
+
 Signal generation places the time origin in the middle of the filter run-up:
 arrays start at sample index ``-N_G/2`` so that window sample ``n`` of the
 estimator corresponds to absolute index ``n``, which keeps the effective
@@ -22,22 +26,14 @@ import csv
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import design as design_mod
 from .design import DesignSpec, ERROR_FRONTIER, design_bank, measure_error
-from .estimation import (
-    EstimatorConfig,
-    OffsetParams,
-    SingularSystemError,
-    count_operations,
-    estimate,
-    trace_rows,
-    TRACE_HEADER,
-)
+from .estimation import EstimatorConfig, OffsetParams, SingularSystemError, count_operations, estimate, trace_rows
 from .farrow import CoefficientBank, compute_subfilter_outputs, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
 from .signals import HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair
@@ -85,6 +81,15 @@ def get_bank(degree: int = CANONICAL_DEGREE, order: int = CANONICAL_ORDER) -> Co
 # ── Option parsing ────────────────────────────────────────────────────────────
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
 class Options:
     """Typed reader over one flat ``key = value`` config section.
 
@@ -97,66 +102,42 @@ class Options:
         self._section = section
         self._seen: set[str] = set()
 
-    def _fetch(self, key: str) -> str | None:
+    def _parse(self, key: str, default, convert: Callable[[str], object], kind: str):
         self._seen.add(key)
-        return self._raw.get(key)
+        raw = self._raw.get(key)
+        if raw is None:
+            return default
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{self._section}] {key} must be {kind}, got {raw!r}") from exc
+
+    def _parse_list(self, key: str, default: Iterable, convert: Callable[[str], object], kind: str) -> list:
+        values = self._parse(key, list(default), lambda raw: [convert(tok) for tok in raw.replace(",", " ").split()], f"a list of {kind}")
+        if not values:
+            raise ConfigError(f"[{self._section}] {key} must not be empty")
+        return values
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self._fetch(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{self._section}] {key} must be an integer, got {raw!r}") from exc
+        return self._parse(key, default, int, "an integer")
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self._fetch(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{self._section}] {key} must be a number, got {raw!r}") from exc
+        return self._parse(key, default, float, "a number")
 
     def get_bool(self, key: str, default: bool = False) -> bool:
-        raw = self._fetch(key)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self._section}] {key} must be a boolean, got {raw!r}")
+        return self._parse(key, default, _parse_bool, "a boolean")
 
     def get_str(self, key: str, default: str | None = None) -> str | None:
-        raw = self._fetch(key)
-        return default if raw is None else raw.strip()
+        return self._parse(key, default, str.strip, "text")
 
-    def get_float_list(self, key: str, default: list[float]) -> list[float]:
-        raw = self._fetch(key)
-        if raw is None:
-            return list(default)
-        try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"[{self._section}] {key} must be a list of numbers, got {raw!r}") from exc
+    def get_float_list(self, key: str, default: Iterable[float]) -> list[float]:
+        return self._parse_list(key, default, float, "numbers")
 
-    def get_int_list(self, key: str, default: list[int]) -> list[int]:
-        raw = self._fetch(key)
-        if raw is None:
-            return list(default)
-        try:
-            return [int(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"[{self._section}] {key} must be a list of integers, got {raw!r}") from exc
+    def get_int_list(self, key: str, default: Iterable[int]) -> list[int]:
+        return self._parse_list(key, default, int, "integers")
 
-    def get_str_list(self, key: str, default: list[str]) -> list[str]:
-        raw = self._fetch(key)
-        if raw is None:
-            return list(default)
-        return [tok for tok in raw.replace(",", " ").split()]
+    def get_str_list(self, key: str, default: Iterable[str]) -> list[str]:
+        return self._parse_list(key, default, str, "words")
 
     def finish(self) -> None:
         unknown = set(self._raw) - self._seen
@@ -190,36 +171,72 @@ class ExperimentOutcome:
     failures: int
 
 
-def _estimation_window_nmse(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, params: OffsetParams, n: int) -> float:
-    """NMSE of the compensated window against the aligned reference window."""
-    gd = bank.group_delay
-    u = compute_subfilter_outputs(x1[: n + bank.order], bank)
-    return nmse(farrow_output(u, params), x0[gd : gd + n])
+def _run_trials(trial: Callable[..., list], *axes: Iterable) -> tuple[list, int]:
+    """Concatenated outputs of ``trial(*key)`` over every key of ``product(*axes)``.
+
+    A trial whose update system is singular contributes nothing, not even
+    the results of the estimators that did succeed, and counts as one
+    failure.
+    """
+    outputs: list = []
+    failures = 0
+    for key in product(*axes):
+        try:
+            output = trial(*key)
+        except SingularSystemError:
+            failures += 1
+        else:
+            outputs.extend(output)
+    return outputs, failures
+
+
+def _newton_ils(**config) -> list[tuple[str, EstimatorConfig]]:
+    """``(method, config)`` for Newton and then ILS with the same settings."""
+    return [(method, EstimatorConfig(method=method, **config)) for method in ("newton", "ils")]
+
+
+def _per_method(outputs: list, configs: list[tuple[str, EstimatorConfig]]) -> list[tuple[str, list]]:
+    """Split ``_run_trials`` outputs holding one entry per config and trial by method."""
+    if not outputs:
+        return []
+    return [(method, outputs[m :: len(configs)]) for m, (method, _) in enumerate(configs)]
+
+
+def _mean_std(samples: list[tuple], *scales: float) -> list[float]:
+    """Scaled population mean and standard deviation of the leading columns."""
+    arr = np.array(samples)
+    stats: list[float] = []
+    for column, scale in enumerate(scales):
+        stats += [float(np.mean(arr[:, column])) * scale, float(np.std(arr[:, column])) * scale]
+    return stats
+
+
+def _real_model(signal: str, seed: int) -> HarmonicSignalModel:
+    if signal == "multisine":
+        return make_multisine(seed=seed)
+    if signal == "bandpass":
+        return make_bandpass_noise(seed=seed)
+    raise ConfigError(f"unknown signal kind {signal!r}")
 
 
 def _real_trial_rows(
-    model: HarmonicSignalModel,
-    impairment: ImpairmentSpec,
-    n: int,
-    bank: CoefficientBank,
-    variants: list[tuple[str, EstimatorConfig]],
+    model: HarmonicSignalModel, impairment: ImpairmentSpec, variants: list[tuple[str, EstimatorConfig]]
 ) -> list[tuple[str, int, float, float, float, bool]]:
-    """Estimate a real signal pair with several configs; one row per iteration.
+    """Estimate a real 1024-sample window with several configs and the canonical bank.
 
-    Rows are ``(variant, iteration, delta_hat, epsilon_hat, nmse, flagged)``,
-    where the NMSE compensates with that iteration's parameters.
+    One row ``(variant, iteration, delta_ppm, epsilon, nmse, flagged)`` per
+    iteration, where the NMSE compensates with that iteration's parameters.
     """
+    n, bank = 1024, get_bank()
     gd = bank.group_delay
     x0, x1 = sample_pair(model, impairment, n + bank.order, start=-gd)
     u = compute_subfilter_outputs(x1, bank)
     ref = x0[gd : gd + n]
-    rows = []
-    for label, config in variants:
-        result = estimate(x0, x1, bank, config)
-        for rec in result.records:
-            err = nmse(farrow_output(u, rec.params), ref)
-            rows.append((label, rec.iteration, rec.params.delta, rec.params.epsilon, err, rec.delay_exceeded))
-    return rows
+    return [
+        (label, rec.iteration, rec.params.delta_ppm, rec.params.epsilon, nmse(farrow_output(u, rec.params), ref), rec.delay_exceeded)
+        for label, config in variants
+        for rec in estimate(x0, x1, bank, config).records
+    ]
 
 
 def _true_params(delta: float, epsilon: float) -> OffsetParams:
@@ -232,45 +249,24 @@ def _true_params(delta: float, epsilon: float) -> OffsetParams:
 EXAMPLE1_HEADER = ("trial", "seed", "method", "sfo_only", "iteration", "delta_ppm", "epsilon", "nmse", "flag_d_exceeded")
 
 
-def example1_rows(
-    trials: int,
-    base_seed: int,
-    snr_db: float = 30.0,
-    delta: float = 400e-6,
-    epsilon: float = -0.2,
-    n: int = 1024,
-    bank: CoefficientBank | None = None,
-) -> tuple[list[tuple], int]:
+def example1_rows(trials: int, base_seed: int, *, snr_db: float = 30.0) -> tuple[list[tuple], int]:
     """Joint versus frequency-only estimation on random multisines.
 
     Each trial draws a fresh 64-tone 16-QAM multisine and noise, then runs
-    both estimators jointly and with the time offset ignored.
+    both estimators (two iterations) jointly and with the time offset
+    ignored.  Fixed scenario: delta = 400 ppm, epsilon = -0.2, a 1024-sample
+    window and the canonical bank.
     """
-    bank = bank or get_bank()
-    variants = [
-        ("newton", EstimatorConfig(method="newton", max_iterations=2)),
-        ("ils", EstimatorConfig(method="ils", max_iterations=2)),
-        ("newton_sfo", EstimatorConfig(method="newton", max_iterations=2, sfo_only=True)),
-        ("ils_sfo", EstimatorConfig(method="ils", max_iterations=2, sfo_only=True)),
-    ]
-    rows: list[tuple] = []
-    failures = 0
-    for t in range(trials):
+    variants = _newton_ils(max_iterations=2) + [(f"{m}_sfo", c) for m, c in _newton_ils(max_iterations=2, sfo_only=True)]
+
+    def trial(t: int) -> list[tuple]:
         model_seed = stable_seed(base_seed, "example1", t, "model")
         model = make_multisine(seed=model_seed)
-        impairment = ImpairmentSpec(
-            delta=delta, epsilon=epsilon, snr_db=snr_db, seed=stable_seed(base_seed, "example1", t, "noise")
-        )
-        try:
-            trial = _real_trial_rows(model, impairment, n, bank, variants)
-        except SingularSystemError:
-            failures += 1
-            continue
-        for label, iteration, d_hat, e_hat, err, flagged in trial:
-            sfo = label.endswith("_sfo")
-            method = label.removesuffix("_sfo")
-            rows.append((t, model_seed, method, sfo, iteration, d_hat * 1e6, e_hat, err, flagged))
-    return rows, failures
+        impairment = ImpairmentSpec(delta=400e-6, epsilon=-0.2, snr_db=snr_db, seed=stable_seed(base_seed, "example1", t, "noise"))
+        trial_rows = _real_trial_rows(model, impairment, variants)
+        return [(t, model_seed, label.removesuffix("_sfo"), label.endswith("_sfo"), *rest) for label, *rest in trial_rows]
+
+    return _run_trials(trial, range(trials))
 
 
 TABLE3_HEADER = ("signal", "snr_db", "trial", "seed", "method", "iteration", "delta_ppm", "epsilon", "nmse", "flag_d_exceeded")
@@ -279,164 +275,93 @@ TABLE3_HEADER = ("signal", "snr_db", "trial", "seed", "method", "iteration", "de
 def table3_rows(
     trials: int,
     base_seed: int,
-    signals: list[str] | None = None,
-    snrs: list[float] | None = None,
-    delta: float = 300e-6,
-    epsilon: float = 300e-6,
-    n: int = 1024,
-    bank: CoefficientBank | None = None,
+    *,
+    signals: Iterable[str] = ("multisine", "bandpass"),
+    snrs: Iterable[float] = (20.0, 30.0, 40.0),
 ) -> tuple[list[tuple], int]:
-    """Monte-Carlo NMSE of both estimators after one and two iterations."""
-    bank = bank or get_bank()
-    signals = signals or ["multisine", "bandpass"]
-    snrs = snrs if snrs is not None else [20.0, 30.0, 40.0]
-    variants = [
-        ("newton", EstimatorConfig(method="newton", max_iterations=2)),
-        ("ils", EstimatorConfig(method="ils", max_iterations=2)),
-    ]
-    rows: list[tuple] = []
-    failures = 0
-    for signal in signals:
-        for snr in snrs:
-            for t in range(trials):
-                model_seed = stable_seed(base_seed, "table3", signal, t, "model")
-                if signal == "multisine":
-                    model = make_multisine(seed=model_seed)
-                elif signal == "bandpass":
-                    model = make_bandpass_noise(seed=model_seed)
-                else:
-                    raise ConfigError(f"unknown signal kind {signal!r}")
-                impairment = ImpairmentSpec(
-                    delta=delta,
-                    epsilon=epsilon,
-                    snr_db=snr,
-                    seed=stable_seed(base_seed, "table3", signal, snr, t, "noise"),
-                )
-                try:
-                    trial = _real_trial_rows(model, impairment, n, bank, variants)
-                except SingularSystemError:
-                    failures += 1
-                    continue
-                for label, iteration, d_hat, e_hat, err, flagged in trial:
-                    rows.append((signal, snr, t, model_seed, label, iteration, d_hat * 1e6, e_hat, err, flagged))
-    return rows, failures
+    """Monte-Carlo NMSE of both estimators after one and two iterations.
+
+    Fixed scenario: delta = epsilon = 300 ppm, a 1024-sample window and the
+    canonical bank.
+    """
+    variants = _newton_ils(max_iterations=2)
+
+    def trial(signal: str, snr: float, t: int) -> list[tuple]:
+        model_seed = stable_seed(base_seed, "table3", signal, t, "model")
+        model = _real_model(signal, model_seed)
+        impairment = ImpairmentSpec(delta=300e-6, epsilon=300e-6, snr_db=snr, seed=stable_seed(base_seed, "table3", signal, snr, t, "noise"))
+        return [(signal, snr, t, model_seed, *row) for row in _real_trial_rows(model, impairment, variants)]
+
+    return _run_trials(trial, signals, snrs, range(trials))
 
 
-GRID_HEADER = (
-    "snr_db",
-    "delta_ppm",
-    "epsilon_ppm",
-    "method",
-    "trials",
-    "failures",
-    "mean_delta_ppm",
-    "std_delta_ppm",
-    "mean_epsilon_ppm",
-    "std_epsilon_ppm",
-)
+GRID_HEADER = ("snr_db", "delta_ppm", "epsilon_ppm", "method", "trials", "failures", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon_ppm", "std_epsilon_ppm")
 
 
 def grid_rows(
     trials: int,
     base_seed: int,
+    *,
     grid_points: int = 5,
     span_ppm: float = 500.0,
-    snrs: list[float] | None = None,
-    n: int = 1000,
-    qam_order: int = 16,
-    bank: CoefficientBank | None = None,
+    snrs: Iterable[float] = (20.0, 40.0),
+    n_samples: int = 1000,
 ) -> tuple[list[tuple], int]:
     """Estimator spread over a two-dimensional offset grid, one iteration.
 
-    OFDM test signals, estimation from the real component only.  Each grid
-    cell reports the population standard deviation of both estimates.
+    16-QAM OFDM test signals, estimation from the real component only, with
+    the canonical bank.  Each grid cell reports the population standard
+    deviation of both estimates.
     """
-    bank = bank or get_bank()
-    snrs = snrs if snrs is not None else [20.0, 40.0]
-    offsets = np.linspace(-span_ppm, span_ppm, grid_points) * 1e-6
+    bank = get_bank()
     gd = bank.group_delay
-    configs = {
-        "newton": EstimatorConfig(method="newton", max_iterations=1),
-        "ils": EstimatorConfig(method="ils", max_iterations=1),
-    }
+    configs = _newton_ils(max_iterations=1)
+    offsets = np.linspace(-span_ppm, span_ppm, grid_points) * 1e-6
     rows: list[tuple] = []
     total_failures = 0
     for snr in snrs:
         for di, delta in enumerate(offsets):
             for ei, epsilon in enumerate(offsets):
-                estimates: dict[str, list[tuple[float, float]]] = {m: [] for m in configs}
-                failures = 0
-                for t in range(trials):
-                    spec = OfdmSpec(qam_order=qam_order, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "model"))
+
+                def trial(t: int) -> list[tuple[float, float]]:
+                    spec = OfdmSpec(qam_order=16, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "model"))
                     model, _ = make_ofdm(spec)
                     impairment = ImpairmentSpec(
-                        delta=float(delta),
-                        epsilon=float(epsilon),
-                        snr_db=snr,
-                        seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise"),
+                        delta=float(delta), epsilon=float(epsilon), snr_db=snr, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise")
                     )
-                    x0, x1 = sample_pair(model, impairment, n + bank.order, start=-gd)
+                    x0, x1 = sample_pair(model, impairment, n_samples + bank.order, start=-gd)
                     x0r = np.ascontiguousarray(x0.real)
                     x1r = np.ascontiguousarray(x1.real)
-                    try:
-                        outcome = {
-                            method: estimate(x0r, x1r, bank, config) for method, config in configs.items()
-                        }
-                    except SingularSystemError:
-                        failures += 1
-                        continue
-                    for method, result in outcome.items():
-                        estimates[method].append((result.params.delta, result.params.epsilon))
+                    return [(p.delta, p.epsilon) for p in (estimate(x0r, x1r, bank, config).params for _, config in configs)]
+
+                estimates, failures = _run_trials(trial, range(trials))
                 total_failures += failures
-                for method, pairs in estimates.items():
-                    if not pairs:
-                        continue
-                    arr = np.array(pairs)
-                    rows.append(
-                        (
-                            snr,
-                            float(delta) * 1e6,
-                            float(epsilon) * 1e6,
-                            method,
-                            len(pairs),
-                            failures,
-                            float(np.mean(arr[:, 0])) * 1e6,
-                            float(np.std(arr[:, 0])) * 1e6,
-                            float(np.mean(arr[:, 1])) * 1e6,
-                            float(np.std(arr[:, 1])) * 1e6,
-                        )
-                    )
+                for method, pairs in _per_method(estimates, configs):
+                    rows.append((snr, float(delta) * 1e6, float(epsilon) * 1e6, method, len(pairs), failures, *_mean_std(pairs, 1e6, 1e6)))
     return rows, total_failures
 
 
 IMPAIRED_HEADER = ("trial", "seed", "method", "iteration", "delta_ppm", "epsilon_ppm", "nmse", "flag_d_exceeded")
 
 
-def impaired_rows(
-    trials: int,
-    base_seed: int,
-    snr_db: float = 30.0,
-    delta: float = -300e-6,
-    epsilon: float = -500e-6,
-    cfo_fraction: float = 0.05,
-    n: int = 1024,
-    bank: CoefficientBank | None = None,
-) -> tuple[list[tuple], int]:
+def impaired_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     """Estimation from one real component under carrier offset and phase offset.
 
-    64-QAM OFDM at 30 dB.  The carrier error is common to both sampling
-    chains, so offset compensation aligns the carrier along with the timing
-    and the NMSE is taken directly against the noisy reference channel on
-    the full complex signal.  The ``simplified`` variant compensates with
-    the first-degree truncation of the bank; ``true`` compensates with the
-    exact delay-law coefficients.
+    Fixed scenario: 64-QAM OFDM at 30 dB, delta = -300 ppm, epsilon =
+    -500 ppm, a carrier offset of 0.05 subcarrier spacings, a uniformly
+    drawn phase offset, a 1024-sample window and the canonical bank.  The
+    carrier error is common to both sampling chains, so offset compensation
+    aligns the carrier along with the timing and the NMSE is taken directly
+    against the noisy reference channel on the full complex signal.  The
+    ``simplified`` variant compensates with the first-degree truncation of
+    the bank; ``true`` compensates with the exact delay-law coefficients.
     """
-    bank = bank or get_bank()
+    n, delta, epsilon = 1024, -300e-6, -500e-6
+    bank = get_bank()
     gd = bank.group_delay
     truncated = bank.truncated(1)
-    rows: list[tuple] = []
-    failures = 0
-    for t in range(trials):
+
+    def trial(t: int) -> list[tuple]:
         model_seed = stable_seed(base_seed, "impaired", t, "model")
         spec = OfdmSpec(qam_order=64, seed=model_seed)
         model, _ = make_ofdm(spec)
@@ -444,8 +369,8 @@ def impaired_rows(
         impairment = ImpairmentSpec(
             delta=delta,
             epsilon=epsilon,
-            snr_db=snr_db,
-            cfo_fraction=cfo_fraction,
+            snr_db=30.0,
+            cfo_fraction=0.05,
             phase_offset=float(po_rng.uniform(-np.pi, np.pi)),
             n_fft=spec.n_fft,
             seed=stable_seed(base_seed, "impaired", t, "noise"),
@@ -453,242 +378,137 @@ def impaired_rows(
         x0, x1 = sample_pair(model, impairment, n + bank.order, start=-gd)
         x0r = np.ascontiguousarray(x0.real)
         x1r = np.ascontiguousarray(x1.real)
-        true = _true_params(delta, epsilon)
         reference = x0[gd : gd + n]
-
         u_re = compute_subfilter_outputs(x1r, bank)
         u_im = compute_subfilter_outputs(np.ascontiguousarray(x1.imag), bank)
         ut_re = compute_subfilter_outputs(x1r[: n + truncated.order], truncated)
         ut_im = compute_subfilter_outputs(np.ascontiguousarray(x1.imag[: n + truncated.order]), truncated)
 
-        def full_nmse(params: OffsetParams) -> float:
-            y = farrow_output(u_re, params) + 1j * farrow_output(u_im, params)
-            return nmse(y, reference)
+        def row(method: str, iteration: int, params: OffsetParams, re, im, flagged: bool) -> tuple:
+            err = nmse(farrow_output(re, params) + 1j * farrow_output(im, params), reference)
+            return (t, model_seed, method, iteration, params.delta_ppm, params.epsilon * 1e6, err, flagged)
 
-        def truncated_nmse(params: OffsetParams) -> float:
-            y = farrow_output(ut_re, params) + 1j * farrow_output(ut_im, params)
-            return nmse(y, reference)
+        rows = [
+            row(method, rec.iteration, rec.params, u_re, u_im, rec.delay_exceeded)
+            for method, config in _newton_ils(max_iterations=2)
+            for rec in estimate(x0r, x1r, bank, config).records
+        ]
+        rec = estimate(x0r, x1r, bank, EstimatorConfig(method="simplified")).records[0]
+        rows.append(row("simplified", 1, rec.params, ut_re, ut_im, rec.delay_exceeded))
+        rows.append(row("true", 0, _true_params(delta, epsilon), u_re, u_im, False))
+        return rows
 
-        try:
-            for method in ("newton", "ils"):
-                result = estimate(x0r, x1r, bank, EstimatorConfig(method=method, max_iterations=2))
-                for rec in result.records:
-                    rows.append(
-                        (t, model_seed, method, rec.iteration, rec.params.delta_ppm, rec.params.epsilon * 1e6, full_nmse(rec.params), rec.delay_exceeded)
-                    )
-            simp = estimate(x0r, x1r, bank, EstimatorConfig(method="simplified"))
-            rec = simp.records[0]
-            rows.append(
-                (t, model_seed, "simplified", 1, rec.params.delta_ppm, rec.params.epsilon * 1e6, truncated_nmse(rec.params), rec.delay_exceeded)
-            )
-        except SingularSystemError:
-            failures += 1
-            continue
-        rows.append((t, model_seed, "true", 0, true.delta_ppm, true.epsilon * 1e6, full_nmse(true), False))
-    return rows, failures
+    return _run_trials(trial, range(trials))
 
 
-BER_HEADER = (
-    "snr_db",
-    "trial",
-    "seed",
-    "method",
-    "iteration",
-    "delta_ppm",
-    "epsilon_ppm",
-    "nmse",
-    "bit_errors",
-    "total_bits",
-)
+BER_HEADER = ("snr_db", "trial", "seed", "method", "iteration", "delta_ppm", "epsilon_ppm", "nmse", "bit_errors", "total_bits")
 
 
-def ber_rows(
-    trials: int,
-    base_seed: int,
-    snrs: list[float] | None = None,
-    delta: float = 293e-6,
-    epsilon: float = 293e-6,
-    n: int = 1024,
-    qam_order: int = 64,
-    bank: CoefficientBank | None = None,
-) -> tuple[list[tuple], int]:
+def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) -> tuple[list[tuple], int]:
     """Bit error rate of a full OFDM symbol compensated with the estimates.
 
-    The estimation window covers the second quarter of the symbol span: the
-    symbol occupies absolute samples ``[-n_fft/4, 3*n_fft/4)`` while the
-    estimator sees ``[0, n)``, so the delay law stays inside the design
-    range over the whole symbol.  Demodulation is a plain FFT; the model is
-    periodic, which stands in for the cyclic prefix of a streaming system.
+    Fixed scenario: 64-QAM OFDM, delta = epsilon = 293 ppm, a 1024-sample
+    estimation window and the canonical bank.  The estimation window covers
+    the second quarter of the symbol span: the symbol occupies absolute
+    samples ``[-n_fft/4, 3*n_fft/4)`` while the estimator sees ``[0, n)``,
+    so the delay law stays inside the design range over the whole symbol.
+    Demodulation is a plain FFT; the model is periodic, which stands in for
+    the cyclic prefix of a streaming system.
     """
-    bank = bank or get_bank()
-    snrs = snrs if snrs is not None else [30.0]
+    n, delta, epsilon = 1024, 293e-6, 293e-6
+    bank = get_bank()
     gd = bank.group_delay
-    order = bank.order
-    rows: list[tuple] = []
-    failures = 0
-    for snr in snrs:
-        for t in range(trials):
-            model_seed = stable_seed(base_seed, "ber", snr, t, "model")
-            spec = OfdmSpec(qam_order=qam_order, seed=model_seed)
-            model, payload = make_ofdm(spec)
-            impairment = ImpairmentSpec(
-                delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")
-            )
-            symbol_start = -spec.n_fft // 4
-            start = symbol_start - gd
-            x0, x1 = sample_pair(model, impairment, spec.n_fft + order, start=start)
-            offset = -symbol_start  # array index of absolute sample -gd
-            x0_est = np.ascontiguousarray(x0.real[offset : offset + gd + n])
-            x1_est = np.ascontiguousarray(x1.real[offset : offset + n + order])
+    configs = _newton_ils(max_iterations=2)
 
-            u_re = compute_subfilter_outputs(np.ascontiguousarray(x1.real), bank)
-            u_im = compute_subfilter_outputs(np.ascontiguousarray(x1.imag), bank)
-            ref = x0[offset + gd : offset + gd + n]
+    def trial(snr: float, t: int) -> list[tuple]:
+        model_seed = stable_seed(base_seed, "ber", snr, t, "model")
+        spec = OfdmSpec(qam_order=64, seed=model_seed)
+        model, payload = make_ofdm(spec)
+        impairment = ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise"))
+        symbol_start = -spec.n_fft // 4
+        x0, x1 = sample_pair(model, impairment, spec.n_fft + bank.order, start=symbol_start - gd)
+        offset = -symbol_start  # array index of absolute sample -gd
+        x0_est = np.ascontiguousarray(x0.real[offset : offset + gd + n])
+        x1_est = np.ascontiguousarray(x1.real[offset : offset + n + bank.order])
+        u_re = compute_subfilter_outputs(np.ascontiguousarray(x1.real), bank)
+        u_im = compute_subfilter_outputs(np.ascontiguousarray(x1.imag), bank)
+        ref = x0[offset + gd : offset + gd + n]
 
-            def score(params: OffsetParams) -> tuple[float, int, int]:
-                y = farrow_output(u_re, params, n0=symbol_start) + 1j * farrow_output(u_im, params, n0=symbol_start)
-                window_err = nmse(y[offset : offset + n], ref)
-                rx = ofdm_demodulate(y, payload, start_time=symbol_start)
-                errors, bits, _ = qam_demod_ber(rx, payload.symbols, payload.qam_order)
-                return window_err, errors, bits
+        variants = [(method, rec.iteration, rec.params) for method, config in configs for rec in estimate(x0_est, x1_est, bank, config).records]
+        variants.append(("true", 0, _true_params(delta, epsilon)))
+        rows = []
+        for method, iteration, params in variants:
+            y = farrow_output(u_re, params, n0=symbol_start) + 1j * farrow_output(u_im, params, n0=symbol_start)
+            window_err = nmse(y[offset : offset + n], ref)
+            rx = ofdm_demodulate(y, payload, start_time=symbol_start)
+            errors, bits, _ = qam_demod_ber(rx, payload.symbols, payload.qam_order)
+            rows.append((snr, t, model_seed, method, iteration, params.delta_ppm, params.epsilon * 1e6, window_err, errors, bits))
+        return rows
 
-            try:
-                variants: list[tuple[str, int, OffsetParams]] = []
-                for method in ("newton", "ils"):
-                    result = estimate(x0_est, x1_est, bank, EstimatorConfig(method=method, max_iterations=2))
-                    for rec in result.records:
-                        variants.append((method, rec.iteration, rec.params))
-                variants.append(("true", 0, _true_params(delta, epsilon)))
-            except SingularSystemError:
-                failures += 1
-                continue
-            for method, iteration, params in variants:
-                window_err, errors, bits = score(params)
-                rows.append((snr, t, model_seed, method, iteration, params.delta_ppm, params.epsilon * 1e6, window_err, errors, bits))
-    return rows, failures
+    return _run_trials(trial, snrs, range(trials))
 
 
-APPROX_HEADER = (
-    "target_db",
-    "degree",
-    "order",
-    "measured_error_db",
-    "method",
-    "trials",
-    "mean_nmse",
-    "mean_delta_ppm",
-    "std_delta_ppm",
-    "mean_epsilon",
-    "std_epsilon",
-)
+APPROX_HEADER = ("target_db", "degree", "order", "measured_error_db", "method", "trials", "mean_nmse", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon", "std_epsilon")
 
 
-def approx_sweep_rows(
-    trials: int,
-    base_seed: int,
-    delta: float = 200e-6,
-    epsilon: float = 0.01,
-    n: int = 1024,
-    max_iterations: int = 3,
-    tolerance: float = 1e-8,
-) -> tuple[list[tuple], int]:
+def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     """Noiseless estimation accuracy across the whole design frontier.
 
     The same bandpass-noise realizations are reused for every bank so the
-    sweep isolates the effect of the approximation error.
+    sweep isolates the effect of the approximation error.  Fixed scenario:
+    delta = 200 ppm, epsilon = 0.01, a 1024-sample window, and up to three
+    iterations stopping at a step below 1e-8.
     """
-    configs = {
-        "newton": EstimatorConfig(method="newton", max_iterations=max_iterations, tolerance=tolerance),
-        "ils": EstimatorConfig(method="ils", max_iterations=max_iterations, tolerance=tolerance),
-    }
+    n = 1024
+    configs = _newton_ils(max_iterations=3, tolerance=1e-8)
     models = [make_bandpass_noise(seed=stable_seed(base_seed, "approx", t, "model")) for t in range(trials)]
     rows: list[tuple] = []
-    failures = 0
+    total_failures = 0
     for target_db, degree, order in ERROR_FRONTIER:
         bank = get_bank(degree, order)
         report = measure_error(bank)
         gd = bank.group_delay
-        stats: dict[str, list[tuple[float, float, float]]] = {m: [] for m in configs}
-        for t in range(trials):
-            impairment = ImpairmentSpec(delta=delta, epsilon=epsilon)
-            x0, x1 = sample_pair(models[t], impairment, n + order, start=-gd)
+
+        def trial(t: int) -> list[tuple[float, float, float]]:
+            x0, x1 = sample_pair(models[t], ImpairmentSpec(delta=200e-6, epsilon=0.01), n + order, start=-gd)
             u = compute_subfilter_outputs(x1, bank)
             ref = x0[gd : gd + n]
-            try:
-                for method, config in configs.items():
-                    result = estimate(x0, x1, bank, config)
-                    err = nmse(farrow_output(u, result.params), ref)
-                    stats[method].append((result.params.delta, result.params.epsilon, err))
-            except SingularSystemError:
-                failures += 1
-                continue
-        for method, values in stats.items():
-            if not values:
-                continue
-            arr = np.array(values)
-            rows.append(
-                (
-                    target_db,
-                    degree,
-                    order,
-                    report.error_db,
-                    method,
-                    len(values),
-                    float(np.mean(arr[:, 2])),
-                    float(np.mean(arr[:, 0])) * 1e6,
-                    float(np.std(arr[:, 0])) * 1e6,
-                    float(np.mean(arr[:, 1])),
-                    float(np.std(arr[:, 1])),
-                )
-            )
-    return rows, failures
+            return [(p.delta, p.epsilon, nmse(farrow_output(u, p), ref)) for p in (estimate(x0, x1, bank, config).params for _, config in configs)]
+
+        outputs, failures = _run_trials(trial, range(trials))
+        total_failures += failures
+        for method, values in _per_method(outputs, configs):
+            mean_nmse = float(np.mean(np.array(values)[:, 2]))
+            rows.append((target_db, degree, order, report.error_db, method, len(values), mean_nmse, *_mean_std(values, 1e6, 1.0)))
+    return rows, total_failures
 
 
-NSWEEP_HEADER = (
-    "set_index",
-    "true_delta_ppm",
-    "true_epsilon",
-    "snr_db",
-    "n_samples",
-    "method",
-    "trials",
-    "mean_delta_ppm",
-    "std_delta_ppm",
-    "mean_epsilon",
-    "std_epsilon",
-)
+NSWEEP_HEADER = ("set_index", "true_delta_ppm", "true_epsilon", "snr_db", "n_samples", "method", "trials", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon", "std_epsilon")
 
 
 def nsweep_rows(
     trials: int,
     base_seed: int,
-    lengths: list[int] | None = None,
-    snrs: list[float] | None = None,
-    bank: CoefficientBank | None = None,
+    *,
+    lengths: Iterable[int] = (64, 128, 256, 512, 1024, 2048),
+    snrs: Iterable[float] = (20.0, 30.0, float("inf")),
 ) -> tuple[list[tuple], int]:
     """Estimate spread versus window length for two offset magnitudes.
 
     ``snr_db`` is written as ``inf`` for the noiseless case.  Two iterations
-    per estimate, bandpass-noise signals shared across lengths.
+    per estimate with the canonical bank, bandpass-noise signals shared
+    across lengths; a trial is one estimate at one length, so a singular
+    system at one length leaves the other lengths of that signal counted.
     """
-    bank = bank or get_bank()
-    lengths = lengths or [64, 128, 256, 512, 1024, 2048]
-    snrs = snrs if snrs is not None else [20.0, 30.0, float("inf")]
-    parameter_sets = [(200e-6, 0.03), (100e-6, 300e-6)]
+    bank = get_bank()
     gd = bank.group_delay
-    order = bank.order
     n_max = max(lengths)
-    configs = {
-        "newton": EstimatorConfig(method="newton", max_iterations=2),
-        "ils": EstimatorConfig(method="ils", max_iterations=2),
-    }
+    configs = _newton_ils(max_iterations=2)
     rows: list[tuple] = []
-    failures = 0
-    for set_index, (delta, epsilon) in enumerate(parameter_sets):
+    total_failures = 0
+    for set_index, (delta, epsilon) in enumerate([(200e-6, 0.03), (100e-6, 300e-6)]):
         for snr in snrs:
-            samples: dict[int, dict[str, list[tuple[float, float]]]] = {
-                n: {m: [] for m in configs} for n in lengths
-            }
+            pairs = []
             for t in range(trials):
                 model = make_bandpass_noise(seed=stable_seed(base_seed, "nsweep", set_index, t, "model"))
                 impairment = ImpairmentSpec(
@@ -697,135 +517,115 @@ def nsweep_rows(
                     snr_db=None if np.isinf(snr) else snr,
                     seed=stable_seed(base_seed, "nsweep", set_index, snr, t, "noise"),
                 )
-                x0, x1 = sample_pair(model, impairment, n_max + order, start=-gd)
-                for n in lengths:
-                    try:
-                        for method, config in configs.items():
-                            result = estimate(x0[: gd + n], x1[: n + order], bank, config)
-                            samples[n][method].append((result.params.delta, result.params.epsilon))
-                    except SingularSystemError:
-                        failures += 1
-                        continue
+                pairs.append(sample_pair(model, impairment, n_max + bank.order, start=-gd))
             for n in lengths:
-                for method, pairs in samples[n].items():
-                    if not pairs:
-                        continue
-                    arr = np.array(pairs)
-                    rows.append(
-                        (
-                            set_index,
-                            delta * 1e6,
-                            epsilon,
-                            snr,
-                            n,
-                            method,
-                            len(pairs),
-                            float(np.mean(arr[:, 0])) * 1e6,
-                            float(np.std(arr[:, 0])) * 1e6,
-                            float(np.mean(arr[:, 1])),
-                            float(np.std(arr[:, 1])),
-                        )
-                    )
-    return rows, failures
+
+                def trial(t: int) -> list[tuple[float, float]]:
+                    x0, x1 = pairs[t]
+                    return [(p.delta, p.epsilon) for p in (estimate(x0[: gd + n], x1[: n + bank.order], bank, config).params for _, config in configs)]
+
+                estimates, failures = _run_trials(trial, range(trials))
+                total_failures += failures
+                for method, samples in _per_method(estimates, configs):
+                    rows.append((set_index, delta * 1e6, epsilon, snr, n, method, len(samples), *_mean_std(samples, 1e6, 1.0)))
+    return rows, total_failures
 
 
 OPCOUNT_HEADER = ("method", "degree", "n_samples", "iterations", "source", "fixed_mults", "general_mults", "additions", "divisions")
 
 
-def opcount_rows(
-    base_seed: int,
-    degrees: list[int] | None = None,
-    lengths: list[int] | None = None,
-) -> tuple[list[tuple], int]:
+def opcount_rows(base_seed: int) -> tuple[list[tuple], int]:
     """Closed-form operation counts side by side with instrumented runs.
 
     The instrumented source executes :func:`estimate` on synthetic data with
-    a bank of each degree and reports the tallies its iteration records
-    accumulated; formula and instrumented rows must agree exactly.
+    a bank of each degree 1 to 7 (order 12 up to degree 5, else 16) at
+    window lengths 64 and 1024, and reports the tallies its iteration
+    records accumulated; formula and instrumented rows must agree exactly.
     """
-    degrees = degrees or [1, 2, 3, 4, 5, 6, 7]
-    lengths = lengths or [64, 1024]
     rows: list[tuple] = []
     rng = np.random.default_rng(stable_seed(base_seed, "opcounts"))
-    for degree in degrees:
+    for degree in range(1, 8):
         bank = get_bank(degree, 12 if degree <= 5 else 16)
-        for n in lengths:
+        for n in (64, 1024):
             x1 = rng.standard_normal(n + bank.order)
             x0 = rng.standard_normal(n + bank.group_delay)
-            for method in ("newton", "ils", "simplified"):
-                for iterations in (1, 2):
-                    if method == "simplified" and iterations > 1:
-                        continue
-                    formula = count_operations(method, degree, n, iterations)
-                    result = estimate(x0, x1, bank, EstimatorConfig(method=method, max_iterations=iterations))
-                    measured = result.total_ops
-                    rows.append(
-                        (method, degree, n, iterations, "formula", formula.fixed_mults, formula.general_mults, formula.additions, formula.divisions)
-                    )
-                    rows.append(
-                        (method, degree, n, iterations, "measured", measured.fixed_mults, measured.general_mults, measured.additions, measured.divisions)
-                    )
+            for method, iterations in (("newton", 1), ("newton", 2), ("ils", 1), ("ils", 2), ("simplified", 1)):
+                formula = count_operations(method, degree, n, iterations)
+                measured = estimate(x0, x1, bank, EstimatorConfig(method=method, max_iterations=iterations)).total_ops
+                for source, ops in (("formula", formula), ("measured", measured)):
+                    rows.append((method, degree, n, iterations, source, ops.fixed_mults, ops.general_mults, ops.additions, ops.divisions))
     return rows, 0
 
 
 SINGLE_HEADER = ("method", "iteration", "delta_ppm", "epsilon", "grad_norm", "cost", "flag_d_exceeded")
+SIGNAL_DUMP_HEADER = ("n", "x0_re", "x0_im", "x1_re", "x1_im")
 
 
 def single_rows(
     base_seed: int,
-    delta: float = 450e-6,
+    *,
+    delta_ppm: float = 450.0,
     epsilon: float = 0.05,
-    snr_db: float | None = 20.0,
-    n: int = 1024,
+    snr_db: float = 20.0,
+    n_samples: int = 1024,
     signal: str = "bandpass",
-    max_iterations: int = 3,
-    bank: CoefficientBank | None = None,
-) -> tuple[list[tuple], tuple[np.ndarray, np.ndarray], int]:
+    iterations: int = 3,
+    dump_signals: bool = False,
+) -> tuple:
     """One diagnostic realization with full iteration traces for both methods.
 
-    Also returns the generated signal pair for optional dumping.  With the
-    defaults the induced delay exceeds the design range near the end of the
-    window, which shows up in the trace flag.
+    With ``dump_signals`` it also returns ``("signals.csv", header, rows)``
+    for the generated signal pair.  With the defaults the induced delay
+    exceeds the design range near the end of the window, which shows up in
+    the trace flag.  Uses the canonical bank.
     """
-    bank = bank or get_bank()
+    bank = get_bank()
     gd = bank.group_delay
-    if signal == "bandpass":
-        model = make_bandpass_noise(seed=stable_seed(base_seed, "single", "model"))
-    elif signal == "multisine":
-        model = make_multisine(seed=stable_seed(base_seed, "single", "model"))
-    else:
-        raise ConfigError(f"unknown signal kind {signal!r}")
-    impairment = ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr_db, seed=stable_seed(base_seed, "single", "noise"))
-    x0, x1 = sample_pair(model, impairment, n + bank.order, start=-gd)
-    rows: list[tuple] = []
-    for method in ("newton", "ils"):
-        config = EstimatorConfig(method=method, max_iterations=max_iterations, compute_cost=True)
-        result = estimate(x0, x1, bank, config)
-        for trace in trace_rows(result):
-            rows.append((method,) + trace)
-    return rows, (x0, x1), 0
-
-
-SIGNAL_DUMP_HEADER = ("n", "x0_re", "x0_im", "x1_re", "x1_im")
+    model = _real_model(signal, stable_seed(base_seed, "single", "model"))
+    impairment = ImpairmentSpec(delta=delta_ppm * 1e-6, epsilon=epsilon, snr_db=snr_db, seed=stable_seed(base_seed, "single", "noise"))
+    x0, x1 = sample_pair(model, impairment, n_samples + bank.order, start=-gd)
+    configs = _newton_ils(max_iterations=iterations, compute_cost=True)
+    rows = [(method,) + trace for method, config in configs for trace in trace_rows(estimate(x0, x1, bank, config))]
+    if not dump_signals:
+        return rows, 0
+    return rows, 0, ("signals.csv", SIGNAL_DUMP_HEADER, signal_dump_rows(x0, x1, start=-gd))
 
 
 def signal_dump_rows(x0: np.ndarray, x1: np.ndarray, start: int) -> list[tuple]:
-    x0 = np.asarray(x0)
-    x1 = np.asarray(x1)
-    return [
-        (start + j, float(np.real(x0[j])), float(np.imag(x0[j])), float(np.real(x1[j])), float(np.imag(x1[j])))
-        for j in range(x0.size)
-    ]
+    return [(start + j, float(a.real), float(a.imag), float(b.real), float(b.imag)) for j, (a, b) in enumerate(zip(x0, x1))]
 
 
 # ── Campaign runners (config-driven entry points) ─────────────────────────────
 
 
-def _trials_option(opts: Options, full: bool, full_default: int, desk_default: int) -> int:
-    trials = opts.get_int("trials", full_default if full else desk_default)
-    if trials < 1:
-        raise ConfigError("trials must be positive")
-    return trials
+class Campaign(NamedTuple):
+    """How :func:`run_experiment` runs one ``*_rows`` function.
+
+    ``trials`` holds the desk and full trial counts, or ``None`` when the
+    campaign takes no trial count; ``full`` replaces keyword defaults under
+    ``--full``.  ``rows`` returns ``(rows, failures, *extra_files)``, each
+    extra file being ``(file name, header, rows)``.
+    """
+
+    rows: Callable[..., tuple]
+    header: tuple[str, ...]
+    trials: tuple[int, int] | None = None
+    full: Mapping[str, object] = {}
+
+
+CAMPAIGNS = {
+    "example1": Campaign(example1_rows, EXAMPLE1_HEADER, (100, 1000)),
+    "table3": Campaign(table3_rows, TABLE3_HEADER, (100, 1000)),
+    "grid": Campaign(grid_rows, GRID_HEADER, (100, 1000), {"grid_points": 20, "snrs": (20.0, 30.0, 40.0)}),
+    "impaired": Campaign(impaired_rows, IMPAIRED_HEADER, (100, 1000)),
+    "ber": Campaign(ber_rows, BER_HEADER, (120, 10000)),
+    "approx_sweep": Campaign(approx_sweep_rows, APPROX_HEADER, (100, 1000)),
+    "nsweep": Campaign(nsweep_rows, NSWEEP_HEADER, (100, 1000)),
+    "opcounts": Campaign(opcount_rows, OPCOUNT_HEADER),
+    "single": Campaign(single_rows, SINGLE_HEADER),
+}
+
+_GETTERS = {bool: "get_bool", int: "get_int", float: "get_float", str: "get_str"}
 
 
 def run_experiment(
@@ -836,90 +636,30 @@ def run_experiment(
     out_dir: Path,
 ) -> ExperimentOutcome:
     """Run one named campaign and write its CSV outputs under ``out_dir``."""
-    if name == "example1":
-        trials = _trials_option(options, full, 1000, 100)
-        snr = options.get_float("snr_db", 30.0)
-        options.finish()
-        rows, failures = example1_rows(trials, base_seed, snr_db=snr)
-        path = out_dir / "example1.csv"
-        write_csv(path, EXAMPLE1_HEADER, rows)
-        return ExperimentOutcome((path,), failures)
-    if name == "table3":
-        trials = _trials_option(options, full, 1000, 100)
-        signals = options.get_str_list("signals", ["multisine", "bandpass"])
-        snrs = options.get_float_list("snrs", [20.0, 30.0, 40.0])
-        options.finish()
-        rows, failures = table3_rows(trials, base_seed, signals=signals, snrs=snrs)
-        path = out_dir / "table3.csv"
-        write_csv(path, TABLE3_HEADER, rows)
-        return ExperimentOutcome((path,), failures)
-    if name == "grid":
-        trials = _trials_option(options, full, 1000, 100)
-        points = options.get_int("grid_points", 20 if full else 5)
-        snrs = options.get_float_list("snrs", [20.0, 30.0, 40.0] if full else [20.0, 40.0])
-        span = options.get_float("span_ppm", 500.0)
-        n = options.get_int("n_samples", 1000)
-        options.finish()
-        rows, failures = grid_rows(trials, base_seed, grid_points=points, span_ppm=span, snrs=snrs, n=n)
-        path = out_dir / "grid.csv"
-        write_csv(path, GRID_HEADER, rows)
-        return ExperimentOutcome((path,), failures)
-    if name == "impaired":
-        trials = _trials_option(options, full, 1000, 100)
-        options.finish()
-        rows, failures = impaired_rows(trials, base_seed)
-        path = out_dir / "impaired.csv"
-        write_csv(path, IMPAIRED_HEADER, rows)
-        return ExperimentOutcome((path,), failures)
-    if name == "ber":
-        trials = _trials_option(options, full, 10000, 120)
-        snrs = options.get_float_list("snrs", [30.0])
-        options.finish()
-        rows, failures = ber_rows(trials, base_seed, snrs=snrs)
-        path = out_dir / "ber.csv"
-        write_csv(path, BER_HEADER, rows)
-        return ExperimentOutcome((path,), failures)
-    if name == "approx_sweep":
-        trials = _trials_option(options, full, 1000, 100)
-        options.finish()
-        rows, failures = approx_sweep_rows(trials, base_seed)
-        path = out_dir / "approx_sweep.csv"
-        write_csv(path, APPROX_HEADER, rows)
-        return ExperimentOutcome((path,), failures)
-    if name == "nsweep":
-        trials = _trials_option(options, full, 1000, 100)
-        lengths = options.get_int_list("lengths", [64, 128, 256, 512, 1024, 2048])
-        snrs = options.get_float_list("snrs", [20.0, 30.0, float("inf")])
-        options.finish()
-        rows, failures = nsweep_rows(trials, base_seed, lengths=lengths, snrs=snrs)
-        path = out_dir / "nsweep.csv"
-        write_csv(path, NSWEEP_HEADER, rows)
-        return ExperimentOutcome((path,), failures)
-    if name == "opcounts":
-        options.finish()
-        rows, failures = opcount_rows(base_seed)
-        path = out_dir / "opcounts.csv"
-        write_csv(path, OPCOUNT_HEADER, rows)
-        return ExperimentOutcome((path,), failures)
-    if name == "single":
-        delta = options.get_float("delta_ppm", 450.0) * 1e-6
-        epsilon = options.get_float("epsilon", 0.05)
-        snr = options.get_float("snr_db", 20.0)
-        n = options.get_int("n_samples", 1024)
-        signal = options.get_str("signal", "bandpass")
-        iterations = options.get_int("iterations", 3)
-        dump = options.get_bool("dump_signals", False)
-        options.finish()
-        rows, pair, failures = single_rows(base_seed, delta=delta, epsilon=epsilon, snr_db=snr, n=n, signal=signal, max_iterations=iterations)
-        path = out_dir / "single.csv"
-        write_csv(path, SINGLE_HEADER, rows)
-        files = [path]
-        if dump:
-            dump_path = out_dir / "signals.csv"
-            write_csv(dump_path, SIGNAL_DUMP_HEADER, signal_dump_rows(pair[0], pair[1], start=-get_bank().group_delay))
-            files.append(dump_path)
-        return ExperimentOutcome(tuple(files), failures)
-    raise ConfigError(f"unknown experiment {name!r}")
+    if name not in CAMPAIGNS:
+        raise ConfigError(f"unknown experiment {name!r}")
+    campaign = CAMPAIGNS[name]
+    args = []
+    if campaign.trials is not None:
+        desk_trials, full_trials = campaign.trials
+        trials = options.get_int("trials", full_trials if full else desk_trials)
+        if trials < 1:
+            raise ConfigError(f"[{options._section}] trials must be positive")
+        args.append(trials)
+    kwargs = {}
+    for key, default in (campaign.rows.__kwdefaults__ or {}).items():
+        default = campaign.full.get(key, default) if full else default
+        if isinstance(default, tuple):
+            kwargs[key] = getattr(options, _GETTERS[type(default[0])] + "_list")(key, default)
+        else:
+            kwargs[key] = getattr(options, _GETTERS[type(default)])(key, default)
+    options.finish()
+    rows, failures, *extra = campaign.rows(*args, base_seed, **kwargs)
+    files = []
+    for file_name, header, body in [(f"{name}.csv", campaign.header, rows), *extra]:
+        files.append(out_dir / file_name)
+        write_csv(files[-1], header, body)
+    return ExperimentOutcome(tuple(files), failures)
 
 
 MEASURE_HEADER = ("L", "N_G", "omega_c_over_pi", "error_db", "worst_omega_over_pi", "worst_d")

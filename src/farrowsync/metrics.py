@@ -1,14 +1,11 @@
-"""Quality metrics and campaign aggregation.
+"""Quality metrics.
 
 NMSE compares a compensated stream against an aligned reference over the
-same window, normalized by the reference power.  Campaign statistics use
-population conventions (divide by the trial count, not N-1), reporting both
-the spread around the sample mean and the RMS error around the true value.
+same window, normalized by the reference power; BER scores hard-decision
+QAM demodulation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,65 +24,7 @@ def nmse(y: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sum(np.abs(y - reference) ** 2)) / denom
 
 
-def nmse_db(y: np.ndarray, reference: np.ndarray) -> float:
-    return 10.0 * np.log10(nmse(y, reference))
-
-
 def qam_demod_ber(rx_symbols: np.ndarray, tx_symbols: np.ndarray, qam_order: int) -> tuple[int, int, float]:
     """Hard-decision bit error count and rate for one block of QAM symbols."""
     errors, total = qam.count_bit_errors(rx_symbols, tx_symbols, qam_order)
     return errors, total, errors / total
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Per-trial outcome of one estimator variant."""
-
-    seed: int
-    method: str
-    iterations: int
-    delta_hat: float
-    epsilon_hat: float
-    nmse: float = float("nan")
-    bit_errors: int = 0
-    total_bits: int = 0
-    delay_exceeded: bool = False
-
-
-@dataclass(frozen=True)
-class CampaignStats:
-    """Population statistics of one estimator variant over a seed campaign."""
-
-    n_trials: int
-    mean_delta_ppm: float
-    mean_epsilon: float
-    std_delta_ppm: float
-    std_epsilon: float
-    rmse_delta_ppm: float
-    rmse_epsilon: float
-    mean_nmse: float
-    median_nmse: float
-    ber: float
-
-
-def campaign_stats(results: list[TrialResult], true_delta: float, true_epsilon: float) -> CampaignStats:
-    """Aggregate one variant's trials; spreads are population standard deviations."""
-    if not results:
-        raise ValueError("cannot aggregate an empty campaign")
-    deltas = np.array([r.delta_hat for r in results])
-    epsilons = np.array([r.epsilon_hat for r in results])
-    nmses = np.array([r.nmse for r in results])
-    errors = sum(r.bit_errors for r in results)
-    bits = sum(r.total_bits for r in results)
-    return CampaignStats(
-        n_trials=len(results),
-        mean_delta_ppm=float(np.mean(deltas)) * 1e6,
-        mean_epsilon=float(np.mean(epsilons)),
-        std_delta_ppm=float(np.std(deltas)) * 1e6,
-        std_epsilon=float(np.std(epsilons)),
-        rmse_delta_ppm=float(np.sqrt(np.mean((deltas - true_delta) ** 2))) * 1e6,
-        rmse_epsilon=float(np.sqrt(np.mean((epsilons - true_epsilon) ** 2))),
-        mean_nmse=float(np.mean(nmses)),
-        median_nmse=float(np.median(nmses)),
-        ber=errors / bits if bits else float("nan"),
-    )

@@ -49,7 +49,7 @@ def _random_batch(degree, n=160, seed=0):
 class TestAccumulators:
     def test_hand_example(self):
         acc = cascaded_accumulate(np.ones(4))
-        assert (acc.a1, acc.a2, acc.a3) == (4.0, 10.0, 20.0)
+        assert acc == (4.0, 10.0, 20.0)
         assert weighted_sums(acc, 4) == (4.0, 6.0, 14.0)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 17, 256, 1000, 4096])

@@ -1,10 +1,14 @@
 """Campaign harness: seeding, CSV encoding, config parsing, runners, CLI."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
+from farrowsync import harness
+from farrowsync.design import ERROR_FRONTIER
+from farrowsync.estimation import SingularSystemError
 from farrowsync.harness import (
     ConfigError,
     Options,
@@ -94,12 +98,23 @@ class TestOptions:
 
     @pytest.mark.parametrize(
         "key,value,getter",
-        [("n", "ten", "get_int"), ("snr", "loud", "get_float"), ("flag", "maybe", "get_bool"), ("snrs", "a b", "get_float_list")],
+        [
+            ("n", "ten", "get_int"),
+            ("snr", "loud", "get_float"),
+            ("flag", "maybe", "get_bool"),
+            ("snrs", "a b", "get_float_list"),
+            ("snrs", "", "get_float_list"),
+            ("lengths", " , ", "get_int_list"),
+            ("signals", "", "get_str_list"),
+            ("trials", "0", "run_experiment"),
+        ],
     )
     def test_bad_values_name_the_section_and_key(self, key, value, getter):
         opts = Options({key: value}, "grid")
-        with pytest.raises(ConfigError, match=rf"\[grid\] {key}"):
-            if getter.endswith("list"):
+        with pytest.raises(ConfigError, match=rf"\[grid\] {key} must"):
+            if getter == "run_experiment":
+                run_experiment("grid", opts, 42, False, None)
+            elif getter.endswith("list"):
                 getattr(opts, getter)(key, [])
             else:
                 getattr(opts, getter)(key)
@@ -208,6 +223,29 @@ class TestRunExperiment:
         assert len(rows) == 8  # 2 sets x 1 snr x 2 lengths x 2 methods
         assert {r[4] for r in rows} == {"64", "128"}
 
+    def test_a_singular_trial_is_dropped_whole_and_counted_once(self, tmp_path, monkeypatch):
+        real_estimate = harness.estimate
+
+        def singular_ils(x0, x1, bank, config):
+            if config.method == "ils":
+                raise SingularSystemError("forced")
+            return real_estimate(x0, x1, bank, config)
+
+        monkeypatch.setattr(harness, "estimate", singular_ils)
+        trials_run = {
+            "example1": ({"trials": "2"}, 2),
+            "table3": ({"trials": "1", "signals": "multisine", "snrs": "30"}, 1),
+            "grid": ({"trials": "1", "grid_points": "2", "snrs": "40", "n_samples": "256"}, 4),
+            "impaired": ({"trials": "1"}, 1),
+            "ber": ({"trials": "1", "snrs": "30"}, 1),
+            "approx_sweep": ({"trials": "1"}, len(ERROR_FRONTIER)),
+            "nsweep": ({"trials": "1", "lengths": "64 128", "snrs": "inf"}, 4),  # 2 sets x 2 lengths
+        }
+        for name, (raw, count) in trials_run.items():
+            outcome = run(name, raw, out_dir=tmp_path / name)
+            assert read_rows(outcome.files[0])[1] == [], name
+            assert outcome.failures == count, name
+
     def test_opcounts_formula_matches_instrumentation(self, tmp_path):
         run("opcounts", {}, out_dir=tmp_path)
         header, rows = read_rows(tmp_path / "opcounts.csv")
@@ -238,6 +276,128 @@ class TestRunExperiment:
         run("single", {}, out_dir=tmp_path)
         header, rows = read_rows(tmp_path / "single.csv")
         assert any(r[-1] == "1" for r in rows)
+
+
+#: Small runs at base seed 1234 whose every output file is pinned by sha256:
+#: a refactor of the campaign layer must reproduce them byte for byte.
+GOLDEN_RUNS = [
+    ("example1", {"trials": "3"}),
+    ("table3", {"trials": "2"}),
+    ("grid", {"trials": "2", "grid_points": "3", "snrs": "20 40"}),
+    ("impaired", {"trials": "2"}),
+    ("ber", {"trials": "2", "snrs": "20 30"}),
+    ("approx_sweep", {"trials": "2"}),
+    ("nsweep", {"trials": "2", "lengths": "64 128 256"}),
+    ("opcounts", {}),
+    ("single", {"dump_signals": "true", "n_samples": "256"}),
+    ("single", {"signal": "multisine"}),
+]
+
+GOLDEN_SHA256 = {
+    "0_example1/example1.csv": "46953e42de5d4a5a08e35d9fdb9dea16e4b8668cd959c5e14af13f0b76ad575b",
+    "1_table3/table3.csv": "94c457b28acb076f4b9c7f753e35a321e11840eed113dd2f44a8e8e46c94ebac",
+    "2_grid/grid.csv": "cf3ce1972623298b4297f12d0f9c806c54e840cb730dea4e09408a5975fec452",
+    "3_impaired/impaired.csv": "cf3e9101c095ab50448ac3a22b081e917cfd28d1dbf7dd59cfaf79f25db55fac",
+    "4_ber/ber.csv": "b29eed9c4ed49773fa8f904c4f6dc75f708b96027fbf59fb114d719cc541fbeb",
+    "5_approx_sweep/approx_sweep.csv": "1f10770268acc0ca81603677267763432f75584de90954a07bda26a37f66e8e7",
+    "6_nsweep/nsweep.csv": "3af5ec97b0069098f8e985d37549a2a0e9a6e5e16011eb2e5b34442748e3bb6e",
+    "7_opcounts/opcounts.csv": "8f63f195c21dfd794fdc23e59eba00e48cbd23bb196545ce789bcb4d9990d2af",
+    "8_single/signals.csv": "9180930086911b544febc7a5cf1ba21d232c2dc77b07a55c5139f114907cac54",
+    "8_single/single.csv": "51e43cde9d3f599ae93155e43662e6401b24daf1b9a166040735bc1fda6bc12d",
+    "9_single/single.csv": "d4afe96aefeb181b4400bd8ce606f16ce30ac44bb8aa8012237a023de92d1b61",
+    "design/bank_L2_NG8.txt": "e8a5e0a89ccb17b6cb79412848c78fdc78c75fc8214babdb3bb3f96947c8b62d",
+    "design/design_report.csv": "bdf0dbfec51e91529c4a6cd85c7e9de7e249ad66ff9520fc79682b91a89a511b",
+    "design/measure.csv": "bdf0dbfec51e91529c4a6cd85c7e9de7e249ad66ff9520fc79682b91a89a511b",
+}
+
+#: Every campaign's config keys with their desk and ``--full`` values.
+CAMPAIGN_DEFAULTS = {
+    "example1": ({"trials": 100, "snr_db": 30.0}, {"trials": 1000, "snr_db": 30.0}),
+    "table3": (
+        {"trials": 100, "signals": ["multisine", "bandpass"], "snrs": [20.0, 30.0, 40.0]},
+        {"trials": 1000, "signals": ["multisine", "bandpass"], "snrs": [20.0, 30.0, 40.0]},
+    ),
+    "grid": (
+        {"trials": 100, "grid_points": 5, "snrs": [20.0, 40.0], "span_ppm": 500.0, "n_samples": 1000},
+        {"trials": 1000, "grid_points": 20, "snrs": [20.0, 30.0, 40.0], "span_ppm": 500.0, "n_samples": 1000},
+    ),
+    "impaired": ({"trials": 100}, {"trials": 1000}),
+    "ber": ({"trials": 120, "snrs": [30.0]}, {"trials": 10000, "snrs": [30.0]}),
+    "approx_sweep": ({"trials": 100}, {"trials": 1000}),
+    "nsweep": (
+        {"trials": 100, "lengths": [64, 128, 256, 512, 1024, 2048], "snrs": [20.0, 30.0, float("inf")]},
+        {"trials": 1000, "lengths": [64, 128, 256, 512, 1024, 2048], "snrs": [20.0, 30.0, float("inf")]},
+    ),
+    "opcounts": ({}, {}),
+    "single": (
+        {
+            "delta_ppm": 450.0,
+            "epsilon": 0.05,
+            "snr_db": 20.0,
+            "n_samples": 1024,
+            "signal": "bandpass",
+            "iterations": 3,
+            "dump_signals": False,
+        },
+    )
+    * 2,
+}
+
+
+class _Resolved(Exception):
+    pass
+
+
+class RecordingOptions(Options):
+    """Options that record what each getter returned and stop the run at ``finish``."""
+
+    def __init__(self, section):
+        super().__init__({}, section)
+        self.values = {}
+
+    def finish(self):
+        raise _Resolved()
+
+
+def _recording_getter(name):
+    getter = getattr(Options, name)
+
+    def record(self, key, *args, **kwargs):
+        value = getter(self, key, *args, **kwargs)
+        self.values[key] = value
+        return value
+
+    return record
+
+
+for _name in ("get_int", "get_float", "get_bool", "get_str", "get_float_list", "get_int_list", "get_str_list"):
+    setattr(RecordingOptions, _name, _recording_getter(_name))
+
+
+class TestGoldenOutputs:
+    def test_small_runs_are_byte_identical_to_the_pinned_hashes(self, tmp_path):
+        for i, (name, raw) in enumerate(GOLDEN_RUNS):
+            outcome = run_experiment(name, Options(raw, name), 1234, False, tmp_path / f"{i}_{name}")
+            assert outcome.failures == 0, name
+        design = run_design(Options({"degree": "2", "order": "8"}, "design"), tmp_path / "design")
+        run_measure(Options({"bank": str(design.files[0])}, "measure"), tmp_path / "design")
+        digests = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.rglob("*"))
+            if path.is_file()
+        }
+        assert digests == GOLDEN_SHA256
+
+    @pytest.mark.parametrize("name", sorted(CAMPAIGN_DEFAULTS))
+    def test_accepted_keys_and_resolved_defaults(self, name, tmp_path):
+        for full, expected in zip((False, True), CAMPAIGN_DEFAULTS[name]):
+            options = RecordingOptions(name)
+            with pytest.raises(_Resolved):
+                run_experiment(name, options, 0, full, tmp_path)
+            typed = {key: (type(value), value) for key, value in options.values.items()}
+            assert typed == {key: (type(value), value) for key, value in expected.items()}, (name, full)
+        with pytest.raises(ConfigError, match="unknown keys: bogus"):
+            run_experiment(name, Options({"bogus": "1"}, name), 0, False, tmp_path)
 
 
 class TestDesignMeasure:

@@ -1,15 +1,14 @@
-"""NMSE and campaign aggregation conventions."""
+"""NMSE and BER scoring conventions."""
 
 import numpy as np
 import pytest
 
 from farrowsync import metrics
-from farrowsync.metrics import TrialResult, campaign_stats, nmse, nmse_db
+from farrowsync.metrics import nmse
 
 
 def test_nmse_hand_value():
     assert nmse(np.array([1.0, 2.0]), np.array([1.0, 1.0])) == 0.5
-    assert nmse_db(np.array([1.0, 2.0]), np.array([1.0, 1.0])) == pytest.approx(-3.0102999566398)
 
 
 def test_nmse_scale_covariance():
@@ -34,28 +33,6 @@ def test_nmse_rejects_degenerate_inputs():
         nmse(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         nmse(np.ones(3), np.zeros(3))
-
-
-def test_campaign_stats_population_conventions():
-    results = [
-        TrialResult(seed=i, method="newton", iterations=2, delta_hat=d, epsilon_hat=e, nmse=m, bit_errors=b, total_bits=100)
-        for i, (d, e, m, b) in enumerate([(1e-4, 0.1, 0.5, 2), (3e-4, 0.3, 1.5, 0)])
-    ]
-    stats = campaign_stats(results, true_delta=2e-4, true_epsilon=0.0)
-    assert stats.n_trials == 2
-    assert stats.mean_delta_ppm == pytest.approx(200.0)
-    assert stats.std_delta_ppm == pytest.approx(100.0)  # population, not N-1
-    assert stats.rmse_delta_ppm == pytest.approx(100.0)
-    assert stats.mean_epsilon == pytest.approx(0.2)
-    assert stats.rmse_epsilon == pytest.approx(np.sqrt(0.05))
-    assert stats.mean_nmse == pytest.approx(1.0)
-    assert stats.median_nmse == pytest.approx(1.0)
-    assert stats.ber == pytest.approx(0.01)
-
-
-def test_campaign_stats_rejects_empty():
-    with pytest.raises(ValueError):
-        campaign_stats([], 0.0, 0.0)
 
 
 def test_qam_demod_ber_matches_counts():
