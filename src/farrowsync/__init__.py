@@ -21,11 +21,11 @@ from .estimation import (
     SingularSystemError,
     count_operations,
     estimate,
+    estimate_from_outputs,
 )
 from .farrow import (
     CoefficientBank,
     SubfilterOutputs,
-    compensate_complex,
     compute_subfilter_outputs,
     farrow_output,
     load_bank,
@@ -60,11 +60,11 @@ __all__ = [
     "SingularSystemError",
     "SubfilterOutputs",
     "add_awgn",
-    "compensate_complex",
     "compute_subfilter_outputs",
     "count_operations",
     "design_bank",
     "estimate",
+    "estimate_from_outputs",
     "farrow_output",
     "load_bank",
     "make_bandpass_noise",

@@ -220,35 +220,3 @@ def measure_error(
         n_freq=n_freq,
         n_delay=n_delay,
     )
-
-
-def first_degree_error_surface(
-    order: int,
-    bandwidths: np.ndarray,
-    d_maxes: np.ndarray,
-    n_delay: int = 33,
-) -> np.ndarray:
-    """Best-achievable error (dB) of degree-1 banks over bandwidth/delay ranges.
-
-    Entry ``[i, j]`` is the measured worst-case error of a degree-1 bank of
-    the given order designed and evaluated for ``omega_c = bandwidths[i]*pi``
-    and ``|d| <= d_maxes[j]``.  The irreducible real-part residual makes the
-    surface climb steeply with both axes.
-    """
-    errors = np.empty((len(bandwidths), len(d_maxes)))
-    for i, bw in enumerate(bandwidths):
-        for j, dm in enumerate(d_maxes):
-            spec = DesignSpec(degree=1, order=order, omega_c=float(bw) * np.pi, d_max=float(dm), n_delay=n_delay)
-            bank = design_bank(spec)
-            report = measure_error(bank, omega_c=spec.omega_c, d_max=spec.d_max)
-            errors[i, j] = report.error_db
-    return errors
-
-
-def frontier_bank(target_db: int) -> tuple[DesignSpec, CoefficientBank]:
-    """Design the frontier bank listed for ``target_db`` (canonical grids)."""
-    for tgt, degree, order in ERROR_FRONTIER:
-        if tgt == target_db:
-            spec = DesignSpec(degree=degree, order=order)
-            return spec, design_bank(spec)
-    raise KeyError(f"no frontier entry for target {target_db} dB")

@@ -246,10 +246,9 @@ def simplified_solve(u: SubfilterOutputs, x0: np.ndarray, n0: int = 0) -> tuple[
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Options of :func:`estimate`.
+    """Options of :func:`estimate_from_outputs` and :func:`estimate`.
 
-    ``n_samples`` defaults to everything the inputs support.  ``tolerance``
-    enables early stopping on the max-norm of the applied update.
+    ``tolerance`` enables early stopping on the max-norm of the applied update.
     ``sfo_only`` freezes epsilon at zero and updates delta alone (scalar
     variants of both methods); it exists to quantify the cost of ignoring
     the time offset and has no operation-count model.
@@ -258,7 +257,6 @@ class EstimatorConfig:
     method: str = "newton"
     max_iterations: int = 2
     tolerance: float | None = None
-    n_samples: int | None = None
     compute_cost: bool = False
     sfo_only: bool = False
 
@@ -380,38 +378,24 @@ def count_operations(method: str, degree: int, n_samples: int, iterations: int =
     return _simplified_ops(n)
 
 
-def max_window_length(delta: float, epsilon: float, limit: float = 0.5) -> int:
-    """Largest N keeping ``|n*delta + epsilon| <= limit`` over ``n = 0..N-1``."""
-    if delta == 0.0:
-        return np.iinfo(np.int64).max if abs(epsilon) <= limit else 0
-    bound = (limit - np.sign(delta) * epsilon) / abs(delta)
-    return int(np.floor(bound)) + 1 if bound >= 0 else 0
+def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig) -> EstimationResult:
+    """Estimate the offsets of a measured stream from its branch outputs, from a standing start.
 
-
-def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: EstimatorConfig) -> EstimationResult:
-    """Estimate the offsets of ``x1`` relative to ``x0`` from a standing start.
-
-    ``x1`` must cover the estimation window plus ``N_G`` run-up samples;
-    ``x0`` supplies the reference shifted by the bulk delay ``N_G/2``, so
-    window sample ``n`` compares ``y(n)`` against ``x0[n + N_G/2]``.  Inputs
-    must be real (use one component of a complex signal), and the samples the
-    window reads must be finite.
+    The window is every sample ``u`` covers, and window sample ``n`` compares
+    ``y(n)`` against ``ref[n]``.  ``u`` and ``ref`` must be real (one
+    component of a complex stream), of equal length above 2, and finite.
     """
-    x0 = np.asarray(x0)
-    x1 = np.asarray(x1)
-    if np.iscomplexobj(x0) or np.iscomplexobj(x1):
+    ref = np.asarray(ref)
+    if np.iscomplexobj(u.u) or np.iscomplexobj(ref):
         raise TypeError("estimation operates on one real component")
-    order = bank.order
-    gd = bank.group_delay
-    n = config.n_samples if config.n_samples is not None else min(x1.size - order, x0.size - gd)
+    n = u.n_samples
+    if ref.shape != (n,):
+        raise ValueError(f"reference of shape {ref.shape} does not match {n} branch output samples")
     if n <= 2:
         raise ValueError(f"need more than 2 window samples, got {n}")
-    if x1.size < n + order or x0.size < n + gd:
-        raise ValueError(f"inputs too short for a window of {n} samples (order {order})")
-    if not (np.isfinite(x1[: n + order]).all() and np.isfinite(x0[gd : gd + n]).all()):
+    if not (np.isfinite(u.u).all() and np.isfinite(ref).all()):
         raise ValueError("inputs hold non-finite samples inside the estimation window")
-    u = compute_subfilter_outputs(x1[: n + order], bank)
-    ref = np.asarray(x0[gd : gd + n], dtype=np.float64)
+    ref = ref.astype(np.float64, copy=False)
 
     params = OffsetParams()
     records: list[IterationRecord] = []
@@ -466,6 +450,21 @@ def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: Esti
             break
 
     return EstimationResult(params=params, records=tuple(records), method=config.method, converged=converged)
+
+
+def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: EstimatorConfig) -> EstimationResult:
+    """Filter ``x1`` with ``bank`` and estimate its offsets relative to ``x0``.
+
+    The window is as long as both inputs allow: ``x1`` covers it plus
+    ``N_G`` run-up samples, and ``x0`` supplies the reference shifted by the
+    bulk delay ``N_G/2``, so window sample ``n`` compares ``y(n)`` against
+    ``x0[n + N_G/2]``.  See :func:`estimate_from_outputs` for the rest.
+    """
+    gd = bank.group_delay
+    n = min(len(x1) - bank.order, len(x0) - gd)
+    if n <= 2:
+        raise ValueError(f"need more than 2 window samples, got {n}")
+    return estimate_from_outputs(compute_subfilter_outputs(x1[: n + bank.order], bank), x0[gd : gd + n], config)
 
 
 def _sfo_only_update(

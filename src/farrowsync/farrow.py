@@ -15,8 +15,9 @@ do not reject, delays outside that range.
 
 Output sample ``n`` of the window corresponds to input sample ``n + N_G/2``
 of ``x1``, i.e. the caller hands in a stream whose first ``N_G/2`` samples
-are run-up history.  Complex streams are compensated component-wise by two
-identical real resamplers.
+are run-up history.  A complex stream is filtered as two real ones, its real
+and imaginary parts, into complex branch outputs; their Horner combination
+equals two real resamplers, one per component, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class CoefficientBank:
 
 @dataclass(frozen=True, eq=False)
 class SubfilterOutputs:
-    """Steady-state branch filter outputs, shape ``(L+1, N)``."""
+    """Steady-state branch filter outputs, shape ``(L+1, N)``; complex for a complex stream."""
 
     u: np.ndarray
 
@@ -93,19 +94,23 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
     """Run the measured stream through every branch filter (steady state only).
 
     ``u[k][n] = sum_i g_k[i] * x1[n + N_G - i]`` for ``n = 0..len(x1)-N_G-1``,
-    so the output window is ``N_G`` samples shorter than the input.
+    so the output window is ``N_G`` samples shorter than the input.  A complex
+    stream runs as two real passes, one per component.
     """
     x1 = np.asarray(x1)
-    if np.iscomplexobj(x1):
-        raise TypeError("branch filters operate on real streams; compensate components separately")
-    x1 = x1.astype(np.float64, copy=False)
     order = bank.order
     if x1.ndim != 1 or x1.size <= order:
         raise ValueError(f"need more than N_G = {order} input samples, got {x1.size}")
     n_out = x1.size - order
-    u = np.empty((bank.degree + 1, n_out), dtype=np.float64)
-    for k in range(bank.degree + 1):
-        u[k] = np.convolve(x1, bank.taps[k])[order : order + n_out]
+    if np.iscomplexobj(x1):
+        u = np.empty((bank.degree + 1, n_out), dtype=np.complex128)
+        passes = [(u.real, x1.real), (u.imag, x1.imag)]
+    else:
+        u = np.empty((bank.degree + 1, n_out), dtype=np.float64)
+        passes = [(u, x1)]
+    for out, part in passes:
+        for k in range(bank.degree + 1):
+            out[k] = np.convolve(part, bank.taps[k])[order : order + n_out]
     return SubfilterOutputs(u)
 
 
@@ -130,16 +135,6 @@ def farrow_output(u: SubfilterOutputs, params, n0: int = 0) -> np.ndarray:
     for k in range(u.degree - 1, -1, -1):
         y = y * d + u.u[k]
     return y
-
-
-def compensate_complex(x1: np.ndarray, bank: CoefficientBank, params, n0: int = 0) -> np.ndarray:
-    """Compensate a complex stream with two real resamplers (one per component)."""
-    x1 = np.asarray(x1)
-    if not np.iscomplexobj(x1):
-        x1 = x1.astype(np.complex128)
-    y_re = farrow_output(compute_subfilter_outputs(x1.real, bank), params, n0)
-    y_im = farrow_output(compute_subfilter_outputs(np.ascontiguousarray(x1.imag), bank), params, n0)
-    return y_re + 1j * y_im
 
 
 # ── Serialization ─────────────────────────────────────────────────────────────

@@ -9,6 +9,8 @@ byte-identical CSV files.
 A campaign is a ``*_rows`` function whose keyword-only parameters are its
 config keys, desk-scale values as defaults; :data:`CAMPAIGNS` adds the rest.
 A trial whose update system is singular is dropped whole and counted once.
+A trial filters its measured stream once: every estimator and the scoring
+take those branch outputs, or a slice of them.
 
 Signal generation places the time origin in the middle of the filter run-up:
 arrays start at sample index ``-N_G/2`` so that window sample ``n`` of the
@@ -33,8 +35,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .design import DesignSpec, ERROR_FRONTIER, design_bank, measure_error
-from .estimation import EstimatorConfig, OffsetParams, SingularSystemError, count_operations, estimate, trace_rows
-from .farrow import CoefficientBank, compute_subfilter_outputs, farrow_output, load_bank, save_bank
+from .estimation import EstimatorConfig, OffsetParams, SingularSystemError, count_operations, estimate, estimate_from_outputs, trace_rows
+from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
 from .signals import HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair
 
@@ -211,12 +213,22 @@ def _mean_std(samples: list[tuple], *scales: float) -> list[float]:
     return stats
 
 
+def _check_real_signals(signals: Iterable[str]) -> None:
+    for signal in signals:
+        if signal not in ("multisine", "bandpass"):
+            raise ConfigError(f"unknown signal kind {signal!r}")
+
+
 def _real_model(signal: str, seed: int) -> HarmonicSignalModel:
-    if signal == "multisine":
-        return make_multisine(seed=seed)
-    if signal == "bandpass":
-        return make_bandpass_noise(seed=seed)
-    raise ConfigError(f"unknown signal kind {signal!r}")
+    """Real test signal of a kind that passed :func:`_check_real_signals`."""
+    return make_multisine(seed=seed) if signal == "multisine" else make_bandpass_noise(seed=seed)
+
+
+def _window(model: HarmonicSignalModel, impairment: ImpairmentSpec, bank: CoefficientBank, n: int) -> tuple[SubfilterOutputs, np.ndarray]:
+    """Branch outputs of the measured stream and the reference over an ``n``-sample window from sample 0."""
+    gd = bank.group_delay
+    x0, x1 = sample_pair(model, impairment, n + bank.order, start=-gd)
+    return compute_subfilter_outputs(x1, bank), x0[gd : gd + n]
 
 
 def _real_trial_rows(
@@ -227,15 +239,11 @@ def _real_trial_rows(
     One row ``(variant, iteration, delta_ppm, epsilon, nmse, flagged)`` per
     iteration, where the NMSE compensates with that iteration's parameters.
     """
-    n, bank = 1024, get_bank()
-    gd = bank.group_delay
-    x0, x1 = sample_pair(model, impairment, n + bank.order, start=-gd)
-    u = compute_subfilter_outputs(x1, bank)
-    ref = x0[gd : gd + n]
+    u, ref = _window(model, impairment, get_bank(), 1024)
     return [
         (label, rec.iteration, rec.params.delta_ppm, rec.params.epsilon, nmse(farrow_output(u, rec.params), ref), rec.delay_exceeded)
         for label, config in variants
-        for rec in estimate(x0, x1, bank, config).records
+        for rec in estimate_from_outputs(u, ref, config).records
     ]
 
 
@@ -284,6 +292,7 @@ def table3_rows(
     Fixed scenario: delta = epsilon = 300 ppm, a 1024-sample window and the
     canonical bank.
     """
+    _check_real_signals(signals)
     variants = _newton_ils(max_iterations=2)
 
     def trial(signal: str, snr: float, t: int) -> list[tuple]:
@@ -330,9 +339,8 @@ def grid_rows(
                         delta=float(delta), epsilon=float(epsilon), snr_db=snr, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise")
                     )
                     x0, x1 = sample_pair(model, impairment, n_samples + bank.order, start=-gd)
-                    x0r = np.ascontiguousarray(x0.real)
-                    x1r = np.ascontiguousarray(x1.real)
-                    return [(p.delta, p.epsilon) for p in (estimate(x0r, x1r, bank, config).params for _, config in configs)]
+                    u, ref = compute_subfilter_outputs(x1.real, bank), x0.real[gd : gd + n_samples]
+                    return [(p.delta, p.epsilon) for p in (estimate_from_outputs(u, ref, config).params for _, config in configs)]
 
                 estimates, failures = _run_trials(trial, range(trials))
                 total_failures += failures
@@ -358,8 +366,6 @@ def impaired_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     """
     n, delta, epsilon = 1024, -300e-6, -500e-6
     bank = get_bank()
-    gd = bank.group_delay
-    truncated = bank.truncated(1)
 
     def trial(t: int) -> list[tuple]:
         model_seed = stable_seed(base_seed, "impaired", t, "model")
@@ -375,27 +381,22 @@ def impaired_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
             n_fft=spec.n_fft,
             seed=stable_seed(base_seed, "impaired", t, "noise"),
         )
-        x0, x1 = sample_pair(model, impairment, n + bank.order, start=-gd)
-        x0r = np.ascontiguousarray(x0.real)
-        x1r = np.ascontiguousarray(x1.real)
-        reference = x0[gd : gd + n]
-        u_re = compute_subfilter_outputs(x1r, bank)
-        u_im = compute_subfilter_outputs(np.ascontiguousarray(x1.imag), bank)
-        ut_re = compute_subfilter_outputs(x1r[: n + truncated.order], truncated)
-        ut_im = compute_subfilter_outputs(np.ascontiguousarray(x1.imag[: n + truncated.order]), truncated)
+        u, reference = _window(model, impairment, bank, n)
+        u_re = SubfilterOutputs(u.u.real)
 
-        def row(method: str, iteration: int, params: OffsetParams, re, im, flagged: bool) -> tuple:
-            err = nmse(farrow_output(re, params) + 1j * farrow_output(im, params), reference)
+        def row(method: str, iteration: int, params: OffsetParams, outputs: SubfilterOutputs, flagged: bool) -> tuple:
+            err = nmse(farrow_output(outputs, params), reference)
             return (t, model_seed, method, iteration, params.delta_ppm, params.epsilon * 1e6, err, flagged)
 
         rows = [
-            row(method, rec.iteration, rec.params, u_re, u_im, rec.delay_exceeded)
+            row(method, rec.iteration, rec.params, u, rec.delay_exceeded)
             for method, config in _newton_ils(max_iterations=2)
-            for rec in estimate(x0r, x1r, bank, config).records
+            for rec in estimate_from_outputs(u_re, reference.real, config).records
         ]
-        rec = estimate(x0r, x1r, bank, EstimatorConfig(method="simplified")).records[0]
-        rows.append(row("simplified", 1, rec.params, ut_re, ut_im, rec.delay_exceeded))
-        rows.append(row("true", 0, _true_params(delta, epsilon), u_re, u_im, False))
+        rec = estimate_from_outputs(u_re, reference.real, EstimatorConfig(method="simplified")).records[0]
+        truncated = SubfilterOutputs(u.u[:2])  # the degree-1 truncation's branch outputs
+        rows.append(row("simplified", 1, rec.params, truncated, rec.delay_exceeded))
+        rows.append(row("true", 0, _true_params(delta, epsilon), u, False))
         return rows
 
     return _run_trials(trial, range(trials))
@@ -428,17 +429,15 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
         symbol_start = -spec.n_fft // 4
         x0, x1 = sample_pair(model, impairment, spec.n_fft + bank.order, start=symbol_start - gd)
         offset = -symbol_start  # array index of absolute sample -gd
-        x0_est = np.ascontiguousarray(x0.real[offset : offset + gd + n])
-        x1_est = np.ascontiguousarray(x1.real[offset : offset + n + bank.order])
-        u_re = compute_subfilter_outputs(np.ascontiguousarray(x1.real), bank)
-        u_im = compute_subfilter_outputs(np.ascontiguousarray(x1.imag), bank)
+        u = compute_subfilter_outputs(x1, bank)
         ref = x0[offset + gd : offset + gd + n]
+        window = SubfilterOutputs(u.u.real[:, offset : offset + n])
 
-        variants = [(method, rec.iteration, rec.params) for method, config in configs for rec in estimate(x0_est, x1_est, bank, config).records]
+        variants = [(method, rec.iteration, rec.params) for method, config in configs for rec in estimate_from_outputs(window, ref.real, config).records]
         variants.append(("true", 0, _true_params(delta, epsilon)))
         rows = []
         for method, iteration, params in variants:
-            y = farrow_output(u_re, params, n0=symbol_start) + 1j * farrow_output(u_im, params, n0=symbol_start)
+            y = farrow_output(u, params, n0=symbol_start)
             window_err = nmse(y[offset : offset + n], ref)
             rx = ofdm_demodulate(y, payload, start_time=symbol_start)
             errors, bits, _ = qam_demod_ber(rx, payload.symbols, payload.qam_order)
@@ -467,13 +466,10 @@ def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     for target_db, degree, order in ERROR_FRONTIER:
         bank = get_bank(degree, order)
         report = measure_error(bank)
-        gd = bank.group_delay
 
         def trial(t: int) -> list[tuple[float, float, float]]:
-            x0, x1 = sample_pair(models[t], ImpairmentSpec(delta=200e-6, epsilon=0.01), n + order, start=-gd)
-            u = compute_subfilter_outputs(x1, bank)
-            ref = x0[gd : gd + n]
-            return [(p.delta, p.epsilon, nmse(farrow_output(u, p), ref)) for p in (estimate(x0, x1, bank, config).params for _, config in configs)]
+            u, ref = _window(models[t], ImpairmentSpec(delta=200e-6, epsilon=0.01), bank, n)
+            return [(p.delta, p.epsilon, nmse(farrow_output(u, p), ref)) for p in (estimate_from_outputs(u, ref, config).params for _, config in configs)]
 
         outputs, failures = _run_trials(trial, range(trials))
         total_failures += failures
@@ -501,14 +497,13 @@ def nsweep_rows(
     system at one length leaves the other lengths of that signal counted.
     """
     bank = get_bank()
-    gd = bank.group_delay
     n_max = max(lengths)
     configs = _newton_ils(max_iterations=2)
     rows: list[tuple] = []
     total_failures = 0
     for set_index, (delta, epsilon) in enumerate([(200e-6, 0.03), (100e-6, 300e-6)]):
         for snr in snrs:
-            pairs = []
+            windows = []
             for t in range(trials):
                 model = make_bandpass_noise(seed=stable_seed(base_seed, "nsweep", set_index, t, "model"))
                 impairment = ImpairmentSpec(
@@ -517,12 +512,12 @@ def nsweep_rows(
                     snr_db=None if np.isinf(snr) else snr,
                     seed=stable_seed(base_seed, "nsweep", set_index, snr, t, "noise"),
                 )
-                pairs.append(sample_pair(model, impairment, n_max + bank.order, start=-gd))
+                windows.append(_window(model, impairment, bank, n_max))
             for n in lengths:
 
                 def trial(t: int) -> list[tuple[float, float]]:
-                    x0, x1 = pairs[t]
-                    return [(p.delta, p.epsilon) for p in (estimate(x0[: gd + n], x1[: n + bank.order], bank, config).params for _, config in configs)]
+                    u, ref = windows[t]
+                    return [(p.delta, p.epsilon) for p in (estimate_from_outputs(SubfilterOutputs(u.u[:, :n]), ref[:n], config).params for _, config in configs)]
 
                 estimates, failures = _run_trials(trial, range(trials))
                 total_failures += failures
@@ -579,13 +574,15 @@ def single_rows(
     exceeds the design range near the end of the window, which shows up in
     the trace flag.  Uses the canonical bank.
     """
+    _check_real_signals([signal])
     bank = get_bank()
     gd = bank.group_delay
     model = _real_model(signal, stable_seed(base_seed, "single", "model"))
     impairment = ImpairmentSpec(delta=delta_ppm * 1e-6, epsilon=epsilon, snr_db=snr_db, seed=stable_seed(base_seed, "single", "noise"))
     x0, x1 = sample_pair(model, impairment, n_samples + bank.order, start=-gd)
+    u, ref = compute_subfilter_outputs(x1, bank), x0[gd : gd + n_samples]
     configs = _newton_ils(max_iterations=iterations, compute_cost=True)
-    rows = [(method,) + trace for method, config in configs for trace in trace_rows(estimate(x0, x1, bank, config))]
+    rows = [(method,) + trace for method, config in configs for trace in trace_rows(estimate_from_outputs(u, ref, config))]
     if not dump_signals:
         return rows, 0
     return rows, 0, ("signals.csv", SIGNAL_DUMP_HEADER, signal_dump_rows(x0, x1, start=-gd))

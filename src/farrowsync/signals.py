@@ -6,9 +6,11 @@ instants is exact: there is no interpolation error in the generated data, and
 any residual after compensation is attributable to the compensator itself.
 
 A model evaluated on an affine time grid ``t_j = t0 + j*step`` with a uniform
-frequency grid reduces to a chirp-z transform; that fast path is numerically
-equivalent to direct evaluation (checked in the tests to ~1e-12 relative) and
-is used automatically for large products of tone count and sample count.
+frequency grid reduces to a chirp-z transform; that fast path agrees with
+direct evaluation to about 1e-10 of the peak sample magnitude (8.1e-11 to
+1.04e-10 measured for 1537 OFDM tones over 1036 samples, 6.4e-11 in RMS; the
+tests bound a multisine case at 1e-10) and is used automatically for large
+products of tone count and sample count.
 A chirp-z plan depends only on ``(n_tones, count, w, a)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
 sampling rate, so plans are kept in a bounded module-level cache and shared

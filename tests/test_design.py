@@ -10,8 +10,6 @@ from farrowsync.design import (
     ErrorReport,
     _solve,
     design_bank,
-    first_degree_error_surface,
-    frontier_bank,
     measure_error,
 )
 
@@ -106,19 +104,3 @@ def test_measurement_grid_guards(canonical):
     assert report.n_freq == 64 * bank.order
     assert isinstance(report, ErrorReport)
 
-
-def test_first_degree_surface_grows_with_bandwidth_and_delay():
-    bandwidths = np.array([0.3, 0.6, 0.9])
-    d_maxes = np.array([0.1, 0.3, 0.5])
-    surface = first_degree_error_surface(8, bandwidths, d_maxes)
-    assert surface.shape == (3, 3)
-    assert np.all(np.diff(surface, axis=0) > 0)
-    assert np.all(np.diff(surface, axis=1) > 0)
-
-
-def test_frontier_bank_lookup():
-    spec, bank = frontier_bank(-50)
-    assert (spec.degree, spec.order) == (4, 36)
-    assert bank.degree == 4
-    with pytest.raises(KeyError):
-        frontier_bank(-41)

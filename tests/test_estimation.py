@@ -15,9 +15,9 @@ from farrowsync.estimation import (
     cascaded_accumulate,
     count_operations,
     estimate,
+    estimate_from_outputs,
     ils_normal_matrix,
     ils_step,
-    max_window_length,
     newton_step,
     per_sample_derivatives,
     simplified_solve,
@@ -26,7 +26,8 @@ from farrowsync.estimation import (
     weighted_sums,
 )
 from farrowsync.estimation import _index_weighted
-from farrowsync.farrow import SubfilterOutputs, compute_subfilter_outputs, delay_out_of_range, farrow_output
+from farrowsync.farrow import SubfilterOutputs, compute_subfilter_outputs, farrow_output
+from farrowsync.metrics import nmse
 from farrowsync.signals import ImpairmentSpec, make_multisine, sample_pair
 
 _BANKS = {}
@@ -304,8 +305,15 @@ class TestEstimateDriver:
             estimate(np.zeros(50, complex), np.zeros(50), bank, EstimatorConfig())
         with pytest.raises(ValueError, match="more than 2"):
             estimate(np.zeros(8), np.zeros(14), bank, EstimatorConfig())
-        with pytest.raises(ValueError, match="too short"):
-            estimate(np.zeros(10), np.zeros(40), bank, EstimatorConfig(n_samples=30))
+        u = compute_subfilter_outputs(np.ones(40), bank)
+        with pytest.raises(TypeError):
+            estimate_from_outputs(SubfilterOutputs(u.u + 0j), np.zeros(u.n_samples), EstimatorConfig())
+        with pytest.raises(TypeError):
+            estimate_from_outputs(u, np.zeros(u.n_samples, complex), EstimatorConfig())
+        with pytest.raises(ValueError, match="does not match"):
+            estimate_from_outputs(u, np.zeros(u.n_samples + 1), EstimatorConfig())
+        with pytest.raises(ValueError, match="more than 2"):
+            estimate_from_outputs(SubfilterOutputs(u.u[:, :2]), np.zeros(2), EstimatorConfig())
         with pytest.raises(ValueError):
             EstimatorConfig(method="bfgs")
         with pytest.raises(ValueError):
@@ -316,29 +324,39 @@ class TestEstimateDriver:
             EstimatorConfig(method="simplified", sfo_only=True)
 
     @pytest.mark.parametrize("method", ["newton", "ils", "simplified"])
-    @pytest.mark.parametrize("channel", ["x0", "x1"])
+    @pytest.mark.parametrize("channel", ["x0", "x1", "u", "ref"])
     def test_non_finite_window_samples_are_rejected(self, method, channel):
+        # x0 and x1 go through estimate; u and ref straight into estimate_from_outputs.
         bank = small_bank(2)
+        gd = bank.group_delay
         model = make_multisine(seed=28)
-        x0, x1 = sample_pair(model, ImpairmentSpec(delta=1e-4, epsilon=0.01), 200 + bank.order, start=-bank.group_delay)
-        target = x0 if channel == "x0" else x1
-        target[bank.group_delay + 50] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            estimate(x0, x1, bank, EstimatorConfig(method=method))
-        target[bank.group_delay + 50] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            estimate(x0, x1, bank, EstimatorConfig(method=method))
+        x0, x1 = sample_pair(model, ImpairmentSpec(delta=1e-4, epsilon=0.01), 200 + bank.order, start=-gd)
+        u = compute_subfilter_outputs(x1, bank)
+        ref = x0[gd : gd + u.n_samples].copy()
+        target = {"x0": x0, "x1": x1, "u": u.u[2], "ref": ref}[channel]
+        config = EstimatorConfig(method=method)
+        for bad in (np.nan, np.inf):
+            target[gd + 50] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                if channel in ("x0", "x1"):
+                    estimate(x0, x1, bank, config)
+                else:
+                    estimate_from_outputs(u, ref, config)
 
     def test_non_finite_samples_outside_the_window_are_ignored(self):
+        # Unequal lengths: the longer input has a tail past the window the shorter one allows.
         bank = small_bank(2)
+        n, gd = 200, bank.group_delay
         model = make_multisine(seed=28)
-        n = 200
-        x0, x1 = sample_pair(model, ImpairmentSpec(delta=1e-4, epsilon=0.01), n + bank.order + 10, start=-bank.group_delay)
-        config = EstimatorConfig(method="newton", n_samples=n)
-        want = estimate(x0, x1, bank, config).params
-        x0[-1] = np.nan
-        x1[-1] = np.nan
-        assert estimate(x0, x1, bank, config).params == want
+        x0, x1 = sample_pair(model, ImpairmentSpec(delta=1e-4, epsilon=0.01), n + bank.order + 10, start=-gd)
+        config = EstimatorConfig(method="newton")
+        for x0_n, x1_n in ((x0, x1[: n + bank.order].copy()), (x0[: n + gd].copy(), x1)):
+            want = estimate(x0_n, x1_n, bank, config)
+            assert want.records[0].ops == count_operations("newton", 2, n)  # the window is n samples
+            longer = x0_n if x0_n.size > n + gd else x1_n
+            longer[-1] = np.nan
+            got = estimate(x0_n, x1_n, bank, config)
+            assert got.params == want.params
 
     def test_trace_rows_match_header(self):
         bank = small_bank(2)
@@ -368,25 +386,9 @@ class TestEstimateDriver:
             np.ascontiguousarray(x0.imag), np.ascontiguousarray(x1.imag), bank, EstimatorConfig(max_iterations=2)
         ).params
         avg = OffsetParams(0.5 * (re.delta + im.delta), 0.5 * (re.epsilon + im.epsilon))
-        from farrowsync.farrow import compensate_complex
-        from farrowsync.metrics import nmse
-
+        u = compute_subfilter_outputs(x1, bank)
         ref = x0[gd : gd + n]
-        err_single = nmse(compensate_complex(x1, bank, re), ref)
-        err_avg = nmse(compensate_complex(x1, bank, avg), ref)
+        err_single = nmse(farrow_output(u, re), ref)
+        err_avg = nmse(farrow_output(u, avg), ref)
         assert 0.5 <= err_single / err_avg <= 2.0
 
-
-class TestWindowLength:
-    def test_frozen_examples(self):
-        assert max_window_length(450e-6, 0.05) == 1001
-        assert max_window_length(-450e-6, 0.05) == 1223
-        assert max_window_length(0.0, 0.3) == np.iinfo(np.int64).max
-        assert max_window_length(0.0, 0.6) == 0
-
-    @pytest.mark.parametrize("delta,epsilon", [(450e-6, 0.05), (-3e-4, -0.2), (1e-5, 0.499)])
-    def test_boundary_consistency_with_the_range_flag(self, delta, epsilon):
-        n = max_window_length(delta, epsilon)
-        params = OffsetParams(delta, epsilon)
-        assert not delay_out_of_range(params, n)
-        assert delay_out_of_range(params, n + 1)

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from farrowsync import harness
+from farrowsync import estimation, harness
 from farrowsync.design import ERROR_FRONTIER
 from farrowsync.estimation import SingularSystemError
 from farrowsync.harness import (
@@ -224,14 +224,14 @@ class TestRunExperiment:
         assert {r[4] for r in rows} == {"64", "128"}
 
     def test_a_singular_trial_is_dropped_whole_and_counted_once(self, tmp_path, monkeypatch):
-        real_estimate = harness.estimate
+        real_estimate = harness.estimate_from_outputs
 
-        def singular_ils(x0, x1, bank, config):
+        def singular_ils(u, ref, config):
             if config.method == "ils":
                 raise SingularSystemError("forced")
-            return real_estimate(x0, x1, bank, config)
+            return real_estimate(u, ref, config)
 
-        monkeypatch.setattr(harness, "estimate", singular_ils)
+        monkeypatch.setattr(harness, "estimate_from_outputs", singular_ils)
         trials_run = {
             "example1": ({"trials": "2"}, 2),
             "table3": ({"trials": "1", "signals": "multisine", "snrs": "30"}, 1),
@@ -245,6 +245,37 @@ class TestRunExperiment:
             outcome = run(name, raw, out_dir=tmp_path / name)
             assert read_rows(outcome.files[0])[1] == [], name
             assert outcome.failures == count, name
+
+    @pytest.mark.parametrize(
+        "name,raw,trials",
+        [
+            ("grid", {"trials": "2", "grid_points": "2", "snrs": "40", "n_samples": "256"}, 8),
+            ("ber", {"trials": "2", "snrs": "30"}, 2),
+        ],
+        ids=["grid", "ber"],
+    )
+    def test_the_measured_stream_is_filtered_once_per_trial(self, name, raw, trials, tmp_path, monkeypatch):
+        calls = []
+        real_filter = harness.compute_subfilter_outputs
+
+        def counting(x1, bank):
+            calls.append(len(x1))
+            return real_filter(x1, bank)
+
+        monkeypatch.setattr(harness, "compute_subfilter_outputs", counting)
+        monkeypatch.setattr(estimation, "compute_subfilter_outputs", counting)
+        assert run(name, raw, out_dir=tmp_path).failures == 0
+        assert len(calls) == trials
+
+    def test_unknown_table3_signal_fails_before_any_trial(self, tmp_path, monkeypatch):
+        made = []
+        real_multisine = harness.make_multisine
+        monkeypatch.setattr(harness, "make_multisine", lambda **kw: made.append(kw) or real_multisine(**kw))
+        with pytest.raises(ConfigError, match="unknown signal kind 'bogus'"):
+            run("table3", {"trials": "1", "signals": "multisine bogus", "snrs": "30"}, out_dir=tmp_path)
+        assert made == []
+        with pytest.raises(ConfigError, match="unknown signal kind 'bogus'"):
+            run("single", {"signal": "bogus"}, out_dir=tmp_path)
 
     def test_opcounts_formula_matches_instrumentation(self, tmp_path):
         run("opcounts", {}, out_dir=tmp_path)
