@@ -14,6 +14,7 @@ The package splits into small layers:
 
 from .design import DesignSpec, ErrorReport, ERROR_FRONTIER, design_bank, measure_error
 from .estimation import (
+    BatchEstimate,
     EstimatorConfig,
     EstimationResult,
     OffsetParams,
@@ -21,6 +22,7 @@ from .estimation import (
     SingularSystemError,
     count_operations,
     estimate,
+    estimate_batch,
     estimate_from_outputs,
 )
 from .farrow import (
@@ -41,11 +43,13 @@ from .signals import (
     make_multisine,
     make_ofdm,
     sample_pair,
+    sample_pairs,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "BatchEstimate",
     "CoefficientBank",
     "DesignSpec",
     "ERROR_FRONTIER",
@@ -64,6 +68,7 @@ __all__ = [
     "count_operations",
     "design_bank",
     "estimate",
+    "estimate_batch",
     "estimate_from_outputs",
     "farrow_output",
     "load_bank",
@@ -74,5 +79,6 @@ __all__ = [
     "nmse",
     "qam_demod_ber",
     "sample_pair",
+    "sample_pairs",
     "save_bank",
 ]

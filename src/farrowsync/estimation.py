@@ -30,6 +30,17 @@ batch:
     sum n*v   = N*A1 - A2
     sum n^2*v = N^2*A1 - (2N+1)*A2 + 2*A3
 
+Every step takes leading trial axes: branch outputs ``(..., L+1, N)``,
+references ``(..., N)`` and offsets of the batch shape, accumulated along the
+last axis, with 2-vectors and 2x2 matrices carrying their component axes
+first.  The Horner passes, running sums and closed-form solves are real
+elementwise or per-row operations, so a batch gives every trial exactly the
+bits of a one-trial call.  :func:`estimate_batch` runs a batch and flags a
+trial whose 2x2 system is singular instead of raising;
+:func:`estimate_from_outputs` is its one-trial case and raises
+:class:`SingularSystemError` from that flag.  The campaigns that batch
+trials hand it at most ``harness.TRIAL_CHUNK`` trials at a time.
+
 Operation counters account for a fixed-point reference datapath, not for the
 numpy arithmetic executed here: multiplies by compile-time constants count as
 fixed multiplications, and work shared with the compensator (the branch
@@ -44,8 +55,8 @@ iterations after the first reuse Q and are cheaper; see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,20 +102,23 @@ class OpCounts:
         )
 
 
-def cascaded_accumulate(v: np.ndarray) -> tuple[float, float, float]:
-    """Run the three-accumulator cascade over ``v`` (one addition per stage and sample).
+def cascaded_accumulate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the three-accumulator cascade along the last axis of ``v`` (one addition per stage and sample).
 
     Stage 1 sums ``v``; each later stage sums the running output of the one
     before, so the final values weight ``v[n]`` by 1, ``N-n`` and
-    ``(N-n)(N-n+1)/2`` respectively, without any multiplications.
+    ``(N-n)(N-n+1)/2`` respectively, without any multiplications.  Leading
+    axes are trials, each accumulated on its own.
     """
-    c1 = np.cumsum(v)
-    c2 = np.cumsum(c1)
-    c3 = np.cumsum(c2)
-    return float(c1[-1]), float(c2[-1]), float(c3[-1])
+    c1 = np.cumsum(v, axis=-1)
+    c2 = np.cumsum(c1, axis=-1)
+    c3 = np.cumsum(c2, axis=-1)
+    # [()] turns the 0-d result of a single trial into a scalar, which keeps
+    # the per-batch arithmetic that follows cheap.
+    return c1[..., -1][()], c2[..., -1][()], c3[..., -1][()]
 
 
-def weighted_sums(acc: tuple[float, float, float], n_samples: int) -> tuple[float, float, float]:
+def weighted_sums(acc: tuple, n_samples: int) -> tuple:
     """Recover ``(sum v, sum n*v, sum n^2*v)`` from the cascade outputs ``(a1, a2, a3)``."""
     n = float(n_samples)
     a1, a2, a3 = acc
@@ -122,7 +136,7 @@ def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetPa
     """
     degree = u.degree
     d = delay_sequence(params, u.n_samples, n0)
-    branches = u.u
+    branches = u.branches
     p0 = branches[degree].copy()
     for k in range(degree - 1, -1, -1):
         p0 = p0 * d + branches[k]
@@ -141,14 +155,14 @@ def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetPa
 
 
 def batch_cost(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0) -> float:
-    """Value of the batch cost F at ``params`` (diagnostic; not op-counted)."""
+    """Value of the batch cost F at ``params`` for one trial (diagnostic; not op-counted)."""
     r = farrow_output(u, params, n0) - x0
     return 0.5 * float(r @ r)
 
 
-def _index_weighted(v: np.ndarray, n0: int) -> tuple[float, float, float]:
-    """(sum v, sum n*v, sum n^2*v) with n starting at ``n0``, via the cascade."""
-    s0, s1, s2 = weighted_sums(cascaded_accumulate(v), v.size)
+def _index_weighted(v: np.ndarray, n0: int) -> tuple:
+    """(sum v, sum n*v, sum n^2*v) along the last axis with n starting at ``n0``, via the cascade."""
+    s0, s1, s2 = weighted_sums(cascaded_accumulate(v), v.shape[-1])
     if n0:
         s2 = s2 + 2.0 * n0 * s1 + n0 * n0 * s0
         s1 = s1 + n0 * s0
@@ -158,7 +172,7 @@ def _index_weighted(v: np.ndarray, n0: int) -> tuple[float, float, float]:
 def assemble_gradient_hessian(
     u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradient and Hessian of F w.r.t. ``(delta, epsilon)`` at ``params``."""
+    """Exact gradient ``(2, ...)`` and Hessian ``(2, 2, ...)`` of F w.r.t. ``(delta, epsilon)`` at ``params``."""
     f1, f2 = per_sample_derivatives(u, x0, params, n0)
     g0, g1, _ = _index_weighted(f1, n0)
     h0, h1, h2 = _index_weighted(f2, n0)
@@ -167,22 +181,25 @@ def assemble_gradient_hessian(
     return gradient, hessian
 
 
-def solve_sym2x2(h_a: float, h_b: float, h_c: float, g_a: float, g_b: float) -> tuple[float, float]:
-    """Solve ``[[h_a, h_b], [h_b, h_c]] @ x = [g_a, g_b]`` in closed form.
+_SINGULAR_RTOL = 1e3 * np.finfo(np.float64).eps
 
-    Eight general multiplications, three additions, one division.  Raises
-    :class:`SingularSystemError` when the determinant or the squared
-    Frobenius norm of the matrix is not finite, or when the determinant is
-    at noise level relative to that norm.
+
+def solve_sym2x2(h_a, h_b, h_c, g_a, g_b) -> tuple:
+    """Solve ``[[h_a, h_b], [h_b, h_c]] @ x = [g_a, g_b]`` in closed form, elementwise over trials.
+
+    Eight general multiplications, three additions, one division.  Returns
+    ``(x_a, x_b, singular)``.  ``singular`` flags each system whose
+    determinant or squared Frobenius norm is not finite, or whose
+    determinant is at noise level relative to that norm; its solution
+    entries are NaN.
     """
     det = h_a * h_c - h_b * h_b
     frob2 = h_a * h_a + 2.0 * h_b * h_b + h_c * h_c
-    if not (math.isfinite(det) and math.isfinite(frob2)):
-        raise SingularSystemError(f"2x2 system is not finite (det={det:.3e}, frob2={frob2:.3e})")
-    if abs(det) <= 1e3 * np.finfo(np.float64).eps * frob2:
-        raise SingularSystemError(f"2x2 system is singular to working precision (det={det:.3e})")
-    inv_det = 1.0 / det
-    return (h_c * g_a - h_b * g_b) * inv_det, (h_a * g_b - h_b * g_a) * inv_det
+    # The comparison is also False for a NaN or infinite norm, and a finite
+    # norm bounds every product in det, so det is finite whenever frob2 is.
+    singular = ~(abs(det) > _SINGULAR_RTOL * frob2)
+    inv_det = 1.0 / (np.where(singular, np.nan, det) if singular.any() else det)
+    return (h_c * g_a - h_b * g_b) * inv_det, (h_a * g_b - h_b * g_a) * inv_det, singular
 
 
 @dataclass(frozen=True)
@@ -197,36 +214,37 @@ class NewtonState:
 
 
 def newton_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0, iteration: int = 1) -> NewtonState:
-    """One exact Newton update ``w <- w - H^{-1} g`` from ``params``."""
+    """One exact Newton update ``w <- w - H^{-1} g`` from ``params``; a singular ``H`` gives a NaN update."""
     gradient, hessian = assemble_gradient_hessian(u, x0, params, n0)
-    sd, se = solve_sym2x2(hessian[0, 0], hessian[0, 1], hessian[1, 1], gradient[0], gradient[1])
+    sd, se, _ = solve_sym2x2(hessian[0, 0], hessian[0, 1], hessian[1, 1], gradient[0], gradient[1])
     new = OffsetParams(params.delta - sd, params.epsilon - se)
     return NewtonState(params=new, step=np.array([sd, se]), gradient=gradient, hessian=hessian, iteration=iteration)
 
 
 def ils_normal_matrix(u: SubfilterOutputs, n0: int = 0) -> np.ndarray:
-    """Index-weighted normal matrix Q built from the first-degree branch.
+    """Index-weighted normal matrix Q, shape ``(2, 2, ...)``, built from the first-degree branch.
 
     Q is fixed for the whole batch; it is invertible exactly when u_1 is
     nonzero at two or more window positions (then det Q > 0 by
     Cauchy-Schwarz, with equality impossible for distinct indices).
     """
-    q0, q1, q2 = _index_weighted(u.u[1] * u.u[1], n0)
+    u1 = u.branches[1]
+    q0, q1, q2 = _index_weighted(u1 * u1, n0)
     return np.array([[q2, q1], [q1, q0]])
 
 
 def ils_step(
     u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, normal_matrix: np.ndarray, n0: int = 0
 ) -> tuple[OffsetParams, np.ndarray, np.ndarray]:
-    """One ILS update from ``params`` given the precomputed Q.
+    """One ILS update from ``params`` given the precomputed Q; a singular Q gives a NaN update.
 
     Returns ``(new_params, step, c)`` where ``c`` is the projected residual
     vector of the linearized problem.
     """
     r = farrow_output(u, params, n0) - x0
-    c0, c1, _ = _index_weighted(u.u[1] * r, n0)
+    c0, c1, _ = _index_weighted(u.branches[1] * r, n0)
     c = np.array([c1, c0])
-    sd, se = solve_sym2x2(normal_matrix[0, 0], normal_matrix[0, 1], normal_matrix[1, 1], c[0], c[1])
+    sd, se, _ = solve_sym2x2(normal_matrix[0, 0], normal_matrix[0, 1], normal_matrix[1, 1], c[0], c[1])
     new = OffsetParams(params.delta - sd, params.epsilon - se)
     return new, np.array([sd, se]), c
 
@@ -314,6 +332,7 @@ def trace_rows(result: EstimationResult) -> list[tuple]:
     ]
 
 
+@lru_cache(maxsize=None)
 def _newton_iteration_ops(degree: int, n: int) -> OpCounts:
     """Stage-by-stage Newton tally; sums to the closed forms in the module docstring."""
     if degree >= 2:
@@ -328,6 +347,7 @@ def _newton_iteration_ops(degree: int, n: int) -> OpCounts:
     return ops
 
 
+@lru_cache(maxsize=None)
 def _ils_iteration_ops(n: int, first: bool) -> OpCounts:
     """Stage-by-stage ILS tally; the normal matrix is only built on iteration 1."""
     ops = OpCounts(additions=2 * n)  # delay sequence and residual y - x0
@@ -344,6 +364,7 @@ def _ils_iteration_ops(n: int, first: bool) -> OpCounts:
     return ops
 
 
+@lru_cache(maxsize=None)
 def _simplified_ops(n: int) -> OpCounts:
     """Like a first ILS iteration but at rest: no delay sequence is needed."""
     ops = OpCounts(additions=n)  # residual u0 - x0
@@ -378,78 +399,148 @@ def count_operations(method: str, degree: int, n_samples: int, iterations: int =
     return _simplified_ops(n)
 
 
-def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig) -> EstimationResult:
-    """Estimate the offsets of a measured stream from its branch outputs, from a standing start.
+@dataclass(frozen=True)
+class BatchEstimate:
+    """What :func:`estimate_batch` found for each trial of a batch.
 
-    The window is every sample ``u`` covers, and window sample ``n`` compares
-    ``y(n)`` against ``ref[n]``.  ``u`` and ``ref`` must be real (one
-    component of a complex stream), of equal length above 2, and finite.
+    ``history[m]`` holds the offsets after iteration ``m + 1``, ``steps[m]``
+    the update of that iteration and ``rhs[m]`` the right-hand side it
+    solved (the gradient or ``c``; for ``sfo_only`` the scalar numerator),
+    with the component axis of 2 first and the batch shape after it.  A
+    trial that stopped repeats its last offsets.  ``iterations`` counts the
+    iterations each trial completed, ``converged`` marks a stop at the
+    tolerance, and ``singular`` marks a trial whose update was not finite.
+    """
+
+    history: tuple[OffsetParams, ...]
+    steps: tuple[np.ndarray, ...]
+    rhs: tuple[np.ndarray, ...]
+    iterations: np.ndarray
+    converged: np.ndarray
+    singular: np.ndarray
+
+    @property
+    def params(self) -> OffsetParams:
+        """Final offsets of every trial."""
+        return self.history[-1]
+
+
+def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig) -> BatchEstimate:
+    """Estimate the offsets of a batch of measured streams from their branch outputs, all from rest.
+
+    ``u`` has shape ``(..., L+1, N)`` and ``ref`` shape ``(..., N)``; every
+    leading index is one trial, and window sample ``n`` of a trial compares
+    ``y(n)`` against ``ref[..., n]``.  Each step runs once for the whole
+    batch, and each trial's numbers are bit for bit those of a one-trial
+    call.  A trial whose update is not finite (a singular or non-finite 2x2
+    system, or zero curvature for ``sfo_only``) is flagged ``singular`` and
+    frozen; so is a trial whose step fell below ``tolerance``, as converged.
+    The inputs must be real, longer than 2 samples and finite.
     """
     ref = np.asarray(ref)
     if np.iscomplexobj(u.u) or np.iscomplexobj(ref):
         raise TypeError("estimation operates on one real component")
     n = u.n_samples
-    if ref.shape != (n,):
-        raise ValueError(f"reference of shape {ref.shape} does not match {n} branch output samples")
+    if u.u.ndim < 2 or ref.shape != u.u.shape[:-2] + (n,):
+        raise ValueError(f"reference of shape {ref.shape} does not match branch outputs of shape {u.u.shape}")
     if n <= 2:
         raise ValueError(f"need more than 2 window samples, got {n}")
     if not (np.isfinite(u.u).all() and np.isfinite(ref).all()):
         raise ValueError("inputs hold non-finite samples inside the estimation window")
     ref = ref.astype(np.float64, copy=False)
-
-    params = OffsetParams()
-    records: list[IterationRecord] = []
-    converged = False
-    normal_matrix: np.ndarray | None = None
-
+    shape = ref.shape[:-1]
     if config.method == "simplified":
-        new_params, c = simplified_solve(u, ref)
-        step = np.array([new_params.delta, new_params.epsilon])
-        records.append(
-            IterationRecord(
-                iteration=1,
-                params=new_params,
-                step=step,
-                residual_norm=float(np.linalg.norm(c)),
-                cost=batch_cost(u, ref, new_params) if config.compute_cost else float("nan"),
-                delay_exceeded=delay_out_of_range(new_params, n),
-                ops=_simplified_ops(n),
-            )
-        )
-        return EstimationResult(params=new_params, records=tuple(records), method=config.method, converged=True)
+        params, c = simplified_solve(u, ref)
+        step = np.array([params.delta, params.epsilon])
+        singular = ~np.isfinite(step).all(axis=0)
+        return BatchEstimate((params,), (step,), (c,), (~singular).astype(np.int64), ~singular, singular)
 
+    params = OffsetParams(np.zeros(shape), np.zeros(shape))
+    history: list[OffsetParams] = []
+    steps: list[np.ndarray] = []
+    rhs: list[np.ndarray] = []
+    normal_matrix: np.ndarray | None = None
+    active: np.ndarray | None = None  # per-trial state, made when the first trial stops
     for m in range(1, config.max_iterations + 1):
         if config.sfo_only:
-            params, step, rhs_norm = _sfo_only_update(u, ref, params, config.method)
-            ops = OpCounts()
+            new, step, b = _sfo_only_update(u, ref, params, config.method)
         elif config.method == "newton":
             state = newton_step(u, ref, params, iteration=m)
-            params, step = state.params, state.step
-            rhs_norm = float(np.linalg.norm(state.gradient))
-            ops = _newton_iteration_ops(u.degree, n)
+            new, step, b = state.params, state.step, state.gradient
         else:
-            first = normal_matrix is None
-            if first:
+            if normal_matrix is None:
                 normal_matrix = ils_normal_matrix(u)
-            params, step, c = ils_step(u, ref, params, normal_matrix)
-            rhs_norm = float(np.linalg.norm(c))
-            ops = _ils_iteration_ops(n, first)
+            new, step, b = ils_step(u, ref, params, normal_matrix)
+        stop = np.max(np.abs(step), axis=0) < config.tolerance if config.tolerance is not None else None
+        if active is None and np.isfinite(step).all() and (stop is None or not stop.any()):
+            params = new
+        else:
+            if active is None:
+                active = np.ones(shape, dtype=bool)
+                iterations = np.full(shape, m - 1)
+                converged = np.zeros(shape, dtype=bool)
+                singular = np.zeros(shape, dtype=bool)
+            failed = active & ~np.isfinite(step).all(axis=0)
+            singular |= failed
+            active &= ~failed
+            params = OffsetParams(np.where(active, new.delta, params.delta), np.where(active, new.epsilon, params.epsilon))
+            iterations += active
+            if stop is not None:
+                stop &= active
+                converged |= stop
+                active &= ~stop
+        history.append(params)
+        steps.append(step)
+        rhs.append(b)
+        if active is not None and not active.any():
+            break
+    if active is None:
+        iterations = np.full(shape, len(history))
+        converged = singular = np.zeros(shape, dtype=bool)
+    return BatchEstimate(tuple(history), tuple(steps), tuple(rhs), iterations, converged, singular)
+
+
+def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig) -> EstimationResult:
+    """Estimate the offsets of one measured stream from its branch outputs, from a standing start.
+
+    The window is every sample ``u`` covers, and window sample ``n`` compares
+    ``y(n)`` against ``ref[n]``.  ``u`` and ``ref`` must be real (one
+    component of a complex stream), of equal length above 2, and finite.
+    This is the one-trial case of :func:`estimate_batch`; a trial it flags
+    singular raises :class:`SingularSystemError`.
+    """
+    if u.u.ndim != 2:
+        raise ValueError(f"one trial takes branch outputs of shape (L+1, N), got {u.u.shape}; use estimate_batch")
+    batch = estimate_batch(u, ref, config)
+    done = int(batch.iterations)
+    if batch.singular:
+        raise SingularSystemError(f"the update of iteration {done + 1} is not finite: the 2x2 system is singular or not finite")
+    n = u.n_samples
+    records = []
+    for m in range(done):
+        params = OffsetParams(float(batch.history[m].delta), float(batch.history[m].epsilon))
+        if config.sfo_only:
+            rhs_norm, ops = abs(float(batch.rhs[m])), OpCounts()
+        else:
+            rhs_norm = float(np.linalg.norm(batch.rhs[m]))
+            if config.method == "simplified":
+                ops = _simplified_ops(n)
+            elif config.method == "newton":
+                ops = _newton_iteration_ops(u.degree, n)
+            else:
+                ops = _ils_iteration_ops(n, first=m == 0)
         records.append(
             IterationRecord(
-                iteration=m,
+                iteration=m + 1,
                 params=params,
-                step=step,
+                step=batch.steps[m],
                 residual_norm=rhs_norm,
-                cost=batch_cost(u, ref, params) if config.compute_cost else float("nan"),
+                cost=batch_cost(u, np.asarray(ref, dtype=np.float64), params) if config.compute_cost else float("nan"),
                 delay_exceeded=delay_out_of_range(params, n),
                 ops=ops,
             )
         )
-        if config.tolerance is not None and float(np.max(np.abs(step))) < config.tolerance:
-            converged = True
-            break
-
-    return EstimationResult(params=params, records=tuple(records), method=config.method, converged=converged)
+    return EstimationResult(params=records[-1].params, records=tuple(records), method=config.method, converged=bool(batch.converged))
 
 
 def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: EstimatorConfig) -> EstimationResult:
@@ -467,21 +558,21 @@ def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: Esti
     return estimate_from_outputs(compute_subfilter_outputs(x1[: n + bank.order], bank), x0[gd : gd + n], config)
 
 
-def _sfo_only_update(
-    u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, method: str
-) -> tuple[OffsetParams, np.ndarray, float]:
-    """Scalar update of delta with epsilon pinned at zero."""
+def _sfo_only_update(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, method: str) -> tuple[OffsetParams, np.ndarray, np.ndarray]:
+    """Scalar update of delta with epsilon pinned at zero; zero curvature gives a non-finite update.
+
+    Returns ``(new_params, step, numerator)``.
+    """
     if method == "newton":
         f1, f2 = per_sample_derivatives(u, x0, params)
         _, num, _ = _index_weighted(f1, 0)
         _, _, den = _index_weighted(f2, 0)
     else:
         r = farrow_output(u, params) - x0
-        u1 = u.u[1]
+        u1 = u.branches[1]
         _, num, _ = _index_weighted(u1 * r, 0)
         _, _, den = _index_weighted(u1 * u1, 0)
-    if den == 0.0:
-        raise SingularSystemError("scalar system is singular: zero curvature")
-    step = num / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = num / den
     new = OffsetParams(params.delta - step, params.epsilon)
-    return new, np.array([step, 0.0]), abs(num)
+    return new, np.array([step, np.zeros_like(step)]), num

@@ -18,11 +18,18 @@ of ``x1``, i.e. the caller hands in a stream whose first ``N_G/2`` samples
 are run-up history.  A complex stream is filtered as two real ones, its real
 and imaginary parts, into complex branch outputs; their Horner combination
 equals two real resamplers, one per component, bit for bit.
+
+Branch outputs may carry leading trial axes, ``(..., L+1, N)``, with one
+stream's outputs per leading index; offsets holding arrays of that batch
+shape then give one delay law per trial.  Each trial's compensated samples
+are exactly those of a one-trial call, because the Horner passes multiply by
+a real delay elementwise.  The filter itself runs one stream at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,26 +75,28 @@ class CoefficientBank:
         """Integer bulk delay N_G/2 shared by every branch."""
         return self.taps.shape[1] // 2
 
-    def truncated(self, degree: int) -> "CoefficientBank":
-        """Bank formed by the first ``degree + 1`` rows of this one."""
-        if not 1 <= degree <= self.degree:
-            raise ValueError(f"degree must be in [1, {self.degree}]")
-        return CoefficientBank(self.taps[: degree + 1])
-
 
 @dataclass(frozen=True, eq=False)
 class SubfilterOutputs:
-    """Steady-state branch filter outputs, shape ``(L+1, N)``; complex for a complex stream."""
+    """Steady-state branch filter outputs, shape ``(..., L+1, N)``; complex for a complex stream.
+
+    Leading axes, if any, are the trial axes of a batch.
+    """
 
     u: np.ndarray
 
     @property
     def degree(self) -> int:
-        return self.u.shape[0] - 1
+        return self.u.shape[-2] - 1
+
+    @cached_property
+    def branches(self) -> tuple[np.ndarray, ...]:
+        """View of each branch ``u[..., k, :]``, built once."""
+        return tuple(self.u[..., k, :] for k in range(self.u.shape[-2]))
 
     @property
     def n_samples(self) -> int:
-        return self.u.shape[1]
+        return self.u.shape[-1]
 
 
 def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
@@ -115,25 +124,28 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
 
 
 def delay_sequence(params, n_samples: int, n0: int = 0) -> np.ndarray:
-    """Per-sample delay ``d(n) = n*delta + epsilon`` for ``n = n0..n0+n_samples-1``."""
+    """Per-sample delay ``d(n) = n*delta + epsilon`` for ``n = n0..n0+n_samples-1``.
+
+    ``params`` holding arrays of a batch shape gives one row per trial.
+    """
     n = np.arange(n0, n0 + n_samples, dtype=np.float64)
-    return n * params.delta + params.epsilon
+    return n * np.asarray(params.delta)[..., None] + np.asarray(params.epsilon)[..., None]
 
 
 def delay_out_of_range(params, n_samples: int, n0: int = 0, limit: float = DESIGN_DELAY_LIMIT) -> bool:
     """True when any ``|d(n)|`` over the window exceeds the design range."""
     if n_samples <= 0:
         return False
-    ends = np.array([n0, n0 + n_samples - 1], dtype=np.float64)
-    return bool(np.max(np.abs(ends * params.delta + params.epsilon)) > limit)
+    return bool(max(abs(float(n) * params.delta + params.epsilon) for n in (n0, n0 + n_samples - 1)) > limit)
 
 
 def farrow_output(u: SubfilterOutputs, params, n0: int = 0) -> np.ndarray:
     """Combine branch outputs into the compensated stream via Horner's rule."""
     d = delay_sequence(params, u.n_samples, n0)
-    y = u.u[u.degree].copy()
+    branches = u.branches
+    y = branches[u.degree].copy()
     for k in range(u.degree - 1, -1, -1):
-        y = y * d + u.u[k]
+        y = y * d + branches[k]
     return y
 
 

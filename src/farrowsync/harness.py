@@ -10,7 +10,10 @@ A campaign is a ``*_rows`` function whose keyword-only parameters are its
 config keys, desk-scale values as defaults; :data:`CAMPAIGNS` adds the rest.
 A trial whose update system is singular is dropped whole and counted once.
 A trial filters its measured stream once: every estimator and the scoring
-take those branch outputs, or a slice of them.
+take those branch outputs, or a slice of them.  ``grid`` and ``ber`` run
+their trials, across cells, as batches of at most :data:`TRIAL_CHUNK`
+through :func:`sample_pairs` and :func:`estimate_batch`; the batch size
+changes no output byte.
 
 Signal generation places the time origin in the middle of the filter run-up:
 arrays start at sample index ``-N_G/2`` so that window sample ``n`` of the
@@ -35,12 +38,17 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .design import DesignSpec, ERROR_FRONTIER, design_bank, measure_error
-from .estimation import EstimatorConfig, OffsetParams, SingularSystemError, count_operations, estimate, estimate_from_outputs, trace_rows
+from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, SingularSystemError, count_operations, estimate, estimate_batch, estimate_from_outputs, trace_rows
 from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
-from .signals import HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair
+from .signals import HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs
 
 DEFAULT_SEED = 42
+
+#: Most trials that ``grid`` and ``ber`` generate, filter and estimate at once.
+#: The desk grid's 50 cells of one trial fit in one chunk, and the cap bounds
+#: the memory of a ``--full`` cell of 1000 trials to one chunk of arrays.
+TRIAL_CHUNK = 64
 
 #: Canonical compensator: degree 4, order 36 (approximation error near -50 dB
 #: over the full design band).
@@ -204,13 +212,39 @@ def _per_method(outputs: list, configs: list[tuple[str, EstimatorConfig]]) -> li
     return [(method, outputs[m :: len(configs)]) for m, (method, _) in enumerate(configs)]
 
 
-def _mean_std(samples: list[tuple], *scales: float) -> list[float]:
-    """Scaled population mean and standard deviation of the leading columns."""
-    arr = np.array(samples)
-    stats: list[float] = []
-    for column, scale in enumerate(scales):
-        stats += [float(np.mean(arr[:, column])) * scale, float(np.std(arr[:, column])) * scale]
-    return stats
+def _columns(samples: list[tuple]) -> np.ndarray:
+    """Per-trial tuples as a ``(columns, trials)`` array with each column contiguous."""
+    return np.ascontiguousarray(np.array(samples).T)
+
+
+def _mean_std(samples: np.ndarray, *scales: float) -> np.ndarray:
+    """Scaled population mean and standard deviation of the leading columns, over the trials.
+
+    ``samples`` has shape ``(..., columns, trials)`` with the trial axis
+    contiguous, so every row reduces exactly as a lone 1-D array would.  The
+    result has shape ``(..., 2*len(scales))``: the mean and the standard
+    deviation of column 0, then of column 1, and so on.
+    """
+    leading = samples[..., : len(scales), :]
+    scale = np.array(scales)
+    stats = np.stack([np.mean(leading, axis=-1) * scale, np.std(leading, axis=-1) * scale], axis=-1)
+    return stats.reshape(stats.shape[:-2] + (2 * len(scales),))
+
+
+def _chunks(count: int) -> Iterable[slice]:
+    """Consecutive slices of at most :data:`TRIAL_CHUNK` of ``count`` trials."""
+    return (slice(lo, min(lo + TRIAL_CHUNK, count)) for lo in range(0, count, TRIAL_CHUNK))
+
+
+def _filter_rows(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
+    """Branch outputs of every stream (row) of ``x1``, stacked on a leading trial axis."""
+    return SubfilterOutputs(np.stack([compute_subfilter_outputs(row, bank).u for row in x1]))
+
+
+def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: list[tuple[str, EstimatorConfig]]) -> tuple[list[BatchEstimate], np.ndarray]:
+    """Each config's estimates for a batch of trials, and the mask of trials that no config flagged singular."""
+    results = [estimate_batch(u, ref, config) for _, config in configs]
+    return results, ~np.logical_or.reduce([result.singular for result in results])
 
 
 def _check_real_signals(signals: Iterable[str]) -> None:
@@ -320,32 +354,46 @@ def grid_rows(
 
     16-QAM OFDM test signals, estimation from the real component only, with
     the canonical bank.  Each grid cell reports the population standard
-    deviation of both estimates.
+    deviation of both estimates.  The trials of all cells run in chunks of
+    :data:`TRIAL_CHUNK`, so one chunk can span several cells.
     """
     bank = get_bank()
     gd = bank.group_delay
     configs = _newton_ils(max_iterations=1)
     offsets = np.linspace(-span_ppm, span_ppm, grid_points) * 1e-6
+    cells = list(product(snrs, range(grid_points), range(grid_points)))
+    keys = list(product(range(len(cells)), range(trials)))
+    estimates = np.empty((len(configs), 2, len(keys)))
+    ok = np.empty(len(keys), dtype=bool)
+    for chunk in _chunks(len(keys)):
+        models, impairments = [], []
+        for c, t in keys[chunk]:
+            snr, di, ei = cells[c]
+            models.append(make_ofdm(OfdmSpec(qam_order=16, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "model")))[0])
+            impairments.append(
+                ImpairmentSpec(delta=float(offsets[di]), epsilon=float(offsets[ei]), snr_db=snr, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise"))
+            )
+        x0, x1 = sample_pairs(models, impairments, n_samples + bank.order, start=-gd)
+        results, ok[chunk] = _estimate_chunk(_filter_rows(x1.real, bank), x0.real[:, gd : gd + n_samples], configs)
+        for m, result in enumerate(results):
+            estimates[m, :, chunk] = result.params.delta, result.params.epsilon
+
+    ok = ok.reshape(len(cells), trials)
+    per_cell = estimates.reshape(len(configs), 2, len(cells), trials).transpose(0, 2, 1, 3)
+    stats = np.empty((len(configs), len(cells), 4))
+    whole = ok.all(axis=1)
+    stats[:, whole] = _mean_std(np.ascontiguousarray(per_cell[:, whole]), 1e6, 1e6)
     rows: list[tuple] = []
     total_failures = 0
-    for snr in snrs:
-        for di, delta in enumerate(offsets):
-            for ei, epsilon in enumerate(offsets):
-
-                def trial(t: int) -> list[tuple[float, float]]:
-                    spec = OfdmSpec(qam_order=16, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "model"))
-                    model, _ = make_ofdm(spec)
-                    impairment = ImpairmentSpec(
-                        delta=float(delta), epsilon=float(epsilon), snr_db=snr, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise")
-                    )
-                    x0, x1 = sample_pair(model, impairment, n_samples + bank.order, start=-gd)
-                    u, ref = compute_subfilter_outputs(x1.real, bank), x0.real[gd : gd + n_samples]
-                    return [(p.delta, p.epsilon) for p in (estimate_from_outputs(u, ref, config).params for _, config in configs)]
-
-                estimates, failures = _run_trials(trial, range(trials))
-                total_failures += failures
-                for method, pairs in _per_method(estimates, configs):
-                    rows.append((snr, float(delta) * 1e6, float(epsilon) * 1e6, method, len(pairs), failures, *_mean_std(pairs, 1e6, 1e6)))
+    for c, (snr, di, ei) in enumerate(cells):
+        kept = int(ok[c].sum())
+        total_failures += trials - kept
+        if not kept:
+            continue
+        if not whole[c]:
+            stats[:, c] = _mean_std(np.ascontiguousarray(per_cell[:, c][..., ok[c]]), 1e6, 1e6)
+        for m, (method, _) in enumerate(configs):
+            rows.append((snr, float(offsets[di]) * 1e6, float(offsets[ei]) * 1e6, method, kept, trials - kept, *stats[m, c].tolist()))
     return rows, total_failures
 
 
@@ -420,31 +468,45 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
     bank = get_bank()
     gd = bank.group_delay
     configs = _newton_ils(max_iterations=2)
-
-    def trial(snr: float, t: int) -> list[tuple]:
-        model_seed = stable_seed(base_seed, "ber", snr, t, "model")
-        spec = OfdmSpec(qam_order=64, seed=model_seed)
-        model, payload = make_ofdm(spec)
-        impairment = ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise"))
+    keys = list(product(snrs, range(trials)))
+    rows: list[tuple] = []
+    failures = 0
+    for chunk in _chunks(len(keys)):
+        seeds, models, payloads, impairments = [], [], [], []
+        for snr, t in keys[chunk]:
+            seeds.append(stable_seed(base_seed, "ber", snr, t, "model"))
+            spec = OfdmSpec(qam_order=64, seed=seeds[-1])
+            model, payload = make_ofdm(spec)
+            models.append(model)
+            payloads.append(payload)
+            impairments.append(ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")))
         symbol_start = -spec.n_fft // 4
-        x0, x1 = sample_pair(model, impairment, spec.n_fft + bank.order, start=symbol_start - gd)
         offset = -symbol_start  # array index of absolute sample -gd
-        u = compute_subfilter_outputs(x1, bank)
-        ref = x0[offset + gd : offset + gd + n]
-        window = SubfilterOutputs(u.u.real[:, offset : offset + n])
-
-        variants = [(method, rec.iteration, rec.params) for method, config in configs for rec in estimate_from_outputs(window, ref.real, config).records]
-        variants.append(("true", 0, _true_params(delta, epsilon)))
-        rows = []
-        for method, iteration, params in variants:
-            y = farrow_output(u, params, n0=symbol_start)
-            window_err = nmse(y[offset : offset + n], ref)
-            rx = ofdm_demodulate(y, payload, start_time=symbol_start)
-            errors, bits, _ = qam_demod_ber(rx, payload.symbols, payload.qam_order)
-            rows.append((snr, t, model_seed, method, iteration, params.delta_ppm, params.epsilon * 1e6, window_err, errors, bits))
-        return rows
-
-    return _run_trials(trial, snrs, range(trials))
+        x0, x1 = sample_pairs(models, impairments, spec.n_fft + bank.order, start=symbol_start - gd)
+        u = _filter_rows(x1, bank)
+        ref = x0[:, offset + gd : offset + gd + n]
+        results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., offset : offset + n]), ref.real, configs)
+        failures += int(np.count_nonzero(~ok))
+        kept = np.flatnonzero(ok)
+        if not kept.size:
+            continue
+        estimates = [(method, m + 1, params) for (method, _), result in zip(configs, results) for m, params in enumerate(result.history)]
+        compensated = np.empty((kept.size, len(estimates) + 1, spec.n_fft), dtype=np.complex128)
+        trial_rows = []
+        for i, b in enumerate(kept):
+            snr, t = keys[chunk][b]
+            trial_u = SubfilterOutputs(u.u[b])
+            variants = [(method, it, OffsetParams(float(p.delta[b]), float(p.epsilon[b]))) for method, it, p in estimates]
+            for j, (method, iteration, params) in enumerate(variants + [("true", 0, _true_params(delta, epsilon))]):
+                y = compensated[i, j] = farrow_output(trial_u, params, n0=symbol_start)
+                trial_rows.append((snr, t, seeds[b], method, iteration, params.delta_ppm, params.epsilon * 1e6, nmse(y[offset : offset + n], ref[b])))
+        # Every payload shares the subcarrier layout, so the chunk takes one
+        # FFT and one rotation, and each trial's sent symbols are labelled once.
+        rx = ofdm_demodulate(compensated, payloads[0], start_time=symbol_start)
+        sent = np.array([payloads[b].symbols for b in kept])[:, None, :]
+        errors, bits, _ = qam_demod_ber(rx, sent, spec.qam_order)
+        rows += [row + (bit_errors, bits) for row, bit_errors in zip(trial_rows, errors.ravel().tolist())]
+    return rows, failures
 
 
 APPROX_HEADER = ("target_db", "degree", "order", "measured_error_db", "method", "trials", "mean_nmse", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon", "std_epsilon")
@@ -475,7 +537,7 @@ def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
         total_failures += failures
         for method, values in _per_method(outputs, configs):
             mean_nmse = float(np.mean(np.array(values)[:, 2]))
-            rows.append((target_db, degree, order, report.error_db, method, len(values), mean_nmse, *_mean_std(values, 1e6, 1.0)))
+            rows.append((target_db, degree, order, report.error_db, method, len(values), mean_nmse, *_mean_std(_columns(values), 1e6, 1.0).tolist()))
     return rows, total_failures
 
 
@@ -522,7 +584,7 @@ def nsweep_rows(
                 estimates, failures = _run_trials(trial, range(trials))
                 total_failures += failures
                 for method, samples in _per_method(estimates, configs):
-                    rows.append((set_index, delta * 1e6, epsilon, snr, n, method, len(samples), *_mean_std(samples, 1e6, 1.0)))
+                    rows.append((set_index, delta * 1e6, epsilon, snr, n, method, len(samples), *_mean_std(_columns(samples), 1e6, 1.0).tolist()))
     return rows, total_failures
 
 

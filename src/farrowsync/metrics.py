@@ -24,7 +24,7 @@ def nmse(y: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sum(np.abs(y - reference) ** 2)) / denom
 
 
-def qam_demod_ber(rx_symbols: np.ndarray, tx_symbols: np.ndarray, qam_order: int) -> tuple[int, int, float]:
-    """Hard-decision bit error count and rate for one block of QAM symbols."""
+def qam_demod_ber(rx_symbols: np.ndarray, tx_symbols: np.ndarray, qam_order: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Hard-decision bit error count and rate per block of QAM symbols (the last axis; see :func:`qam.count_bit_errors`)."""
     errors, total = qam.count_bit_errors(rx_symbols, tx_symbols, qam_order)
     return errors, total, errors / total

@@ -8,6 +8,8 @@ in-phase bits first, so nearest-neighbour symbol errors cost one bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _SUPPORTED_ORDERS = (4, 16, 64, 256)
@@ -25,11 +27,13 @@ def bits_per_symbol(order: int) -> int:
     return int(np.log2(order))
 
 
+@lru_cache(maxsize=None)
 def constellation(order: int) -> np.ndarray:
     """Return the full constellation, indexed by the integer bit label.
 
     ``constellation(order)[label]`` is the complex symbol whose Gray-coded
     bit pattern equals ``label`` (in-phase bits in the high positions).
+    Built once per order and shared: the array is read-only.
     """
     m = _check_order(order)
     half = bits_per_symbol(order) // 2
@@ -39,6 +43,7 @@ def constellation(order: int) -> np.ndarray:
     points = np.empty(order, dtype=np.complex128)
     points.real = 2 * _gray_decode(gray_i, m) - (m - 1)
     points.imag = 2 * _gray_decode(gray_q, m) - (m - 1)
+    points.setflags(write=False)
     return points
 
 
@@ -77,16 +82,21 @@ def _nearest_level_index(values: np.ndarray, m: int) -> np.ndarray:
     return np.clip(idx, 0, m - 1)
 
 
-def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int) -> tuple[int, int]:
+def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int) -> tuple[np.ndarray, int]:
     """Hard-demodulate ``rx_symbols`` and count bit errors against the sent symbols.
 
-    Returns ``(bit_errors, total_bits)``.
+    The last axis is one block of symbols and leading axes of ``rx_symbols``
+    are separate blocks; ``tx_symbols`` broadcasts against them, so one sent
+    block scored against several received ones is labelled once.  Returns
+    ``(bit_errors, total_bits)`` per block.
     """
-    if rx_symbols.shape != tx_symbols.shape:
-        raise ValueError("rx and tx symbol arrays must have the same shape")
+    rx_symbols = np.asarray(rx_symbols)
+    tx_symbols = np.asarray(tx_symbols)
+    if np.broadcast_shapes(rx_symbols.shape, tx_symbols.shape) != rx_symbols.shape:
+        raise ValueError(f"tx symbols of shape {tx_symbols.shape} do not broadcast against rx symbols of shape {rx_symbols.shape}")
     rx_labels = hard_decision_labels(rx_symbols, order)
     tx_labels = hard_decision_labels(tx_symbols, order)
     diff = rx_labels ^ tx_labels
-    errors = int(np.bitwise_count(diff.astype(np.uint64)).sum())
-    total = rx_symbols.size * bits_per_symbol(order)
+    errors = np.bitwise_count(diff.astype(np.uint64)).sum(axis=-1)
+    total = rx_symbols.shape[-1] * bits_per_symbol(order)
     return errors, total

@@ -13,11 +13,24 @@ tests bound a multisine case at 1e-10) and is used automatically for large
 products of tone count and sample count.
 A chirp-z plan depends only on ``(n_tones, count, w, a)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
-sampling rate, so plans are kept in a bounded module-level cache and shared
-across trials and models.  Each model likewise computes its tone
-coefficients and its grid check once.  A cached plan or coefficient array is
-the result of the same arithmetic on the same inputs as a freshly built one,
-so the samples are bit-for-bit those of a plan built on every call.
+sampling rate, so plans are kept in a module-level cache bounded by the
+bytes of their arrays (:data:`_CZT_PLAN_CACHE_BYTES`) and shared across
+trials and models.  Each model likewise computes its tone coefficients and
+its grid check once.  A cached plan or coefficient array is the result of
+the same arithmetic on the same inputs as a freshly built one, so the
+samples are bit-for-bit those of a plan built on every call.
+
+The sampler has a leading trial axis: :func:`sample_pairs` samples one
+model under one impairment per row, and :func:`sample_pair` is its
+one-trial case.  Rows whose models share a chirp-z plan go through one
+stacked transform, and the phase vectors a row needs are computed once per
+distinct start time and step.  Stacked FFTs and real elementwise operations
+give every row exactly the bits of a one-row call, but a complex multiply
+broadcast across rows can differ from the one-row product in the last bit
+(about 1e-13 was seen on x0), so the phase multiplies before and after the
+transform, the carrier rotation and the noise run row by row on contiguous
+rows.  The campaigns that batch trials cap a batch at ``harness.TRIAL_CHUNK``
+rows, which bounds the memory a batch holds.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -37,24 +50,69 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.signal import CZT
 
 MAX_OMEGA = 0.9 * np.pi
 
-# Above this many tone-sample products, evaluate_affine switches to the CZT.
+# Above this many tone-sample products, evaluation switches to the CZT.
 _FAST_PATH_THRESHOLD = 1 << 18
 
 _DIRECT_CHUNK = 4096
 
-# Plans held by the chirp-z cache.  No campaign needs more than 30 at once
-# (approx_sweep: 15 window lengths times 2 sampling rates).
-_CZT_PLAN_CACHE_SIZE = 64
+# Bytes of plan arrays the chirp-z cache may hold.  A desk campaign needs at
+# most 30 plans at once (approx_sweep: 15 window lengths times 2 sampling
+# rates) of about 0.1 MiB each; one CZT(512, 2**20) plan alone holds 32 MiB.
+_CZT_PLAN_CACHE_BYTES = 64 << 20
 
-_czt_plan = lru_cache(maxsize=_CZT_PLAN_CACHE_SIZE)(CZT)
+
+class _PlanCacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    currsize: int
+    nbytes: int
+
+
+class _PlanCache:
+    """Chirp-z plans by ``(n, m, w, a)``, least recently used evicted first past the byte budget.
+
+    The plan just built always stays, even when it alone exceeds the budget.
+    """
+
+    def __init__(self) -> None:
+        self._plans: OrderedDict[tuple, tuple[CZT, int]] = OrderedDict()
+        self.cache_clear()
+
+    def __call__(self, n: int, m: int, w: complex, a: complex) -> CZT:
+        key = (n, m, w, a)
+        entry = self._plans.get(key)
+        if entry is not None:
+            self._plans.move_to_end(key)
+            self._hits += 1
+            return entry[0]
+        self._misses += 1
+        plan = CZT(n, m, w, a)
+        size = sum(v.nbytes for v in vars(plan).values() if isinstance(v, np.ndarray))
+        self._plans[key] = (plan, size)
+        self._nbytes += size
+        while self._nbytes > _CZT_PLAN_CACHE_BYTES and len(self._plans) > 1:
+            self._nbytes -= self._plans.popitem(last=False)[1][1]
+        return plan
+
+    def cache_info(self) -> _PlanCacheInfo:
+        return _PlanCacheInfo(self._hits, self._misses, len(self._plans), self._nbytes)
+
+    def cache_clear(self) -> None:
+        self._plans.clear()
+        self._hits = self._misses = self._nbytes = 0
+
+
+_czt_plan = _PlanCache()
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,16 +167,26 @@ class HarmonicSignalModel:
         coeffs.setflags(write=False)
         return coeffs
 
+    @cached_property
+    def _grid(self) -> tuple[float, float]:
+        """First tone frequency and tone spacing of a uniform grid."""
+        w0 = float(self.omegas[0])
+        dw = float(self.omegas[1] - self.omegas[0]) if self.n_tones > 1 else 0.0
+        return w0, dw
+
+    def _tone_sum(self, t: np.ndarray) -> np.ndarray:
+        """Complex sum ``sum_k c_k*exp(1j*omega_k*t)`` at the flat times ``t``, by direct summation."""
+        coeffs = self._coefficients
+        out = np.empty(t.size, dtype=np.complex128)
+        for lo in range(0, t.size, _DIRECT_CHUNK):
+            chunk = t[lo : lo + _DIRECT_CHUNK]
+            out[lo : lo + chunk.size] = np.exp(1j * np.outer(chunk, self.omegas)) @ coeffs
+        return out
+
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Evaluate the waveform at arbitrary times by direct summation."""
         t = np.asarray(t, dtype=np.float64)
-        flat = t.reshape(-1)
-        coeffs = self._coefficients
-        out = np.empty(flat.size, dtype=np.complex128)
-        for lo in range(0, flat.size, _DIRECT_CHUNK):
-            chunk = flat[lo : lo + _DIRECT_CHUNK]
-            out[lo : lo + chunk.size] = np.exp(1j * np.outer(chunk, self.omegas)) @ coeffs
-        result = out.reshape(t.shape)
+        result = self._tone_sum(t.reshape(-1)).reshape(t.shape)
         return result if self.is_complex else result.real
 
     def evaluate_affine(self, t0: float, step: float, count: int, fast: bool | None = None) -> np.ndarray:
@@ -130,22 +198,47 @@ class HarmonicSignalModel:
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if fast is None:
-            fast = self.has_uniform_grid and self.n_tones * count > _FAST_PATH_THRESHOLD
-        if not fast:
-            return self.evaluate(t0 + step * np.arange(count))
-        if not self.has_uniform_grid:
-            raise ValueError("fast evaluation requires a uniform frequency grid")
         if count == 0:
-            dtype = np.complex128 if self.is_complex else np.float64
-            return np.zeros(0, dtype=dtype)
-        w0 = float(self.omegas[0])
-        dw = float(self.omegas[1] - self.omegas[0]) if self.n_tones > 1 else 0.0
-        # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
-        x = self._coefficients * np.exp(1j * dw * float(t0) * np.arange(self.n_tones))
-        spectrum = _czt_plan(self.n_tones, count, np.exp(1j * dw * float(step)), 1.0 + 0.0j)(x)
-        result = spectrum * np.exp(1j * w0 * (float(t0) + float(step) * np.arange(count)))
+            return np.zeros(0, dtype=np.complex128 if self.is_complex else np.float64)
+        result = _tone_sums([self], [t0], [step], count, fast)[0]
         return result if self.is_complex else result.real
+
+
+def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], steps: Sequence[float], count: int, fast: bool | None) -> np.ndarray:
+    """Complex tone sums of ``models[b]`` on the grid ``t0s[b] + steps[b]*arange(count)``, one row each.
+
+    Rows on the chirp-z path are grouped by plan and transformed by one
+    stacked call per plan; the phase multiplies around it run row by row.
+    """
+    out = np.empty((len(models), count), dtype=np.complex128)
+    plans: dict[tuple, list[int]] = {}
+    for row, (model, t0, step) in enumerate(zip(models, t0s, steps)):
+        use_fast = model.has_uniform_grid and model.n_tones * count > _FAST_PATH_THRESHOLD if fast is None else fast
+        if not use_fast:
+            out[row] = model._tone_sum(np.asarray(t0 + step * np.arange(count), dtype=np.float64))
+        elif not model.has_uniform_grid:
+            raise ValueError("fast evaluation requires a uniform frequency grid")
+        else:
+            plans.setdefault((model.n_tones, count, np.exp(1j * model._grid[1] * float(step)), 1.0 + 0.0j), []).append(row)
+    before: dict[tuple, np.ndarray] = {}
+    after: dict[tuple, np.ndarray] = {}
+    for key, rows in plans.items():
+        n_tones = key[0]
+        x = np.empty((len(rows), n_tones), dtype=np.complex128)
+        for i, row in enumerate(rows):
+            # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
+            dw, t0 = models[row]._grid[1], float(t0s[row])
+            if (dw, t0, n_tones) not in before:
+                before[dw, t0, n_tones] = np.exp(1j * dw * t0 * np.arange(n_tones))
+            np.multiply(models[row]._coefficients, before[dw, t0, n_tones], out=x[i])
+        # scipy transforms a lone row faster as a 1-D array than as a stack of one.
+        spectrum = _czt_plan(*key)(x if len(rows) > 1 else x[0]).reshape(len(rows), count)
+        for i, row in enumerate(rows):
+            w0, t0, step = models[row]._grid[0], float(t0s[row]), float(steps[row])
+            if (w0, t0, step) not in after:
+                after[w0, t0, step] = np.exp(1j * w0 * (t0 + step * np.arange(count)))
+            np.multiply(spectrum[i], after[w0, t0, step], out=out[row])
+    return out
 
 
 # ── Generators ────────────────────────────────────────────────────────────────
@@ -275,13 +368,16 @@ def ofdm_demodulate(samples: np.ndarray, payload: OfdmPayload, start_time: float
 
     ``samples`` must hold ``n_fft`` consecutive samples whose first element
     corresponds to absolute time ``start_time`` on the reference grid.
+    Leading axes are separate waveforms with the same subcarrier layout; they
+    share one stacked FFT and one rotation vector.
     """
+    samples = np.asarray(samples, dtype=np.complex128)
     m = payload.n_fft
-    if samples.size != m:
-        raise ValueError(f"expected {m} samples, got {samples.size}")
-    spectrum = np.fft.fft(np.asarray(samples, dtype=np.complex128)) / m
+    if samples.shape[-1:] != (m,):
+        raise ValueError(f"expected {m} samples, got {samples.shape[-1] if samples.ndim else 0}")
+    spectrum = np.fft.fft(samples) / m
     rotation = np.exp(-2j * np.pi * payload.bins * start_time / m)
-    return spectrum[np.mod(payload.bins, m)] * rotation
+    return spectrum[..., np.mod(payload.bins, m)] * rotation
 
 
 # ── Impairments ───────────────────────────────────────────────────────────────
@@ -330,6 +426,48 @@ def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarr
     return x + noise
 
 
+def sample_pairs(
+    models: Sequence[HarmonicSignalModel],
+    impairments: Sequence[ImpairmentSpec],
+    n_total: int,
+    start: int = 0,
+    fast: bool | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample a batch of trials: row ``b`` of ``x0`` and ``x1`` is ``models[b]`` under ``impairments[b]``.
+
+    Both outputs have shape ``(len(models), n_total)``, and each row is bit
+    for bit what :func:`sample_pair` gives for that model and impairment.
+    The models must be all real or all complex.
+    """
+    if n_total <= 0:
+        raise ValueError("n_total must be positive")
+    if not models or len(models) != len(impairments):
+        raise ValueError("need at least one model and exactly one impairment per model")
+    is_complex = models[0].is_complex
+    if any(model.is_complex != is_complex for model in models):
+        raise ValueError("the models of one batch must be all real or all complex")
+    if not is_complex and any(imp.cfo_fraction != 0.0 or imp.phase_offset != 0.0 for imp in impairments):
+        raise ValueError("carrier impairments require a complex model")
+    t0 = float(start)
+    x0 = _tone_sums(models, [t0] * len(models), [1.0] * len(models), n_total, fast)
+    steps = [1.0 + imp.delta for imp in impairments]
+    x1 = _tone_sums(models, [t0 * (1.0 + imp.delta) + imp.epsilon for imp in impairments], steps, n_total, fast)
+    if not is_complex:
+        x0, x1 = np.ascontiguousarray(x0.real), np.ascontiguousarray(x1.real)
+    n = np.arange(n_total, dtype=np.float64) + t0
+    for row, imp in enumerate(impairments):
+        if imp.cfo_fraction != 0.0 or imp.phase_offset != 0.0:
+            omega_cfo = 2.0 * np.pi * imp.cfo_fraction / imp.n_fft if imp.cfo_fraction else 0.0
+            t1 = n * (1.0 + imp.delta) + imp.epsilon
+            x0[row] = x0[row] * np.exp(1j * (omega_cfo * n + imp.phase_offset))
+            x1[row] = x1[row] * np.exp(1j * (omega_cfo * t1 + imp.phase_offset))
+        if imp.snr_db is not None:
+            rng = np.random.default_rng(imp.seed)
+            x0[row] = add_awgn(x0[row], imp.snr_db, rng)
+            x1[row] = add_awgn(x1[row], imp.snr_db, rng)
+    return x0, x1
+
+
 def sample_pair(
     model: HarmonicSignalModel,
     impairment: ImpairmentSpec,
@@ -343,22 +481,7 @@ def sample_pair(
     ``x0[j] = x(n)`` and ``x1[j] = x(n*(1+delta) + epsilon)``.  A carrier
     offset rotates the underlying continuous signal, so both chains see it
     at their respective sampling times; per-channel noise is independent.
+    This is the one-trial case of :func:`sample_pairs`.
     """
-    if n_total <= 0:
-        raise ValueError("n_total must be positive")
-    n = np.arange(n_total, dtype=np.float64) + float(start)
-    x0 = model.evaluate_affine(float(start), 1.0, n_total, fast=fast)
-    t1_start = float(start) * (1.0 + impairment.delta) + impairment.epsilon
-    x1 = model.evaluate_affine(t1_start, 1.0 + impairment.delta, n_total, fast=fast)
-    if impairment.cfo_fraction != 0.0 or impairment.phase_offset != 0.0:
-        if not model.is_complex:
-            raise ValueError("carrier impairments require a complex model")
-        omega_cfo = 2.0 * np.pi * impairment.cfo_fraction / impairment.n_fft if impairment.cfo_fraction else 0.0
-        t1 = n * (1.0 + impairment.delta) + impairment.epsilon
-        x0 = x0 * np.exp(1j * (omega_cfo * n + impairment.phase_offset))
-        x1 = x1 * np.exp(1j * (omega_cfo * t1 + impairment.phase_offset))
-    if impairment.snr_db is not None:
-        rng = np.random.default_rng(impairment.seed)
-        x0 = add_awgn(x0, impairment.snr_db, rng)
-        x1 = add_awgn(x1, impairment.snr_db, rng)
-    return x0, x1
+    x0, x1 = sample_pairs([model], [impairment], n_total, start, fast)
+    return x0[0], x1[0]

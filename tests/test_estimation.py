@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from farrowsync import estimation
 from farrowsync.design import DesignSpec, design_bank
 from farrowsync.estimation import (
     EstimatorConfig,
@@ -15,6 +16,7 @@ from farrowsync.estimation import (
     cascaded_accumulate,
     count_operations,
     estimate,
+    estimate_batch,
     estimate_from_outputs,
     ils_normal_matrix,
     ils_step,
@@ -28,7 +30,7 @@ from farrowsync.estimation import (
 from farrowsync.estimation import _index_weighted
 from farrowsync.farrow import SubfilterOutputs, compute_subfilter_outputs, farrow_output
 from farrowsync.metrics import nmse
-from farrowsync.signals import ImpairmentSpec, make_multisine, sample_pair
+from farrowsync.signals import ImpairmentSpec, make_multisine, sample_pair, sample_pairs
 
 _BANKS = {}
 
@@ -116,22 +118,41 @@ class TestSolver:
             m = rng.standard_normal((2, 2))
             a = m @ m.T + 0.1 * np.eye(2)
             b = rng.standard_normal(2)
-            got = solve_sym2x2(a[0, 0], a[0, 1], a[1, 1], b[0], b[1])
-            np.testing.assert_allclose(got, np.linalg.solve(a, b), rtol=1e-12)
+            x_a, x_b, singular = solve_sym2x2(a[0, 0], a[0, 1], a[1, 1], b[0], b[1])
+            assert not singular
+            np.testing.assert_allclose([x_a, x_b], np.linalg.solve(a, b), rtol=1e-12)
 
-    def test_singular_raises(self):
-        with pytest.raises(SingularSystemError):
-            solve_sym2x2(1.0, 1.0, 1.0, 0.5, 0.5)
-        with pytest.raises(SingularSystemError):
-            solve_sym2x2(0.0, 0.0, 0.0, 0.0, 0.0)
+    @staticmethod
+    def _assert_flagged_and_raised(entries, monkeypatch):
+        """The solver flags the system, and the one-trial estimator raises from that flag."""
+        x_a, x_b, singular = solve_sym2x2(*entries, 0.5, 0.5)
+        assert singular and np.isnan(x_a) and np.isnan(x_b)
+        h_a, h_b, h_c = entries
+        monkeypatch.setattr(estimation, "ils_normal_matrix", lambda u, n0=0: np.array([[h_a, h_b], [h_b, h_c]]))
+        _, u, x0 = _random_batch(2, seed=30)
+        with pytest.raises(SingularSystemError, match="not finite"):
+            estimate_from_outputs(u, x0, EstimatorConfig(method="ils"))
+
+    def test_singular_raises(self, monkeypatch):
+        self._assert_flagged_and_raised([1.0, 1.0, 1.0], monkeypatch)
+        self._assert_flagged_and_raised([0.0, 0.0, 0.0], monkeypatch)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", [0, 1, 2])
-    def test_non_finite_matrix_raises(self, bad, slot):
+    def test_non_finite_matrix_raises(self, bad, slot, monkeypatch):
         entries = [2.0, 0.5, 1.0]
         entries[slot] = bad
-        with pytest.raises(SingularSystemError, match="not finite"):
-            solve_sym2x2(*entries, 0.5, 0.5)
+        self._assert_flagged_and_raised(entries, monkeypatch)
+
+    def test_a_batch_flags_only_its_singular_systems(self):
+        h_a = np.array([2.0, 1.0, np.inf, 2.0])
+        h_b = np.array([0.5, 1.0, 0.5, 0.5])
+        h_c = np.array([1.0, 1.0, 1.0, 1.0])
+        x_a, x_b, singular = solve_sym2x2(h_a, h_b, h_c, 0.5, 0.5)
+        np.testing.assert_array_equal(singular, [False, True, True, False])
+        want = solve_sym2x2(2.0, 0.5, 1.0, 0.5, 0.5)
+        for row in (0, 3):
+            assert (x_a[row], x_b[row]) == want[:2]
 
 
 class TestNormalMatrix:
@@ -392,3 +413,73 @@ class TestEstimateDriver:
         err_avg = nmse(farrow_output(u, avg), ref)
         assert 0.5 <= err_single / err_avg <= 2.0
 
+
+
+class TestTrialAxis:
+    """A batch of windows equals one-trial estimates, trial for trial and bit for bit."""
+
+    @staticmethod
+    def _windows(offsets, n=256, degree=3):
+        bank = small_bank(degree)
+        gd = bank.group_delay
+        models = [make_multisine(seed=40 + k) for k in range(len(offsets))]
+        impairments = [ImpairmentSpec(delta=d, epsilon=e) for d, e in offsets]
+        x0, x1 = sample_pairs(models, impairments, n + bank.order, start=-gd)
+        u = SubfilterOutputs(np.stack([compute_subfilter_outputs(row, bank).u for row in x1]))
+        return u, np.ascontiguousarray(x0[:, gd : gd + n])
+
+    OFFSETS = [(2e-4, 0.1), (-3e-4, 0.25), (0.0, 0.0), (1e-5, -0.02), (4e-4, -0.3)]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EstimatorConfig(method="newton", max_iterations=3),
+            EstimatorConfig(method="ils", max_iterations=3),
+            EstimatorConfig(method="simplified"),
+            EstimatorConfig(method="newton", max_iterations=3, sfo_only=True),
+            EstimatorConfig(method="ils", max_iterations=3, sfo_only=True),
+            EstimatorConfig(method="newton", max_iterations=3, tolerance=1e-7),
+            EstimatorConfig(method="ils", max_iterations=3, tolerance=1e-7),
+        ],
+        ids=["newton", "ils", "simplified", "newton_sfo", "ils_sfo", "newton_tol", "ils_tol"],
+    )
+    def test_batch_equals_one_trial_calls(self, config):
+        u, ref = self._windows(self.OFFSETS)
+        batch = estimate_batch(u, ref, config)
+        assert not batch.singular.any()
+        for k in range(len(self.OFFSETS)):
+            one = estimate_from_outputs(SubfilterOutputs(u.u[k]), ref[k], config)
+            assert batch.iterations[k] == one.iterations
+            assert batch.converged[k] == one.converged
+            for m, rec in enumerate(one.records):
+                assert (batch.history[m].delta[k], batch.history[m].epsilon[k]) == (rec.params.delta, rec.params.epsilon)
+                assert np.array_equal(batch.steps[m][:, k], rec.step)
+            assert (batch.params.delta[k], batch.params.epsilon[k]) == (one.params.delta, one.params.epsilon)
+        if config.tolerance is not None:
+            # Trials stop at different iterations, and a stopped trial keeps its offsets.
+            assert len(set(batch.iterations.tolist())) > 1
+
+    @pytest.mark.parametrize("method,sfo_only", [("newton", False), ("ils", False), ("simplified", False), ("newton", True), ("ils", True)])
+    def test_a_degenerate_row_is_flagged_alone(self, method, sfo_only):
+        config = EstimatorConfig(method=method, max_iterations=2, sfo_only=sfo_only)
+        u, ref = self._windows(self.OFFSETS[:3])
+        healthy = estimate_batch(SubfilterOutputs(u.u[[0, 2]]), ref[[0, 2]], config)
+        u.u[1, 1:] = 0.0  # u_1 (and every higher branch) identically zero
+        batch = estimate_batch(u, ref, config)
+        np.testing.assert_array_equal(batch.singular, [False, True, False])
+        for got, want in ((0, 0), (2, 1)):
+            assert batch.iterations[got] == healthy.iterations[want]
+            assert (batch.params.delta[got], batch.params.epsilon[got]) == (healthy.params.delta[want], healthy.params.epsilon[want])
+        with pytest.raises(SingularSystemError):
+            estimate_from_outputs(SubfilterOutputs(u.u[1]), ref[1], config)
+
+    def test_batch_input_guards(self):
+        u, ref = self._windows(self.OFFSETS[:2])
+        with pytest.raises(ValueError, match="does not match"):
+            estimate_batch(u, ref[0], EstimatorConfig())
+        with pytest.raises(ValueError, match="one trial"):
+            estimate_from_outputs(u, ref, EstimatorConfig())
+        bad = ref.copy()
+        bad[1, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_batch(u, bad, EstimatorConfig())

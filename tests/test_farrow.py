@@ -131,16 +131,6 @@ def test_bank_validation():
         CoefficientBank(np.array([[0.0, 1.0, 0.0]]))  # a single row is not a bank
 
 
-def test_truncation(canonical_bank):
-    low = canonical_bank.truncated(1)
-    assert low.degree == 1
-    np.testing.assert_array_equal(low.taps, canonical_bank.taps[:2])
-    with pytest.raises(ValueError):
-        canonical_bank.truncated(0)
-    with pytest.raises(ValueError):
-        canonical_bank.truncated(5)
-
-
 def test_delay_range_flag_checks_window_endpoints():
     assert delay_out_of_range(OffsetParams(450e-6, 0.05), 1024)
     assert not delay_out_of_range(OffsetParams(450e-6, 0.039), 1024)

@@ -1,6 +1,7 @@
 """Campaign harness: seeding, CSV encoding, config parsing, runners, CLI."""
 
 import csv
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -224,14 +225,23 @@ class TestRunExperiment:
         assert {r[4] for r in rows} == {"64", "128"}
 
     def test_a_singular_trial_is_dropped_whole_and_counted_once(self, tmp_path, monkeypatch):
+        # grid and ber estimate batches; the other campaigns estimate one trial at a time.
         real_estimate = harness.estimate_from_outputs
+        real_batch = harness.estimate_batch
 
         def singular_ils(u, ref, config):
             if config.method == "ils":
                 raise SingularSystemError("forced")
             return real_estimate(u, ref, config)
 
+        def singular_ils_batch(u, ref, config):
+            result = real_batch(u, ref, config)
+            if config.method == "ils":
+                return dataclasses.replace(result, singular=np.ones_like(result.singular))
+            return result
+
         monkeypatch.setattr(harness, "estimate_from_outputs", singular_ils)
+        monkeypatch.setattr(harness, "estimate_batch", singular_ils_batch)
         trials_run = {
             "example1": ({"trials": "2"}, 2),
             "table3": ({"trials": "1", "signals": "multisine", "snrs": "30"}, 1),
@@ -266,6 +276,48 @@ class TestRunExperiment:
         monkeypatch.setattr(estimation, "compute_subfilter_outputs", counting)
         assert run(name, raw, out_dir=tmp_path).failures == 0
         assert len(calls) == trials
+
+    def test_a_grid_cell_keeps_the_statistics_of_its_good_trials(self, tmp_path, monkeypatch):
+        results = {}
+        real_batch = harness.estimate_batch
+
+        def flag_the_first_trial(u, ref, config):
+            results[config.method] = result = real_batch(u, ref, config)
+            singular = np.zeros_like(result.singular)
+            singular[0] = True
+            return dataclasses.replace(result, singular=singular)
+
+        monkeypatch.setattr(harness, "estimate_batch", flag_the_first_trial)
+        outcome = run("grid", {"trials": "4", "grid_points": "1", "snrs": "40", "n_samples": "256"}, out_dir=tmp_path)
+        assert outcome.failures == 1
+        header, rows = read_rows(outcome.files[0])
+        assert [row[3] for row in rows] == ["newton", "ils"]
+        for row in rows:
+            cell = dict(zip(header, row))
+            kept = results[cell["method"]].params
+            assert (cell["trials"], cell["failures"]) == ("3", "1")
+            for column, values in (("delta_ppm", kept.delta[1:]), ("epsilon_ppm", kept.epsilon[1:])):
+                assert float(cell[f"mean_{column}"]) == float(np.mean(values)) * 1e6
+                assert float(cell[f"std_{column}"]) == float(np.std(values)) * 1e6
+
+    @pytest.mark.parametrize(
+        "name,raw,chunk,trials",
+        [
+            ("grid", {"trials": "5", "grid_points": "2", "snrs": "40", "n_samples": "256"}, 3, 20),
+            ("ber", {"trials": "5", "snrs": "30"}, 2, 5),
+        ],
+        ids=["grid", "ber"],
+    )
+    def test_chunks_bound_the_batch_and_leave_the_csv_unchanged(self, name, raw, chunk, trials, tmp_path, monkeypatch):
+        # Chunks cross cell boundaries, so a cell's trials may come from two chunks.
+        whole = run(name, raw, out_dir=tmp_path / "whole").files[0].read_bytes()
+        batches = []
+        real_sampler = harness.sample_pairs
+        monkeypatch.setattr(harness, "sample_pairs", lambda models, *args, **kw: batches.append(len(models)) or real_sampler(models, *args, **kw))
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
+        assert run(name, raw, out_dir=tmp_path / "chunked").files[0].read_bytes() == whole
+        assert max(batches) == chunk
+        assert sum(batches) == trials
 
     def test_unknown_table3_signal_fails_before_any_trial(self, tmp_path, monkeypatch):
         made = []

@@ -77,3 +77,23 @@ def test_random_symbols_draws_from_the_constellation():
     assert set(symbols.tolist()) <= points
     # All levels show up in a draw this large.
     assert len(set(symbols.tolist())) == 64
+
+
+def test_count_bit_errors_per_block_against_one_sent_block():
+    rng = np.random.default_rng(3)
+    tx = qam.random_symbols(16, 40, rng)
+    rx = tx + rng.normal(0.0, 0.8, (3, 2, 40)) + 1j * rng.normal(0.0, 0.8, (3, 2, 40))
+    errors, total = qam.count_bit_errors(rx, tx, 16)
+    assert errors.shape == (3, 2) and total == 160
+    for index in np.ndindex(3, 2):
+        assert errors[index] == qam.count_bit_errors(rx[index], tx, 16)[0]
+    with pytest.raises(ValueError, match="broadcast"):
+        qam.count_bit_errors(rx[0, 0], np.stack([tx, tx]), 16)
+
+
+def test_constellation_is_built_once_and_read_only():
+    points = qam.constellation(64)
+    assert qam.constellation(64) is points
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0] = 0.0

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.signal import czt
+from scipy.signal import CZT, czt
 
+from farrowsync import signals
 from farrowsync.harness import Options, run_experiment
 from farrowsync.signals import (
-    _CZT_PLAN_CACHE_SIZE,
     _czt_plan,
     HarmonicSignalModel,
     ImpairmentSpec,
@@ -17,6 +17,7 @@ from farrowsync.signals import (
     make_ofdm,
     ofdm_demodulate,
     sample_pair,
+    sample_pairs,
 )
 
 
@@ -114,13 +115,17 @@ class TestPlanCache:
         for t0, step, count in cases:
             assert np.array_equal(model.evaluate_affine(t0, step, count, fast=True), _uncached_fast_path(model, t0, step, count))
 
-    def test_desk_grid_builds_one_plan_per_sampling_rate(self, tmp_path):
+    def test_desk_grid_builds_one_plan_per_sampling_rate(self, tmp_path, monkeypatch):
         grid_points = 5  # the desk default
+        transforms = []
+        real_call = CZT.__call__
+        monkeypatch.setattr(CZT, "__call__", lambda plan, x, **kw: transforms.append(np.atleast_2d(x).shape) or real_call(plan, x, **kw))
         _czt_plan.cache_clear()
         run_experiment("grid", Options({"trials": "1", "snrs": "20"}, "grid"), 42, False, tmp_path)
-        info = _czt_plan.cache_info()
-        assert 0 < info.misses <= 1 + grid_points
-        assert info.hits > 0
+        assert 0 < _czt_plan.cache_info().misses <= 1 + grid_points
+        # One stacked transform per plan: x0 of all 25 cells, then x1 per delta.
+        assert len(transforms) <= 1 + grid_points
+        assert sum(shape[0] for shape in transforms) == 2 * grid_points**2
 
     def test_coefficients_are_read_only(self):
         model = make_multisine(seed=3)
@@ -130,11 +135,29 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             coeffs[0] = 0.0
 
-    def test_cache_stays_bounded(self):
+    def test_cache_stays_bounded(self, monkeypatch):
         model = make_bandpass_noise(seed=4)
-        for k in range(_CZT_PLAN_CACHE_SIZE + 16):
+        _czt_plan.cache_clear()
+        model.evaluate_affine(0.0, 1.0, 600, fast=True)
+        plan_bytes = _czt_plan.cache_info().nbytes
+        monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", 3 * plan_bytes)
+        for k in range(1, 81):
             model.evaluate_affine(0.0, 1.0 + k * 1e-6, 600, fast=True)
-        assert _czt_plan.cache_info().currsize <= _CZT_PLAN_CACHE_SIZE
+            info = _czt_plan.cache_info()
+            assert info.nbytes <= 3 * plan_bytes and info.currsize <= 3
+        assert (info.hits, info.misses) == (0, 81)
+
+    def test_eviction_keeps_results_bit_identical(self, monkeypatch):
+        model = make_multisine(seed=5, complex_signal=True)
+        cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257)]
+        # Below one plan's size: each new plan evicts the one before and stays alone.
+        monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", 1)
+        _czt_plan.cache_clear()
+        for _ in range(2):
+            for t0, step, count in cases:
+                assert np.array_equal(model.evaluate_affine(t0, step, count, fast=True), _uncached_fast_path(model, t0, step, count))
+                assert _czt_plan.cache_info().currsize == 1
+        assert _czt_plan.cache_info().hits == 0
 
 
 class TestGenerators:
@@ -241,3 +264,65 @@ class TestImpairments:
     def test_cfo_requires_fft_size(self):
         with pytest.raises(ValueError, match="n_fft"):
             ImpairmentSpec(cfo_fraction=0.05)
+
+
+class TestTrialAxis:
+    """A batch of trials equals one-trial calls, row for row and bit for bit."""
+
+    @staticmethod
+    def _models(is_complex):
+        # Three tone grids: two sizes of OFDM (complex only) or multisine and
+        # bandpass noise, so several chirp-z plans and the direct path mix.
+        if is_complex:
+            small = [make_ofdm(OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=k))[0] for k in range(3)]
+            large = [make_ofdm(OfdmSpec(qam_order=16, seed=k))[0] for k in range(3)]
+            return small + large + [make_multisine(seed=9, complex_signal=True)]
+        return [make_multisine(seed=k) for k in range(3)] + [make_bandpass_noise(seed=k) for k in range(4)]
+
+    @staticmethod
+    def _impairments(is_complex):
+        carrier = {"cfo_fraction": 0.05, "phase_offset": 0.7, "n_fft": 2048} if is_complex else {}
+        offsets = [(3e-4, -0.2), (3e-4, 0.1), (-2e-4, 0.0), (3e-4, -0.2), (0.0, 0.0), (-2e-4, 0.05), (1e-4, 0.3)]
+        return [
+            ImpairmentSpec(delta=d, epsilon=e, snr_db=None if k == 4 else 20.0 + k, seed=k, **(carrier if k % 2 else {}))
+            for k, (d, e) in enumerate(offsets)
+        ]
+
+    @pytest.mark.parametrize("fast", [None, True])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_batched_sampler_equals_per_trial_calls(self, is_complex, fast):
+        models, impairments = self._models(is_complex), self._impairments(is_complex)
+        x0, x1 = sample_pairs(models, impairments, 700, start=-18, fast=fast)
+        assert x0.shape == x1.shape == (len(models), 700)
+        assert np.iscomplexobj(x0) == is_complex
+        for row, (model, imp) in enumerate(zip(models, impairments)):
+            a0, a1 = sample_pair(model, imp, 700, start=-18, fast=fast)
+            assert np.array_equal(x0[row], a0) and np.array_equal(x1[row], a1), row
+
+    def test_rows_sharing_a_plan_share_one_transform(self, monkeypatch):
+        transforms = []
+        real_call = CZT.__call__
+        monkeypatch.setattr(CZT, "__call__", lambda plan, x, **kw: transforms.append(np.atleast_2d(x).shape) or real_call(plan, x, **kw))
+        models = [make_ofdm(OfdmSpec(qam_order=16, seed=k))[0] for k in range(6)]
+        impairments = [ImpairmentSpec(delta=d, epsilon=0.1 * k) for k, d in enumerate([1e-4, 1e-4, -1e-4, 1e-4, -1e-4, 0.0])]
+        sample_pairs(models, impairments, 600, fast=True)
+        # x0: one plan for all six rows; x1: one plan per distinct delta.
+        assert sorted(transforms) == sorted([(6, 1537), (3, 1537), (2, 1537), (1, 1537)])
+
+    def test_batch_guards(self):
+        real, cplx = make_multisine(seed=1), make_multisine(seed=1, complex_signal=True)
+        with pytest.raises(ValueError, match="all real or all complex"):
+            sample_pairs([real, cplx], [ImpairmentSpec()] * 2, 64)
+        with pytest.raises(ValueError, match="one impairment per model"):
+            sample_pairs([real, real], [ImpairmentSpec()], 64)
+        with pytest.raises(ValueError, match="complex model"):
+            sample_pairs([real], [ImpairmentSpec(phase_offset=0.5)], 64)
+
+    def test_batched_demodulation_equals_per_waveform_calls(self):
+        spec = OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=3)
+        model, payload = make_ofdm(spec)
+        waveforms = np.stack([model.evaluate(np.arange(-64.0, 192.0) * (1 + k * 1e-4)) for k in range(5)]).reshape(5, 1, 256)
+        rx = ofdm_demodulate(waveforms, payload, start_time=-64)
+        assert rx.shape == (5, 1, 128)
+        for k in range(5):
+            assert np.array_equal(rx[k, 0], ofdm_demodulate(waveforms[k, 0], payload, start_time=-64))
