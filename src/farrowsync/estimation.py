@@ -16,10 +16,14 @@ over a window of N samples, starting always from (0, 0):
   only the first-degree branch, solving the normal equations with the fixed
   matrix Q built from u_1 once per batch and the projected residual c
   refreshed each iteration.
-* The simplified estimator is the common closed form both methods reduce to
-  for a first-degree bank: one least-squares solve from rest.  Because the
-  Farrow output at zero delay is exactly u_0 for any degree, its estimate
-  coincides bit for bit with the first ILS iteration.
+
+Two variants are restrictions of these steps rather than further algorithms.
+The simplified estimator is one ILS iteration from rest: the closed form
+both methods reduce to for a first-degree bank, since the Farrow output at
+zero delay is exactly u_0 for any degree.  ``sfo_only`` pins epsilon at
+zero and solves only the delta row of the method's own system: the first
+entry of the gradient (or of c) over the first diagonal entry of the
+Hessian (or of Q).
 
 Index-weighted sums ``sum n^p * v(n)`` are never formed with explicit
 products; each is obtained from plain running-sum cascades (one addition per
@@ -210,15 +214,14 @@ class NewtonState:
     step: np.ndarray  # subtracted update (delta, epsilon components)
     gradient: np.ndarray  # evaluated at the pre-step point
     hessian: np.ndarray  # evaluated at the pre-step point
-    iteration: int = 1
 
 
-def newton_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0, iteration: int = 1) -> NewtonState:
+def newton_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0) -> NewtonState:
     """One exact Newton update ``w <- w - H^{-1} g`` from ``params``; a singular ``H`` gives a NaN update."""
     gradient, hessian = assemble_gradient_hessian(u, x0, params, n0)
     sd, se, _ = solve_sym2x2(hessian[0, 0], hessian[0, 1], hessian[1, 1], gradient[0], gradient[1])
     new = OffsetParams(params.delta - sd, params.epsilon - se)
-    return NewtonState(params=new, step=np.array([sd, se]), gradient=gradient, hessian=hessian, iteration=iteration)
+    return NewtonState(params=new, step=np.array([sd, se]), gradient=gradient, hessian=hessian)
 
 
 def ils_normal_matrix(u: SubfilterOutputs, n0: int = 0) -> np.ndarray:
@@ -249,16 +252,6 @@ def ils_step(
     return new, np.array([sd, se]), c
 
 
-def simplified_solve(u: SubfilterOutputs, x0: np.ndarray, n0: int = 0) -> tuple[OffsetParams, np.ndarray]:
-    """Single closed-form least-squares estimate from rest (first-degree update).
-
-    Identical to the first ILS iteration, and to Newton's first iteration
-    when the bank degree is 1.  Returns ``(params, c)``.
-    """
-    params, _, c = ils_step(u, x0, OffsetParams(), ils_normal_matrix(u, n0), n0)
-    return params, c
-
-
 # ── Batch driver ──────────────────────────────────────────────────────────────
 
 
@@ -267,9 +260,10 @@ class EstimatorConfig:
     """Options of :func:`estimate_from_outputs` and :func:`estimate`.
 
     ``tolerance`` enables early stopping on the max-norm of the applied update.
-    ``sfo_only`` freezes epsilon at zero and updates delta alone (scalar
-    variants of both methods); it exists to quantify the cost of ignoring
-    the time offset and has no operation-count model.
+    ``method="simplified"`` runs exactly one ILS iteration.  ``sfo_only``
+    keeps epsilon at zero and solves the delta row of the method's system
+    alone; it exists to quantify the cost of ignoring the time offset and
+    has no operation-count model.
     """
 
     method: str = "newton"
@@ -306,7 +300,6 @@ class IterationRecord:
 class EstimationResult:
     params: OffsetParams
     records: tuple[IterationRecord, ...]
-    method: str
     converged: bool
 
     @property
@@ -333,70 +326,47 @@ def trace_rows(result: EstimationResult) -> list[tuple]:
 
 
 @lru_cache(maxsize=None)
-def _newton_iteration_ops(degree: int, n: int) -> OpCounts:
-    """Stage-by-stage Newton tally; sums to the closed forms in the module docstring."""
-    if degree >= 2:
-        ops = OpCounts(general_mults=max(degree - 3, 0) * n, additions=n)  # d and its powers
-        ops = ops + OpCounts(general_mults=4 * n, fixed_mults=(2 * degree - 2) * n, additions=(2 * degree - 1) * n)
-    else:
-        ops = OpCounts(general_mults=2 * n, additions=2 * n)  # delay law plus derivative products
-    ops = ops + OpCounts(additions=5 * (n - 1))  # five cascaded accumulators
-    ops = ops + OpCounts(fixed_mults=5, additions=4)  # index-weighted combines
-    ops = ops + OpCounts(general_mults=8, additions=3, divisions=1)  # 2x2 solve
-    ops = ops + OpCounts(additions=2)  # parameter update
-    return ops
+def _iteration_ops(method: str, degree: int, n: int, first: bool) -> OpCounts:
+    """Stage-by-stage tally of one iteration; sums to the closed forms in the module docstring.
 
-
-@lru_cache(maxsize=None)
-def _ils_iteration_ops(n: int, first: bool) -> OpCounts:
-    """Stage-by-stage ILS tally; the normal matrix is only built on iteration 1."""
-    ops = OpCounts(additions=2 * n)  # delay sequence and residual y - x0
-    if first:
+    ILS builds Q on its first iteration and reuses it after; the simplified
+    estimate is a first ILS iteration at rest, which needs no delay sequence.
+    """
+    if method == "newton":
+        if degree >= 2:
+            ops = OpCounts(general_mults=max(degree - 3, 0) * n, additions=n)  # d and its powers
+            ops = ops + OpCounts(general_mults=4 * n, fixed_mults=(2 * degree - 2) * n, additions=(2 * degree - 1) * n)
+        else:
+            ops = OpCounts(general_mults=2 * n, additions=2 * n)  # delay law plus derivative products
+    elif first:
+        ops = OpCounts(additions=n if method == "simplified" else 2 * n)  # residual y - x0, and the delay sequence off rest
         ops = ops + OpCounts(general_mults=2 * n)  # u1*r and u1*u1
-        ops = ops + OpCounts(additions=5 * (n - 1))  # Q and c accumulators
-        ops = ops + OpCounts(fixed_mults=5, additions=4)  # combines for Q and c
     else:
+        ops = OpCounts(additions=2 * n)  # delay sequence and residual y - x0
         ops = ops + OpCounts(general_mults=n)  # u1*r only
-        ops = ops + OpCounts(additions=2 * (n - 1))  # c accumulators
-        ops = ops + OpCounts(fixed_mults=1, additions=1)  # combine for c
-    ops = ops + OpCounts(general_mults=8, additions=3, divisions=1)
-    ops = ops + OpCounts(additions=2)
-    return ops
-
-
-@lru_cache(maxsize=None)
-def _simplified_ops(n: int) -> OpCounts:
-    """Like a first ILS iteration but at rest: no delay sequence is needed."""
-    ops = OpCounts(additions=n)  # residual u0 - x0
-    ops = ops + OpCounts(general_mults=2 * n, additions=5 * (n - 1))
-    ops = ops + OpCounts(fixed_mults=5, additions=4)
-    ops = ops + OpCounts(general_mults=8, additions=3, divisions=1)
-    ops = ops + OpCounts(additions=2)
-    return ops
+        ops = ops + OpCounts(fixed_mults=1, additions=2 * (n - 1) + 1)  # c accumulators and their combine
+    if method == "newton" or first:
+        ops = ops + OpCounts(additions=5 * (n - 1))  # five cascaded accumulators
+        ops = ops + OpCounts(fixed_mults=5, additions=4)  # index-weighted combines
+    ops = ops + OpCounts(general_mults=8, additions=3, divisions=1)  # 2x2 solve
+    return ops + OpCounts(additions=2)  # parameter update
 
 
 def count_operations(method: str, degree: int, n_samples: int, iterations: int = 1) -> OpCounts:
     """Closed-form operation counts of a full estimation run.
 
     Per iteration these match the module-docstring formulas; for ILS the
-    first iteration includes assembling Q and later ones reuse it.
+    first iteration includes assembling Q and later ones reuse it.  The
+    simplified estimate is always one iteration.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    n = n_samples
-    if method == "newton":
-        total = OpCounts()
-        for _ in range(iterations):
-            total = total + _newton_iteration_ops(degree, n)
-        return total
-    if method == "ils":
-        total = _ils_iteration_ops(n, first=True)
-        for _ in range(iterations - 1):
-            total = total + _ils_iteration_ops(n, first=False)
-        return total
-    return _simplified_ops(n)
+    total = OpCounts()
+    for m in range(1 if method == "simplified" else iterations):
+        total = total + _iteration_ops(method, degree, n_samples, m == 0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -449,54 +419,55 @@ def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig
         raise ValueError("inputs hold non-finite samples inside the estimation window")
     ref = ref.astype(np.float64, copy=False)
     shape = ref.shape[:-1]
-    if config.method == "simplified":
-        params, c = simplified_solve(u, ref)
-        step = np.array([params.delta, params.epsilon])
-        singular = ~np.isfinite(step).all(axis=0)
-        return BatchEstimate((params,), (step,), (c,), (~singular).astype(np.int64), ~singular, singular)
-
     params = OffsetParams(np.zeros(shape), np.zeros(shape))
     history: list[OffsetParams] = []
     steps: list[np.ndarray] = []
     rhs: list[np.ndarray] = []
     normal_matrix: np.ndarray | None = None
     active: np.ndarray | None = None  # per-trial state, made when the first trial stops
-    for m in range(1, config.max_iterations + 1):
-        if config.sfo_only:
-            new, step, b = _sfo_only_update(u, ref, params, config.method)
-        elif config.method == "newton":
-            state = newton_step(u, ref, params, iteration=m)
-            new, step, b = state.params, state.step, state.gradient
-        else:
-            if normal_matrix is None:
-                normal_matrix = ils_normal_matrix(u)
-            new, step, b = ils_step(u, ref, params, normal_matrix)
-        stop = np.max(np.abs(step), axis=0) < config.tolerance if config.tolerance is not None else None
-        if active is None and np.isfinite(step).all() and (stop is None or not stop.any()):
-            params = new
-        else:
-            if active is None:
-                active = np.ones(shape, dtype=bool)
-                iterations = np.full(shape, m - 1)
-                converged = np.zeros(shape, dtype=bool)
-                singular = np.zeros(shape, dtype=bool)
-            failed = active & ~np.isfinite(step).all(axis=0)
-            singular |= failed
-            active &= ~failed
-            params = OffsetParams(np.where(active, new.delta, params.delta), np.where(active, new.epsilon, params.epsilon))
-            iterations += active
-            if stop is not None:
-                stop &= active
-                converged |= stop
-                active &= ~stop
-        history.append(params)
-        steps.append(step)
-        rhs.append(b)
-        if active is not None and not active.any():
-            break
+    # Huge finite inputs overflow to a non-finite update, which is flagged below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for m in range(1, (1 if config.method == "simplified" else config.max_iterations) + 1):
+            if config.method == "newton":
+                state = newton_step(u, ref, params)
+                new, step, b, system = state.params, state.step, state.gradient, state.hessian
+            else:
+                if normal_matrix is None:
+                    normal_matrix = ils_normal_matrix(u)
+                new, step, b = ils_step(u, ref, params, normal_matrix)
+                system = normal_matrix
+            if config.sfo_only:
+                b = b[0]
+                sd = b / system[0, 0]
+                new, step = OffsetParams(params.delta - sd, params.epsilon), np.array([sd, np.zeros_like(sd)])
+            stop = np.max(np.abs(step), axis=0) < config.tolerance if config.tolerance is not None else None
+            if active is None and np.isfinite(step).all() and (stop is None or not stop.any()):
+                params = new
+            else:
+                if active is None:
+                    active = np.ones(shape, dtype=bool)
+                    iterations = np.full(shape, m - 1)
+                    converged = np.zeros(shape, dtype=bool)
+                    singular = np.zeros(shape, dtype=bool)
+                failed = active & ~np.isfinite(step).all(axis=0)
+                singular |= failed
+                active &= ~failed
+                params = OffsetParams(np.where(active, new.delta, params.delta), np.where(active, new.epsilon, params.epsilon))
+                iterations += active
+                if stop is not None:
+                    stop &= active
+                    converged |= stop
+                    active &= ~stop
+            history.append(params)
+            steps.append(step)
+            rhs.append(b)
+            if active is not None and not active.any():
+                break
     if active is None:
         iterations = np.full(shape, len(history))
         converged = singular = np.zeros(shape, dtype=bool)
+    if config.method == "simplified":
+        converged = ~singular
     return BatchEstimate(tuple(history), tuple(steps), tuple(rhs), iterations, converged, singular)
 
 
@@ -522,13 +493,7 @@ def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: Estimato
         if config.sfo_only:
             rhs_norm, ops = abs(float(batch.rhs[m])), OpCounts()
         else:
-            rhs_norm = float(np.linalg.norm(batch.rhs[m]))
-            if config.method == "simplified":
-                ops = _simplified_ops(n)
-            elif config.method == "newton":
-                ops = _newton_iteration_ops(u.degree, n)
-            else:
-                ops = _ils_iteration_ops(n, first=m == 0)
+            rhs_norm, ops = float(np.linalg.norm(batch.rhs[m])), _iteration_ops(config.method, u.degree, n, m == 0)
         records.append(
             IterationRecord(
                 iteration=m + 1,
@@ -540,7 +505,7 @@ def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: Estimato
                 ops=ops,
             )
         )
-    return EstimationResult(params=records[-1].params, records=tuple(records), method=config.method, converged=bool(batch.converged))
+    return EstimationResult(params=records[-1].params, records=tuple(records), converged=bool(batch.converged))
 
 
 def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: EstimatorConfig) -> EstimationResult:
@@ -557,22 +522,3 @@ def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: Esti
         raise ValueError(f"need more than 2 window samples, got {n}")
     return estimate_from_outputs(compute_subfilter_outputs(x1[: n + bank.order], bank), x0[gd : gd + n], config)
 
-
-def _sfo_only_update(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, method: str) -> tuple[OffsetParams, np.ndarray, np.ndarray]:
-    """Scalar update of delta with epsilon pinned at zero; zero curvature gives a non-finite update.
-
-    Returns ``(new_params, step, numerator)``.
-    """
-    if method == "newton":
-        f1, f2 = per_sample_derivatives(u, x0, params)
-        _, num, _ = _index_weighted(f1, 0)
-        _, _, den = _index_weighted(f2, 0)
-    else:
-        r = farrow_output(u, params) - x0
-        u1 = u.branches[1]
-        _, num, _ = _index_weighted(u1 * r, 0)
-        _, _, den = _index_weighted(u1 * u1, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = num / den
-    new = OffsetParams(params.delta - step, params.epsilon)
-    return new, np.array([step, np.zeros_like(step)]), num

@@ -557,6 +557,8 @@ def nsweep_rows(
     per estimate with the canonical bank, bandpass-noise signals shared
     across lengths; a trial is one estimate at one length, so a singular
     system at one length leaves the other lengths of that signal counted.
+    Each signal is estimated at every length before the next is drawn, so
+    only one signal's branch outputs are held at a time.
     """
     bank = get_bank()
     n_max = max(lengths)
@@ -565,7 +567,7 @@ def nsweep_rows(
     total_failures = 0
     for set_index, (delta, epsilon) in enumerate([(200e-6, 0.03), (100e-6, 300e-6)]):
         for snr in snrs:
-            windows = []
+            per_length: list[list] = [[] for _ in lengths]
             for t in range(trials):
                 model = make_bandpass_noise(seed=stable_seed(base_seed, "nsweep", set_index, t, "model"))
                 impairment = ImpairmentSpec(
@@ -574,15 +576,16 @@ def nsweep_rows(
                     snr_db=None if np.isinf(snr) else snr,
                     seed=stable_seed(base_seed, "nsweep", set_index, snr, t, "noise"),
                 )
-                windows.append(_window(model, impairment, bank, n_max))
-            for n in lengths:
+                u, ref = _window(model, impairment, bank, n_max)
 
-                def trial(t: int) -> list[tuple[float, float]]:
-                    u, ref = windows[t]
+                def trial(n: int) -> list[tuple[float, float]]:
                     return [(p.delta, p.epsilon) for p in (estimate_from_outputs(SubfilterOutputs(u.u[:, :n]), ref[:n], config).params for _, config in configs)]
 
-                estimates, failures = _run_trials(trial, range(trials))
-                total_failures += failures
+                for n, estimates in zip(lengths, per_length):
+                    outputs, failures = _run_trials(trial, [n])
+                    estimates += outputs
+                    total_failures += failures
+            for n, estimates in zip(lengths, per_length):
                 for method, samples in _per_method(estimates, configs):
                     rows.append((set_index, delta * 1e6, epsilon, snr, n, method, len(samples), *_mean_std(_columns(samples), 1e6, 1.0).tolist()))
     return rows, total_failures

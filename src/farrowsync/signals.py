@@ -306,14 +306,12 @@ class OfdmSpec:
     """Parameters of a single OFDM symbol used as the test waveform.
 
     The harmonic model is periodic with period ``n_fft``, so the cyclic
-    prefix is implicit in the waveform; ``cp_length`` is carried along as
-    frame metadata only.
+    prefix is implicit in the waveform.
     """
 
     n_fft: int = 2048
     active_subcarriers: int = 1536
     qam_order: int = 64
-    cp_length: int = 144
     seed: int = 0
 
     def __post_init__(self) -> None:

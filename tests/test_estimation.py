@@ -1,5 +1,7 @@
 """Estimator mathematics: accumulators, derivatives, solvers, operation accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from farrowsync.estimation import (
     ils_step,
     newton_step,
     per_sample_derivatives,
-    simplified_solve,
     solve_sym2x2,
     trace_rows,
     weighted_sums,
@@ -30,7 +31,7 @@ from farrowsync.estimation import (
 from farrowsync.estimation import _index_weighted
 from farrowsync.farrow import SubfilterOutputs, compute_subfilter_outputs, farrow_output
 from farrowsync.metrics import nmse
-from farrowsync.signals import ImpairmentSpec, make_multisine, sample_pair, sample_pairs
+from farrowsync.signals import ImpairmentSpec, make_bandpass_noise, make_multisine, sample_pair, sample_pairs
 
 _BANKS = {}
 
@@ -218,7 +219,7 @@ class TestFirstDegreeEquivalence:
 
     def test_simplified_matches_direct_solve(self):
         _, u, x0 = _random_batch(4, seed=18)
-        params, c = simplified_solve(u, x0)
+        params = estimate_from_outputs(u, x0, EstimatorConfig(method="simplified")).params
         q = ils_normal_matrix(u)
         want = np.linalg.solve(q, np.array([_index_weighted(u.u[1] * (u.u[0] - x0), 0)[1],
                                             _index_weighted(u.u[1] * (u.u[0] - x0), 0)[0]]))
@@ -319,6 +320,34 @@ class TestEstimateDriver:
         assert abs(ablated.params.delta - effective) > 1e-4
         assert ablated.params.epsilon == 0.0
         assert ablated.total_ops == OpCounts()
+
+    # Every method with sfo_only off, then the two that allow it on.
+    ALL_VARIANTS = [("newton", False), ("ils", False), ("simplified", False), ("newton", True), ("ils", True)]
+
+    @pytest.mark.parametrize("method,sfo_only", ALL_VARIANTS)
+    @pytest.mark.parametrize("make_model", [make_multisine, make_bandpass_noise])
+    def test_an_unimpaired_pair_gives_zero_offsets_at_every_iteration(self, make_model, method, sfo_only):
+        bank = small_bank(3)
+        config = EstimatorConfig(method=method, max_iterations=3, sfo_only=sfo_only)
+        for seed in range(3):
+            x0, x1 = sample_pair(make_model(seed=seed), ImpairmentSpec(), 256 + bank.order, start=-bank.group_delay)
+            result = estimate(x0, x1, bank, config)
+            assert result.iterations == (1 if method == "simplified" else 3)
+            assert all((rec.params.delta, rec.params.epsilon) == (0.0, 0.0) for rec in result.records)
+
+    @pytest.mark.parametrize("method,sfo_only", ALL_VARIANTS)
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+    def test_finite_but_huge_inputs_raise_without_warnings(self, scale, method, sfo_only):
+        # The index-weighted sums of a 200-sample multisine window overflow
+        # from 1e150 on; the update turns non-finite and is flagged quietly.
+        bank = small_bank(3)
+        gd = bank.group_delay
+        x0, x1 = sample_pair(make_multisine(seed=29), ImpairmentSpec(delta=1e-4, epsilon=0.01), 200 + bank.order, start=-gd)
+        u = compute_subfilter_outputs(x1 * scale, bank)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError):
+                estimate_from_outputs(u, x0[gd : gd + u.n_samples] * scale, EstimatorConfig(method=method, sfo_only=sfo_only))
 
     def test_input_guards(self):
         bank = small_bank(2)

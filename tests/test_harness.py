@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,20 @@ class TestRunExperiment:
         assert run(name, raw, out_dir=tmp_path / "chunked").files[0].read_bytes() == whole
         assert max(batches) == chunk
         assert sum(batches) == trials
+
+    def test_nsweep_peak_memory_does_not_grow_with_the_trial_count(self):
+        # Each signal is estimated at every length before the next is drawn,
+        # so one signal's branch outputs are alive at a time, not every trial's.
+        harness.nsweep_rows(1, 42, lengths=(64, 2048), snrs=(30.0,))  # designs and caches the bank
+        peaks = []
+        for trials in (4, 32):
+            tracemalloc.start()
+            try:
+                harness.nsweep_rows(trials, 42, lengths=(64, 2048), snrs=(30.0,))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_unknown_table3_signal_fails_before_any_trial(self, tmp_path, monkeypatch):
         made = []
