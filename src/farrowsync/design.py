@@ -26,6 +26,22 @@ multiplied by the combined complex residual magnitude and renormalized, which
 pushes the solution toward the minimax one while staying a (weighted) linear
 least-squares problem on the same grid.  ``reweight_passes=0`` recovers the
 plain fit.
+
+Each system is separable on the grid.  At frequency ``omega_i`` its rows,
+weighted by ``r_i = sqrt(w_i)``, are ``diag(r_i) P (x) s_i`` with
+``P[j, k] = d_j**k`` over the system's degrees ``k`` and ``s_i`` the sine
+(or cosine) basis row at ``omega_i``.  A thin QR ``diag(r_i) P = Q_i R_i``
+turns that block into ``Q_i (R_i (x) s_i)``, so the full matrix is
+``blockdiag(Q_i)`` times the stack of the blocks ``R_i (x) s_i``.
+``blockdiag(Q_i)`` has orthonormal columns: it preserves the norm of
+anything in its range and is orthogonal to the rest.  The squared residual
+therefore splits into ``sum_i |(R_i (x) s_i) c - Q_i^T (r_i b_i)|^2`` plus a
+term that does not depend on ``c``.  The compressed problem has the same
+minimizer, the same singular values and the same rank as the full one, with
+``K`` rows per frequency instead of ``n_delay`` (``K`` = number of odd or
+even degrees, at most 4 on the frontier against 33 delays).  The Lawson
+residual ``(S C^T) P^T - b`` is evaluated on the grid without building
+either matrix.
 """
 
 from __future__ import annotations
@@ -120,32 +136,23 @@ def design_bank(spec: DesignSpec) -> CoefficientBank:
     half = spec.order // 2
     omega = np.linspace(0.0, spec.omega_c, spec.freq_points)
     delay = np.linspace(-spec.d_max, spec.d_max, spec.n_delay)
-    wg, dg = np.meshgrid(omega, delay, indexing="ij")
-    wg = wg.reshape(-1)
-    dg = dg.reshape(-1)
-
     odd_rows = [k for k in range(1, spec.degree + 1) if k % 2 == 1]
     even_rows = [k for k in range(2, spec.degree + 1) if k % 2 == 0]
 
     m_idx = np.arange(1, half + 1)
-    sine = 2.0 * np.sin(np.outer(wg, m_idx))  # (grid, M)
-    a_odd = np.concatenate([dg[:, None] ** k * sine for k in odd_rows], axis=1)
-    b_odd = -np.sin(wg * dg)
-    b_even = np.cos(wg * dg) - 1.0
-    if even_rows:
-        cosine = np.concatenate([np.ones((wg.size, 1)), 2.0 * np.cos(np.outer(wg, m_idx))], axis=1)
-        a_even = np.concatenate([dg[:, None] ** k * cosine for k in even_rows], axis=1)
+    wd = np.outer(omega, delay)  # (freq, delay) grid
+    b_odd = -np.sin(wd)
+    b_even = np.cos(wd) - 1.0
+    sine = 2.0 * np.sin(np.outer(omega, m_idx))  # (freq, M)
+    cosine = np.concatenate([np.ones((omega.size, 1)), 2.0 * np.cos(np.outer(omega, m_idx))], axis=1)
 
-    weights = np.ones(wg.size)
+    weights = np.ones(wd.shape)
     for _ in range(spec.reweight_passes + 1):
         root = np.sqrt(weights)
-        c_odd = _solve(a_odd * root[:, None], b_odd * root, "antisymmetric")
-        resid_even = -b_even  # degree 1 leaves the real part uncorrected
-        if even_rows:
-            c_even = _solve(a_even * root[:, None], b_even * root, "symmetric")
-            resid_even = a_even @ c_even - b_even
-        resid = np.hypot(a_odd @ c_odd - b_odd, resid_even)
-        weights = weights * resid
+        c_odd, resid_odd = _fit(delay, odd_rows, sine, b_odd, root, "antisymmetric")
+        # Degree 1 leaves the real part uncorrected.
+        c_even, resid_even = _fit(delay, even_rows, cosine, b_even, root, "symmetric") if even_rows else ((), -b_even)
+        weights = weights * np.hypot(resid_odd, resid_even)
         total = weights.sum()
         if total <= 0.0:  # exact fit everywhere; nothing left to reweight
             break
@@ -153,18 +160,31 @@ def design_bank(spec: DesignSpec) -> CoefficientBank:
 
     taps = np.zeros((spec.degree + 1, spec.order + 1))
     taps[0, half] = 1.0
-    for j, k in enumerate(odd_rows):
-        c = c_odd[j * half : (j + 1) * half]
+    for k, c in zip(odd_rows, c_odd):
         taps[k, half - m_idx] = c
         taps[k, half + m_idx] = -c
-    width = half + 1
-    for j, k in enumerate(even_rows):
-        a = c_even[j * width : (j + 1) * width]
+    for k, a in zip(even_rows, c_even):
         taps[k, half] = a[0]
         taps[k, half - m_idx] = a[1:]
         taps[k, half + m_idx] = a[1:]
 
     return CoefficientBank(taps)
+
+
+def _fit(delay, degrees, basis, target, root, label) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted fit of ``sum_k d^k * basis @ c_k`` to ``target`` on the (freq, delay) grid.
+
+    Solves the QR-compressed rows ``R_i (x) basis_i`` of the module docstring
+    and returns the coefficients, one row ``c_k`` per degree, with the
+    unweighted residual on the grid.
+    """
+    powers = delay[:, None] ** np.asarray(degrees)  # P, (delay, K)
+    n_coef = len(degrees) * basis.shape[1]
+    q, r = np.linalg.qr(root[:, :, None] * powers)  # (freq, delay, K), (freq, K, K)
+    rows = (r[:, :, :, None] * basis[:, None, None, :]).reshape(-1, n_coef)
+    rhs = (np.swapaxes(q, 1, 2) @ (root * target)[:, :, None]).reshape(-1)
+    coef = _solve(rows, rhs, label).reshape(len(degrees), -1)
+    return coef, (basis @ coef.T) @ powers.T - target
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:

@@ -59,6 +59,7 @@ iterations after the first reuse Q and are cheaper; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -196,14 +197,31 @@ def solve_sym2x2(h_a, h_b, h_c, g_a, g_b) -> tuple:
     determinant or squared Frobenius norm is not finite, or whose
     determinant is at noise level relative to that norm; its solution
     entries are NaN.
+
+    When a system is flagged, every system is divided by the power of two of
+    its largest ``|h|`` and checked again.  That only shifts exponents, so it
+    leaves the bits of a solution unchanged, and a finite system whose
+    determinant overflows (entries above about 1e154) is solved rather than
+    flagged.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is flagged, not warned about
+        det, singular = _determinant(h_a, h_b, h_c)
+        if singular.any():
+            exponent = np.frexp(np.maximum(np.maximum(abs(h_a), abs(h_b)), abs(h_c)))[1]
+            h_a, h_b, h_c, g_a, g_b = (np.ldexp(v, -exponent) for v in (h_a, h_b, h_c, g_a, g_b))
+            det, singular = _determinant(h_a, h_b, h_c)
+            det = np.where(singular, np.nan, det)
+    inv_det = 1.0 / det
+    return (h_c * g_a - h_b * g_b) * inv_det, (h_a * g_b - h_b * g_a) * inv_det, singular
+
+
+def _determinant(h_a, h_b, h_c) -> tuple:
+    """Determinant of the symmetric 2x2 system and its singular flag."""
     det = h_a * h_c - h_b * h_b
     frob2 = h_a * h_a + 2.0 * h_b * h_b + h_c * h_c
     # The comparison is also False for a NaN or infinite norm, and a finite
     # norm bounds every product in det, so det is finite whenever frob2 is.
-    singular = ~(abs(det) > _SINGULAR_RTOL * frob2)
-    inv_det = 1.0 / (np.where(singular, np.nan, det) if singular.any() else det)
-    return (h_c * g_a - h_b * g_b) * inv_det, (h_a * g_b - h_b * g_a) * inv_det, singular
+    return det, ~(abs(det) > _SINGULAR_RTOL * frob2)
 
 
 @dataclass(frozen=True)
@@ -493,7 +511,7 @@ def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: Estimato
         if config.sfo_only:
             rhs_norm, ops = abs(float(batch.rhs[m])), OpCounts()
         else:
-            rhs_norm, ops = float(np.linalg.norm(batch.rhs[m])), _iteration_ops(config.method, u.degree, n, m == 0)
+            rhs_norm, ops = math.hypot(*batch.rhs[m].tolist()), _iteration_ops(config.method, u.degree, n, m == 0)
         records.append(
             IterationRecord(
                 iteration=m + 1,

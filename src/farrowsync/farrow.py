@@ -33,6 +33,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 #: Largest per-sample delay magnitude the banks are designed for.
 DESIGN_DELAY_LIMIT = 0.5
@@ -103,8 +104,10 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
     """Run the measured stream through every branch filter (steady state only).
 
     ``u[k][n] = sum_i g_k[i] * x1[n + N_G - i]`` for ``n = 0..len(x1)-N_G-1``,
-    so the output window is ``N_G`` samples shorter than the input.  A complex
-    stream runs as two real passes, one per component.
+    so the output window is ``N_G`` samples shorter than the input.  All
+    branches run as one matrix product of the reversed taps with the sliding
+    windows of ``x1``.  A complex stream runs as two real passes, one per
+    component.
     """
     x1 = np.asarray(x1)
     order = bank.order
@@ -117,9 +120,16 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
     else:
         u = np.empty((bank.degree + 1, n_out), dtype=np.float64)
         passes = [(u, x1)]
-    for out, part in passes:
-        for k in range(bank.degree + 1):
-            out[k] = np.convolve(part, bank.taps[k])[order : order + n_out]
+    reversed_taps = bank.taps[:, ::-1]
+    # A non-finite input sample gives non-finite outputs quietly, as a
+    # convolution would; the estimator rejects them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for out, part in passes:
+            # Row j of the window matrix is x1[j : j + n_out], so column n is
+            # x1[n : n + N_G + 1].  The contiguous copy makes a strided
+            # component and a contiguous stream run the same product.
+            windows = as_strided(part, (order + 1, n_out), part.strides * 2, writeable=False)
+            out[...] = reversed_taps @ np.ascontiguousarray(windows)
     return SubfilterOutputs(u)
 
 

@@ -15,10 +15,10 @@ A chirp-z plan depends only on ``(n_tones, count, w, a)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
 sampling rate, so plans are kept in a module-level cache bounded by the
 bytes of their arrays (:data:`_CZT_PLAN_CACHE_BYTES`) and shared across
-trials and models.  Each model likewise computes its tone coefficients and
-its grid check once.  A cached plan or coefficient array is the result of
-the same arithmetic on the same inputs as a freshly built one, so the
-samples are bit-for-bit those of a plan built on every call.
+trials and models.  Each model likewise computes its grid check once.  A
+cached plan is the result of the same arithmetic on the same inputs as a
+freshly built one, so the samples are bit-for-bit those of a plan built on
+every call.
 
 The sampler has a leading trial axis: :func:`sample_pairs` samples one
 model under one impairment per row, and :func:`sample_pair` is its
@@ -36,10 +36,10 @@ Conventions fixed here and relied on elsewhere:
 
 * Frequencies are in radians per sample of the reference grid; models must
   stay inside ``|omega| <= 0.9*pi``.
-* A real model with amplitudes ``a_k`` and phases ``phi_k`` is
-  ``sum_k a_k*cos(omega_k*t + phi_k)``; its mean power is ``sum(a^2)/2``.
-  A complex model is ``sum_k a_k*exp(1j*(omega_k*t + phi_k))`` with mean
-  power ``sum(a^2)``.
+* A model holds complex tone coefficients ``c_k``.  A real model is
+  ``Re sum_k c_k*exp(1j*omega_k*t) = sum_k |c_k|*cos(omega_k*t + arg c_k)``;
+  its mean power is ``sum(|c|^2)/2``.  A complex model is
+  ``sum_k c_k*exp(1j*omega_k*t)`` with mean power ``sum(|c|^2)``.
 * The impaired pair is ``x0[j] = x(start+j)`` and
   ``x1[j] = x((start+j)*(1+delta) + epsilon)``, optionally rotated by a
   carrier-offset phase ``exp(1j*(omega_cfo*(start+j) + phase_offset))`` and
@@ -119,26 +119,24 @@ _czt_plan = _PlanCache()
 class HarmonicSignalModel:
     """Finite line spectrum with exact evaluation at arbitrary times."""
 
-    amplitudes: np.ndarray
+    coefficients: np.ndarray  # complex tone coefficients c_k
     omegas: np.ndarray
-    phases: np.ndarray
     is_complex: bool = False
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
+        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
         omegas = np.asarray(self.omegas, dtype=np.float64)
-        phases = np.asarray(self.phases, dtype=np.float64)
-        if not (amps.shape == omegas.shape == phases.shape) or amps.ndim != 1:
-            raise ValueError("amplitudes, omegas and phases must be 1-D arrays of equal length")
-        if amps.size == 0:
+        if coeffs.shape != omegas.shape or coeffs.ndim != 1:
+            raise ValueError("coefficients and omegas must be 1-D arrays of equal length")
+        if coeffs.size == 0:
             raise ValueError("model must contain at least one tone")
-        if not np.all(np.isfinite(amps)) or not np.all(np.isfinite(omegas)) or not np.all(np.isfinite(phases)):
+        if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(omegas)):
             raise ValueError("model parameters must be finite")
         if np.max(np.abs(omegas)) > MAX_OMEGA + 1e-12:
             raise ValueError(f"tone frequencies must satisfy |omega| <= 0.9*pi, got {np.max(np.abs(omegas)):.6f}")
         if np.any(np.diff(omegas) <= 0):
             raise ValueError("omegas must be strictly increasing")
-        for name, arr in (("amplitudes", amps), ("omegas", omegas), ("phases", phases)):
+        for name, arr in (("coefficients", coeffs), ("omegas", omegas)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -149,7 +147,7 @@ class HarmonicSignalModel:
     @property
     def analytic_power(self) -> float:
         """Mean power of the waveform (time average over an infinite window)."""
-        p = float(np.sum(self.amplitudes**2))
+        p = float(np.sum(np.abs(self.coefficients) ** 2))
         return p if self.is_complex else p / 2.0
 
     @cached_property
@@ -161,13 +159,6 @@ class HarmonicSignalModel:
         return bool(np.all(np.abs(steps - steps[0]) <= 1e-12))
 
     @cached_property
-    def _coefficients(self) -> np.ndarray:
-        """Complex tone coefficients ``a_k*exp(1j*phi_k)``, shared by every call (read-only)."""
-        coeffs = self.amplitudes * np.exp(1j * self.phases)
-        coeffs.setflags(write=False)
-        return coeffs
-
-    @cached_property
     def _grid(self) -> tuple[float, float]:
         """First tone frequency and tone spacing of a uniform grid."""
         w0 = float(self.omegas[0])
@@ -176,7 +167,7 @@ class HarmonicSignalModel:
 
     def _tone_sum(self, t: np.ndarray) -> np.ndarray:
         """Complex sum ``sum_k c_k*exp(1j*omega_k*t)`` at the flat times ``t``, by direct summation."""
-        coeffs = self._coefficients
+        coeffs = self.coefficients
         out = np.empty(t.size, dtype=np.complex128)
         for lo in range(0, t.size, _DIRECT_CHUNK):
             chunk = t[lo : lo + _DIRECT_CHUNK]
@@ -230,7 +221,7 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
             dw, t0 = models[row]._grid[1], float(t0s[row])
             if (dw, t0, n_tones) not in before:
                 before[dw, t0, n_tones] = np.exp(1j * dw * t0 * np.arange(n_tones))
-            np.multiply(models[row]._coefficients, before[dw, t0, n_tones], out=x[i])
+            np.multiply(models[row].coefficients, before[dw, t0, n_tones], out=x[i])
         # scipy transforms a lone row faster as a 1-D array than as a stack of one.
         spectrum = _czt_plan(*key)(x if len(rows) > 1 else x[0]).reshape(len(rows), count)
         for i, row in enumerate(rows):
@@ -267,12 +258,7 @@ def make_multisine(
     rng = np.random.default_rng(seed)
     symbols = qam.random_symbols(qam_order, n_tones, rng)
     omegas = bandwidth * np.pi * np.arange(1, n_tones + 1) / n_tones
-    return HarmonicSignalModel(
-        amplitudes=np.abs(symbols),
-        omegas=omegas,
-        phases=np.angle(symbols),
-        is_complex=complex_signal,
-    )
+    return HarmonicSignalModel(coefficients=symbols, omegas=omegas, is_complex=complex_signal)
 
 
 def make_bandpass_noise(
@@ -293,12 +279,7 @@ def make_bandpass_noise(
     rng = np.random.default_rng(seed)
     omegas = np.pi * np.linspace(lo, hi, n_lines)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_lines)
-    return HarmonicSignalModel(
-        amplitudes=np.ones(n_lines),
-        omegas=omegas,
-        phases=phases,
-        is_complex=complex_signal,
-    )
+    return HarmonicSignalModel(coefficients=np.exp(1j * phases), omegas=omegas, is_complex=complex_signal)
 
 
 @dataclass(frozen=True)
@@ -351,12 +332,7 @@ def make_ofdm(spec: OfdmSpec) -> tuple[HarmonicSignalModel, OfdmPayload]:
     grid = np.arange(-half, half + 1)
     coeffs = np.zeros(grid.size, dtype=np.complex128)
     coeffs[grid != 0] = symbols
-    model = HarmonicSignalModel(
-        amplitudes=np.abs(coeffs),
-        omegas=2.0 * np.pi * grid / spec.n_fft,
-        phases=np.angle(coeffs),
-        is_complex=True,
-    )
+    model = HarmonicSignalModel(coefficients=coeffs, omegas=2.0 * np.pi * grid / spec.n_fft, is_complex=True)
     payload = OfdmPayload(bins=bins, symbols=symbols, qam_order=spec.qam_order, n_fft=spec.n_fft)
     return model, payload
 

@@ -12,6 +12,7 @@ from farrowsync.design import (
     design_bank,
     measure_error,
 )
+from farrowsync.harness import get_bank
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +105,74 @@ def test_measurement_grid_guards(canonical):
     assert report.n_freq == 64 * bank.order
     assert isinstance(report, ErrorReport)
 
+
+
+def _full_grid_design(spec: DesignSpec) -> np.ndarray:
+    """Taps of the same Lawson-weighted design solved as two full ``(n_freq*n_delay)``-row problems."""
+    half = spec.order // 2
+    omega = np.linspace(0.0, spec.omega_c, spec.freq_points)
+    delay = np.linspace(-spec.d_max, spec.d_max, spec.n_delay)
+    wg, dg = (g.reshape(-1) for g in np.meshgrid(omega, delay, indexing="ij"))
+    m = np.arange(1, half + 1)
+    sine = 2.0 * np.sin(np.outer(wg, m))
+    cosine = np.column_stack([np.ones(wg.size), 2.0 * np.cos(np.outer(wg, m))])
+    odd = list(range(1, spec.degree + 1, 2))
+    even = list(range(2, spec.degree + 1, 2))
+    systems = [(odd, np.hstack([dg[:, None] ** k * sine for k in odd]), -np.sin(wg * dg))]
+    if even:
+        systems.append((even, np.hstack([dg[:, None] ** k * cosine for k in even]), np.cos(wg * dg) - 1.0))
+    weights = np.ones(wg.size)
+    for _ in range(spec.reweight_passes + 1):
+        root = np.sqrt(weights)
+        coefs = [np.linalg.lstsq(a * root[:, None], b * root, rcond=None)[0] for _, a, b in systems]
+        resid = [a @ c - b for (_, a, b), c in zip(systems, coefs)]
+        if not even:
+            resid.append(1.0 - np.cos(wg * dg))
+        weights = weights * np.hypot(*resid)
+        weights *= weights.size / weights.sum()
+    taps = np.zeros((spec.degree + 1, spec.order + 1))
+    taps[0, half] = 1.0
+    for k, c in zip(odd, coefs[0].reshape(len(odd), half)):
+        taps[k, half - m], taps[k, half + m] = c, -c
+    for k, a in zip(even, coefs[1].reshape(len(even), half + 1) if even else ()):
+        taps[k, half] = a[0]
+        taps[k, half - m] = taps[k, half + m] = a[1:]
+    return taps
+
+
+@pytest.mark.parametrize("reweight_passes", [0, 4])
+@pytest.mark.parametrize("n_delay", [16, 17])
+@pytest.mark.parametrize("degree,order", [(1, 8), (2, 8), (5, 10), (7, 12)])
+def test_compressed_design_matches_the_full_grid_solve(degree, order, n_delay, reweight_passes):
+    spec = DesignSpec(degree=degree, order=order, n_delay=n_delay, reweight_passes=reweight_passes)
+    want = _full_grid_design(spec)
+    got = design_bank(spec).taps
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+#: Measured error (dB) of each frontier bank as designed by the full-grid
+#: solve; the compressed design must reproduce it.
+FULL_GRID_ERROR_DB = {
+    (3, 12): -21.86043650962445,
+    (3, 14): -24.766501129468473,
+    (3, 18): -29.371943749843336,
+    (4, 22): -37.317468889821626,
+    (4, 24): -40.033588621159126,
+    (4, 30): -46.535719544762266,
+    (4, 36): -49.90773887977461,
+    (5, 34): -55.87086235818837,
+    (5, 38): -61.53582767044273,
+    (5, 42): -65.81716419761322,
+    (6, 44): -70.5118025374375,
+    (6, 48): -75.97620890089527,
+    (6, 52): -81.00359480056795,
+    (6, 58): -86.40340510672515,
+    (7, 58): -90.94004545656249,
+    (7, 62): -96.62750749260007,
+}
+
+
+def test_frontier_banks_keep_their_measured_error():
+    assert sorted(FULL_GRID_ERROR_DB) == sorted((degree, order) for _, degree, order in ERROR_FRONTIER)
+    for (degree, order), want in FULL_GRID_ERROR_DB.items():
+        assert abs(measure_error(get_bank(degree, order)).error_db - want) <= 1e-6, (degree, order)

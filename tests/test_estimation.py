@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farrowsync import estimation
 from farrowsync.design import DesignSpec, design_bank
@@ -154,6 +156,22 @@ class TestSolver:
         want = solve_sym2x2(2.0, 0.5, 1.0, 0.5, 0.5)
         for row in (0, 3):
             assert (x_a[row], x_b[row]) == want[:2]
+
+    @pytest.mark.parametrize("power", [-1000, -300, 300, 1000])
+    def test_a_system_scaled_by_a_power_of_two_solves_to_the_same_bits(self, power):
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((2, 2))
+        a = m @ m.T + 0.1 * np.eye(2)
+        b = rng.standard_normal(2)
+        want = solve_sym2x2(a[0, 0], a[0, 1], a[1, 1], b[0], b[1])
+        scaled = [np.ldexp(v, power) for v in (a[0, 0], a[0, 1], a[1, 1], b[0], b[1])]
+        assert solve_sym2x2(*scaled) == want
+
+    def test_a_finite_system_near_the_top_of_the_range_is_not_singular(self):
+        # det and the squared norm of this system overflow unless it is scaled first.
+        x_a, x_b, singular = solve_sym2x2(8e305, 1e305, 2e305, 3e305, 1e305)
+        assert not singular
+        np.testing.assert_allclose([x_a, x_b], np.linalg.solve([[8.0, 1.0], [1.0, 2.0]], [3.0, 1.0]), rtol=1e-15)
 
 
 class TestNormalMatrix:
@@ -348,6 +366,36 @@ class TestEstimateDriver:
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError):
                 estimate_from_outputs(u, x0[gd : gd + u.n_samples] * scale, EstimatorConfig(method=method, sfo_only=sfo_only))
+
+    @pytest.mark.parametrize("method,sfo_only", ALL_VARIANTS)
+    def test_a_window_scaled_to_near_overflow_keeps_its_estimate(self, method, sfo_only):
+        # The Hessian of this window scaled by 1e150 is finite (largest entry
+        # about 8e305), but its determinant is not unless the solver scales it.
+        _, u, x0 = _random_batch(3, seed=29)
+        config = EstimatorConfig(method=method, sfo_only=sfo_only)
+        want = estimate_from_outputs(u, x0, config).params
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimate_from_outputs(SubfilterOutputs(u.u * 1e150), x0 * 1e150, config).params
+        assert got.delta == pytest.approx(want.delta, rel=1e-12)
+        assert got.epsilon == pytest.approx(want.epsilon, rel=1e-12, abs=0.0)
+        if (method, sfo_only) == ("newton", True):
+            assert got.delta == pytest.approx(-2.4384e-3, rel=1e-4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(power=st.integers(-250, 250), seed=st.integers(0, 999), variant=st.sampled_from(ALL_VARIANTS))
+    def test_scaling_both_streams_by_a_power_of_two_leaves_the_estimate_bitwise(self, power, seed, variant):
+        method, sfo_only = variant
+        bank = small_bank(3)
+        gd = bank.group_delay
+        model = make_multisine(seed=seed)
+        x0, x1 = sample_pair(model, ImpairmentSpec(delta=3e-4, epsilon=0.1), 160 + bank.order, start=-gd)
+        config = EstimatorConfig(method=method, max_iterations=3, sfo_only=sfo_only)
+        want = estimate(x0, x1, bank, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimate(np.ldexp(x0, power), np.ldexp(x1, power), bank, config)
+        assert [(r.params.delta, r.params.epsilon) for r in got.records] == [(r.params.delta, r.params.epsilon) for r in want.records]
 
     def test_input_guards(self):
         bank = small_bank(2)

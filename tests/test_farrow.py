@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farrowsync.design import DesignSpec, design_bank, measure_error
+from farrowsync.design import ERROR_FRONTIER, DesignSpec, design_bank, measure_error
 from farrowsync.estimation import OffsetParams
 from farrowsync.farrow import (
     CoefficientBank,
@@ -111,6 +111,21 @@ def test_complex_compensation_is_componentwise(canonical_bank):
     y = farrow_output(u, params)
     np.testing.assert_array_equal(y.real, farrow_output(u_re, params))
     np.testing.assert_array_equal(y.imag, farrow_output(u_im, params))
+
+
+@pytest.mark.parametrize("degree,order", sorted({(degree, order) for _, degree, order in ERROR_FRONTIER}))
+def test_branch_outputs_match_a_convolution_for_every_frontier_shape(degree, order):
+    rng = np.random.default_rng(degree * 100 + order)
+    taps = rng.standard_normal((degree + 1, order + 1))
+    taps[0] = 0.0
+    taps[0, order // 2] = 1.0
+    bank = CoefficientBank(taps)
+    x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    for stream in (x.real, x):
+        u = compute_subfilter_outputs(stream, bank).u
+        want = np.array([np.convolve(stream, row)[order : stream.size] for row in taps])
+        assert u.dtype == want.dtype
+        assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_subfilter_outputs_reject_short_input(canonical_bank):

@@ -392,20 +392,20 @@ GOLDEN_RUNS = [
 ]
 
 GOLDEN_SHA256 = {
-    "0_example1/example1.csv": "46953e42de5d4a5a08e35d9fdb9dea16e4b8668cd959c5e14af13f0b76ad575b",
-    "1_table3/table3.csv": "94c457b28acb076f4b9c7f753e35a321e11840eed113dd2f44a8e8e46c94ebac",
-    "2_grid/grid.csv": "cf3ce1972623298b4297f12d0f9c806c54e840cb730dea4e09408a5975fec452",
-    "3_impaired/impaired.csv": "cf3e9101c095ab50448ac3a22b081e917cfd28d1dbf7dd59cfaf79f25db55fac",
-    "4_ber/ber.csv": "b29eed9c4ed49773fa8f904c4f6dc75f708b96027fbf59fb114d719cc541fbeb",
-    "5_approx_sweep/approx_sweep.csv": "1f10770268acc0ca81603677267763432f75584de90954a07bda26a37f66e8e7",
-    "6_nsweep/nsweep.csv": "3af5ec97b0069098f8e985d37549a2a0e9a6e5e16011eb2e5b34442748e3bb6e",
+    "0_example1/example1.csv": "6d9c5d3b3bbf6903482fc26d778891b4809f52d1a42738198cccd7f5777f373d",
+    "1_table3/table3.csv": "c929bb14152f1aa03bb8fa3f20b3f06be0c230d4183a15a7bea617926b543205",
+    "2_grid/grid.csv": "76531200751a6196d3e5c352f6ad71e91bdda5112de80796ff0a9799bcc83b42",
+    "3_impaired/impaired.csv": "a8d02a9521854a749acdf781efeb01b4f09b3b010f1328a11f6bd62ab7079dfe",
+    "4_ber/ber.csv": "89b425184a64d9bc761a92abb968309edeb14ddd198061cff0c6879c871bdb57",
+    "5_approx_sweep/approx_sweep.csv": "5909d2f5a3eba5a036f068a8c615abeef6a6bdadc647c2d901586cb1a3a2421b",
+    "6_nsweep/nsweep.csv": "354de47903e46842a321c6e2d328936ef500b2e592f4973a3a0862f9d84a0b5f",
     "7_opcounts/opcounts.csv": "8f63f195c21dfd794fdc23e59eba00e48cbd23bb196545ce789bcb4d9990d2af",
     "8_single/signals.csv": "9180930086911b544febc7a5cf1ba21d232c2dc77b07a55c5139f114907cac54",
-    "8_single/single.csv": "51e43cde9d3f599ae93155e43662e6401b24daf1b9a166040735bc1fda6bc12d",
-    "9_single/single.csv": "d4afe96aefeb181b4400bd8ce606f16ce30ac44bb8aa8012237a023de92d1b61",
-    "design/bank_L2_NG8.txt": "e8a5e0a89ccb17b6cb79412848c78fdc78c75fc8214babdb3bb3f96947c8b62d",
-    "design/design_report.csv": "bdf0dbfec51e91529c4a6cd85c7e9de7e249ad66ff9520fc79682b91a89a511b",
-    "design/measure.csv": "bdf0dbfec51e91529c4a6cd85c7e9de7e249ad66ff9520fc79682b91a89a511b",
+    "8_single/single.csv": "59944f9e84f640dbf97da15c969e70e238cc237edbfdd654bd9366365fafabb9",
+    "9_single/single.csv": "fde726f1a7a75159e0627c1aaa443718e19066baa7b44b492edc8f60be52f78a",
+    "design/bank_L2_NG8.txt": "264c2aa23375b8542adf9b42342482e9b6368ad5ce1597425463b7eeb0c43a12",
+    "design/design_report.csv": "11224d52ef4cacf85e2974292798ed0db675fed5844cd435a493d04b8d9b8ac6",
+    "design/measure.csv": "11224d52ef4cacf85e2974292798ed0db675fed5844cd435a493d04b8d9b8ac6",
 }
 
 #: Every campaign's config keys with their desk and ``--full`` values.

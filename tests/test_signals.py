@@ -23,9 +23,8 @@ from farrowsync.signals import (
 
 def _toy_model(is_complex=False):
     return HarmonicSignalModel(
-        amplitudes=np.array([1.0, 2.0, 3.0]),
+        coefficients=np.array([1.0, 2.0, 3.0]) * np.exp(1j * np.array([0.3, -1.1, 2.0])),
         omegas=2.0 * np.pi * np.array([1.0, 2.0, 3.0]) / 16.0,
-        phases=np.array([0.3, -1.1, 2.0]),
         is_complex=is_complex,
     )
 
@@ -64,9 +63,7 @@ class TestHarmonicModel:
         np.testing.assert_allclose(auto, direct, rtol=0, atol=1e-9 * scale)
 
     def test_fast_path_requires_uniform_grid(self):
-        model = HarmonicSignalModel(
-            amplitudes=np.ones(3), omegas=np.array([0.1, 0.2, 0.5]), phases=np.zeros(3)
-        )
+        model = HarmonicSignalModel(coefficients=np.ones(3), omegas=np.array([0.1, 0.2, 0.5]))
         assert not model.has_uniform_grid
         with pytest.raises(ValueError, match="uniform"):
             model.evaluate_affine(0.0, 1.0, 10, fast=True)
@@ -80,20 +77,22 @@ class TestHarmonicModel:
     def test_construction_guards(self):
         ones = np.ones(2)
         with pytest.raises(ValueError, match="0.9"):
-            HarmonicSignalModel(ones, np.array([0.5, 0.95 * np.pi]), np.zeros(2))
+            HarmonicSignalModel(ones, np.array([0.5, 0.95 * np.pi]))
         with pytest.raises(ValueError, match="increasing"):
-            HarmonicSignalModel(ones, np.array([0.5, 0.5]), np.zeros(2))
+            HarmonicSignalModel(ones, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="finite"):
-            HarmonicSignalModel(np.array([1.0, np.nan]), np.array([0.1, 0.2]), np.zeros(2))
+            HarmonicSignalModel(np.array([1.0, np.nan]), np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicSignalModel(np.array([1.0, 1j * np.inf]), np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="equal length"):
-            HarmonicSignalModel(np.ones(3), np.array([0.1, 0.2]), np.zeros(2))
+            HarmonicSignalModel(np.ones(3), np.array([0.1, 0.2]))
 
 
 def _uncached_fast_path(model, t0, step, count):
     """The fast path with a chirp-z plan built on every call."""
     w0 = float(model.omegas[0])
     dw = float(model.omegas[1] - model.omegas[0])
-    x = model.amplitudes * np.exp(1j * model.phases) * np.exp(1j * dw * t0 * np.arange(model.n_tones))
+    x = model.coefficients * np.exp(1j * dw * t0 * np.arange(model.n_tones))
     spectrum = czt(x, m=count, w=np.exp(1j * dw * step), a=1.0 + 0.0j)
     result = spectrum * np.exp(1j * w0 * (t0 + step * np.arange(count)))
     return result if model.is_complex else result.real
@@ -128,9 +127,8 @@ class TestPlanCache:
         assert sum(shape[0] for shape in transforms) == 2 * grid_points**2
 
     def test_coefficients_are_read_only(self):
-        model = make_multisine(seed=3)
-        coeffs = model._coefficients
-        assert coeffs is model._coefficients
+        coeffs = make_multisine(seed=3).coefficients
+        assert coeffs.dtype == np.complex128
         assert not coeffs.flags.writeable
         with pytest.raises(ValueError):
             coeffs[0] = 0.0
@@ -164,11 +162,10 @@ class TestGenerators:
     def test_multisine_grid_and_determinism(self):
         a = make_multisine(seed=11)
         b = make_multisine(seed=11)
-        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-        np.testing.assert_array_equal(a.phases, b.phases)
+        np.testing.assert_array_equal(a.coefficients, b.coefficients)
         assert a.n_tones == 64
         np.testing.assert_allclose(a.omegas, 0.9 * np.pi * np.arange(1, 65) / 64)
-        assert not np.array_equal(a.phases, make_multisine(seed=12).phases)
+        assert not np.array_equal(a.coefficients, make_multisine(seed=12).coefficients)
 
     def test_multisine_rejects_excess_bandwidth(self):
         with pytest.raises(ValueError):
@@ -182,6 +179,12 @@ class TestGenerators:
         assert model.analytic_power == pytest.approx(256.0)
         with pytest.raises(ValueError):
             make_bandpass_noise(band=(0.1, 0.95))
+
+    def test_ofdm_model_keeps_the_qam_symbols_bitwise(self):
+        model, payload = make_ofdm(OfdmSpec(qam_order=16, seed=2))
+        dc = payload.bins.size // 2
+        np.testing.assert_array_equal(np.delete(model.coefficients, dc), payload.symbols)
+        assert model.coefficients[dc] == 0.0
 
     def test_ofdm_spec_guards(self):
         with pytest.raises(ValueError):
