@@ -115,9 +115,9 @@ def cascaded_accumulate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``(N-n)(N-n+1)/2`` respectively, without any multiplications.  Leading
     axes are trials, each accumulated on its own.
     """
-    c1 = np.cumsum(v, axis=-1)
-    c2 = np.cumsum(c1, axis=-1)
-    c3 = np.cumsum(c2, axis=-1)
+    c1 = v.cumsum(axis=-1)
+    c2 = c1.cumsum(axis=-1)
+    c3 = c2.cumsum(axis=-1)
     # [()] turns the 0-d result of a single trial into a scalar, which keeps
     # the per-batch arithmetic that follows cheap.
     return c1[..., -1][()], c2[..., -1][()], c3[..., -1][()]
@@ -192,36 +192,26 @@ _SINGULAR_RTOL = 1e3 * np.finfo(np.float64).eps
 def solve_sym2x2(h_a, h_b, h_c, g_a, g_b) -> tuple:
     """Solve ``[[h_a, h_b], [h_b, h_c]] @ x = [g_a, g_b]`` in closed form, elementwise over trials.
 
-    Eight general multiplications, three additions, one division.  Returns
-    ``(x_a, x_b, singular)``.  ``singular`` flags each system whose
-    determinant or squared Frobenius norm is not finite, or whose
-    determinant is at noise level relative to that norm; its solution
-    entries are NaN.
+    Returns ``(x_a, x_b, singular)``.  ``singular`` flags each system with a
+    non-finite entry or whose determinant is at noise level relative to its
+    squared Frobenius norm; its solution entries are NaN.
 
-    When a system is flagged, every system is divided by the power of two of
-    its largest ``|h|`` and checked again.  That only shifts exponents, so it
-    leaves the bits of a solution unchanged, and a finite system whose
-    determinant overflows (entries above about 1e154) is solved rather than
-    flagged.
+    Each system is first multiplied by a power of two that brings its
+    largest ``|h|`` to within a factor of four of one.  That only shifts
+    exponents, so it leaves the bits of a solution unchanged while keeping
+    the determinant and the norm clear of overflow and underflow: scaling a
+    system by ``2**k`` changes neither its solution nor its flag.  A system
+    whose entries all lie below the smallest normal float is flagged.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is flagged, not warned about
-        det, singular = _determinant(h_a, h_b, h_c)
-        if singular.any():
-            exponent = np.frexp(np.maximum(np.maximum(abs(h_a), abs(h_b)), abs(h_c)))[1]
-            h_a, h_b, h_c, g_a, g_b = (np.ldexp(v, -exponent) for v in (h_a, h_b, h_c, g_a, g_b))
-            det, singular = _determinant(h_a, h_b, h_c)
-            det = np.where(singular, np.nan, det)
-    inv_det = 1.0 / det
-    return (h_c * g_a - h_b * g_b) * inv_det, (h_a * g_b - h_b * g_a) * inv_det, singular
-
-
-def _determinant(h_a, h_b, h_c) -> tuple:
-    """Determinant of the symmetric 2x2 system and its singular flag."""
-    det = h_a * h_c - h_b * h_b
-    frob2 = h_a * h_a + 2.0 * h_b * h_b + h_c * h_c
-    # The comparison is also False for a NaN or infinite norm, and a finite
-    # norm bounds every product in det, so det is finite whenever frob2 is.
-    return det, ~(abs(det) > _SINGULAR_RTOL * frob2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite system is flagged, not warned about
+        scale = np.ldexp(1.0, -np.frexp(0.25 * abs(h_a) + 0.5 * abs(h_b) + 0.25 * abs(h_c))[1])
+        h_a, h_b, h_c, g_a, g_b = h_a * scale, h_b * scale, h_c * scale, g_a * scale, g_b * scale
+        det = h_a * h_c - h_b * h_b
+        frob2 = h_a * h_a + 2.0 * h_b * h_b + h_c * h_c
+        # The comparison is also False for a NaN or infinite norm.
+        singular = ~(abs(det) > _SINGULAR_RTOL * frob2)
+        inv_det = 1.0 / (np.where(singular, np.nan, det) if singular.any() else det)
+        return (h_c * g_a - h_b * g_b) * inv_det, (h_a * g_b - h_b * g_a) * inv_det, singular
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,11 @@ from numpy.lib.stride_tricks import as_strided
 #: Largest per-sample delay magnitude the banks are designed for.
 DESIGN_DELAY_LIMIT = 0.5
 
+# Output columns per branch-filter product: each block copies at most
+# (N_G+1) x 4096 input samples, so a long stream needs no copy of its full
+# window matrix.
+_FILTER_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientBank:
@@ -106,8 +111,8 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
     ``u[k][n] = sum_i g_k[i] * x1[n + N_G - i]`` for ``n = 0..len(x1)-N_G-1``,
     so the output window is ``N_G`` samples shorter than the input.  All
     branches run as one matrix product of the reversed taps with the sliding
-    windows of ``x1``.  A complex stream runs as two real passes, one per
-    component.
+    windows of ``x1``, taken over blocks of output columns.  A complex
+    stream runs as two real passes, one per component.
     """
     x1 = np.asarray(x1)
     order = bank.order
@@ -125,11 +130,14 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
     # convolution would; the estimator rejects them.
     with np.errstate(invalid="ignore", over="ignore"):
         for out, part in passes:
-            # Row j of the window matrix is x1[j : j + n_out], so column n is
-            # x1[n : n + N_G + 1].  The contiguous copy makes a strided
-            # component and a contiguous stream run the same product.
-            windows = as_strided(part, (order + 1, n_out), part.strides * 2, writeable=False)
-            out[...] = reversed_taps @ np.ascontiguousarray(windows)
+            for start in range(0, n_out, _FILTER_BLOCK):
+                stop = min(start + _FILTER_BLOCK, n_out)
+                # Row j of the window matrix is x1[start + j : stop + j], so
+                # column n is x1[n : n + N_G + 1].  The contiguous copy makes
+                # a strided component and a contiguous stream run the same
+                # product.
+                windows = as_strided(part[start:], (order + 1, stop - start), part.strides * 2, writeable=False)
+                out[:, start:stop] = reversed_taps @ np.ascontiguousarray(windows)
     return SubfilterOutputs(u)
 
 

@@ -1,5 +1,7 @@
 """Farrow resampler core: branch filtering, Horner combination, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,30 @@ def test_branch_outputs_match_a_convolution_for_every_frontier_shape(degree, ord
         want = np.array([np.convolve(stream, row)[order : stream.size] for row in taps])
         assert u.dtype == want.dtype
         assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_branch_outputs_match_a_convolution_across_column_blocks(canonical_bank):
+    # Two full blocks of output columns and a partial third.
+    order = canonical_bank.order
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(2 * 4096 + 100 + order) + 1j * rng.standard_normal(2 * 4096 + 100 + order)
+    for stream in (x.real, x):
+        u = compute_subfilter_outputs(stream, canonical_bank).u
+        want = np.array([np.convolve(stream, row)[order : stream.size] for row in canonical_bank.taps])
+        assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_branch_filter_memory_does_not_grow_with_the_window_matrix(canonical_bank):
+    # A copy of the whole (N_G+1) x N window matrix of this stream would take
+    # about 39 MB; the blocked product copies one block at a time.
+    x = np.random.default_rng(12).standard_normal(2**17)
+    tracemalloc.start()
+    try:
+        u = compute_subfilter_outputs(x, canonical_bank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - u.u.nbytes < 4 * 2**20
 
 
 def test_subfilter_outputs_reject_short_input(canonical_bank):
