@@ -54,7 +54,8 @@ samples and one iteration the totals are, for Newton with degree L >= 2,
 ``(2L+5)*N+4`` additions and one division; for degree 1 and for ILS,
 ``2N+8`` general, five fixed, ``7N+4`` additions and one division.  ILS
 iterations after the first reuse Q and are cheaper; see
-:func:`count_operations`.
+:func:`count_operations`.  The power-of-two scaling in :func:`solve_sym2x2`
+shifts exponents only and is not counted.
 """
 
 from __future__ import annotations
