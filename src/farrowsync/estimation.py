@@ -42,8 +42,8 @@ elementwise or per-row operations, so a batch gives every trial exactly the
 bits of a one-trial call.  :func:`estimate_batch` runs a batch and flags a
 trial whose 2x2 system is singular instead of raising;
 :func:`estimate_from_outputs` is its one-trial case and raises
-:class:`SingularSystemError` from that flag.  The campaigns that batch
-trials hand it at most ``harness.TRIAL_CHUNK`` trials at a time.
+:class:`SingularSystemError` from that flag.  Every Monte-Carlo campaign
+hands it at most ``harness.TRIAL_CHUNK`` trials at a time.
 
 Operation counters account for a fixed-point reference datapath, not for the
 numpy arithmetic executed here: multiplies by compile-time constants count as

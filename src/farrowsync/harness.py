@@ -10,10 +10,13 @@ A campaign is a ``*_rows`` function whose keyword-only parameters are its
 config keys, desk-scale values as defaults; :data:`CAMPAIGNS` adds the rest.
 A trial whose update system is singular is dropped whole and counted once.
 A trial filters its measured stream once: every estimator and the scoring
-take those branch outputs, or a slice of them.  ``grid`` and ``ber`` run
-their trials, across cells, as batches of at most :data:`TRIAL_CHUNK`
-through :func:`sample_pairs` and :func:`estimate_batch`; the batch size
-changes no output byte.
+take those branch outputs, or a slice of them.  Every Monte-Carlo campaign
+runs its trials, across cells, in chunks of at most :data:`TRIAL_CHUNK`: a
+campaign states its trial keys and how to draw one trial, and
+:func:`_trial_chunks` samples each chunk with one :func:`sample_pairs` call,
+which :func:`estimate_batch` then estimates; the chunk size changes no
+output byte.  ``single`` (one traced realization) and ``opcounts`` (the
+instrumented :func:`estimate`) run outside that path.
 
 Signal generation places the time origin in the middle of the filter run-up:
 arrays start at sample index ``-N_G/2`` so that window sample ``n`` of the
@@ -38,14 +41,14 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .design import DesignSpec, ERROR_FRONTIER, design_bank, measure_error
-from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, SingularSystemError, count_operations, estimate, estimate_batch, estimate_from_outputs, trace_rows
-from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, farrow_output, load_bank, save_bank
+from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, count_operations, estimate, estimate_batch, estimate_from_outputs, trace_rows
+from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, delay_out_of_range, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
 from .signals import HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs
 
 DEFAULT_SEED = 42
 
-#: Most trials that ``grid`` and ``ber`` generate, filter and estimate at once.
+#: Most trials that a campaign generates, filters and estimates at once.
 #: The desk grid's 50 cells of one trial fit in one chunk, and the cap bounds
 #: the memory of a ``--full`` cell of 1000 trials to one chunk of arrays.
 TRIAL_CHUNK = 64
@@ -181,59 +184,42 @@ class ExperimentOutcome:
     failures: int
 
 
-def _run_trials(trial: Callable[..., list], *axes: Iterable) -> tuple[list, int]:
-    """Concatenated outputs of ``trial(*key)`` over every key of ``product(*axes)``.
-
-    A trial whose update system is singular contributes nothing, not even
-    the results of the estimators that did succeed, and counts as one
-    failure.
-    """
-    outputs: list = []
-    failures = 0
-    for key in product(*axes):
-        try:
-            output = trial(*key)
-        except SingularSystemError:
-            failures += 1
-        else:
-            outputs.extend(output)
-    return outputs, failures
+#: ``(label, config)`` per estimator variant of a campaign.
+_Variants = list[tuple[str, EstimatorConfig]]
 
 
-def _newton_ils(**config) -> list[tuple[str, EstimatorConfig]]:
+def _newton_ils(**config) -> _Variants:
     """``(method, config)`` for Newton and then ILS with the same settings."""
     return [(method, EstimatorConfig(method=method, **config)) for method in ("newton", "ils")]
-
-
-def _per_method(outputs: list, configs: list[tuple[str, EstimatorConfig]]) -> list[tuple[str, list]]:
-    """Split ``_run_trials`` outputs holding one entry per config and trial by method."""
-    if not outputs:
-        return []
-    return [(method, outputs[m :: len(configs)]) for m, (method, _) in enumerate(configs)]
-
-
-def _columns(samples: list[tuple]) -> np.ndarray:
-    """Per-trial tuples as a ``(columns, trials)`` array with each column contiguous."""
-    return np.ascontiguousarray(np.array(samples).T)
 
 
 def _mean_std(samples: np.ndarray, *scales: float) -> np.ndarray:
     """Scaled population mean and standard deviation of the leading columns, over the trials.
 
-    ``samples`` has shape ``(..., columns, trials)`` with the trial axis
-    contiguous, so every row reduces exactly as a lone 1-D array would.  The
-    result has shape ``(..., 2*len(scales))``: the mean and the standard
-    deviation of column 0, then of column 1, and so on.
+    ``samples`` has shape ``(..., columns, trials)``.  The leading columns
+    are copied with the trial axis contiguous, so every row reduces exactly
+    as a lone 1-D array would.  The result has shape
+    ``(..., 2*len(scales))``: the mean and the standard deviation of column
+    0, then of column 1, and so on.
     """
-    leading = samples[..., : len(scales), :]
+    leading = np.ascontiguousarray(samples[..., : len(scales), :])
     scale = np.array(scales)
     stats = np.stack([np.mean(leading, axis=-1) * scale, np.std(leading, axis=-1) * scale], axis=-1)
     return stats.reshape(stats.shape[:-2] + (2 * len(scales),))
 
 
-def _chunks(count: int) -> Iterable[slice]:
-    """Consecutive slices of at most :data:`TRIAL_CHUNK` of ``count`` trials."""
-    return (slice(lo, min(lo + TRIAL_CHUNK, count)) for lo in range(0, count, TRIAL_CHUNK))
+def _trial_chunks(keys: Iterable[tuple], draw: Callable[..., tuple], n_total: int, start: int) -> Iterable[tuple]:
+    """Sample the trials of ``keys`` in chunks of at most :data:`TRIAL_CHUNK`, one :func:`sample_pairs` call each.
+
+    ``draw(*key)`` gives one trial's ``(model, impairment, *extras)``.  Each
+    chunk yields its keys, a tuple per extra with one entry per trial, and
+    ``x0`` and ``x1`` with one row per trial.
+    """
+    keys = list(keys)
+    for lo in range(0, len(keys), TRIAL_CHUNK):
+        chunk = keys[lo : lo + TRIAL_CHUNK]
+        models, impairments, *extras = zip(*(draw(*key) for key in chunk))
+        yield (chunk, extras, *sample_pairs(models, impairments, n_total, start=start))
 
 
 def _filter_rows(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
@@ -241,10 +227,80 @@ def _filter_rows(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
     return SubfilterOutputs(np.stack([compute_subfilter_outputs(row, bank).u for row in x1]))
 
 
-def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: list[tuple[str, EstimatorConfig]]) -> tuple[list[BatchEstimate], np.ndarray]:
+def _trial_windows(keys: Iterable[tuple], draw: Callable[..., tuple], bank: CoefficientBank, n: int) -> Iterable[tuple]:
+    """:func:`_trial_chunks` over an ``n``-sample window from sample 0.
+
+    Each chunk yields its keys, its extras, the branch outputs of every
+    measured stream, filtered once, and the reference windows.
+    """
+    gd = bank.group_delay
+    for chunk, extras, x0, x1 in _trial_chunks(keys, draw, n + bank.order, -gd):
+        yield chunk, extras, _filter_rows(x1, bank), x0[:, gd : gd + n]
+
+
+def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
     """Each config's estimates for a batch of trials, and the mask of trials that no config flagged singular."""
     results = [estimate_batch(u, ref, config) for _, config in configs]
     return results, ~np.logical_or.reduce([result.singular for result in results])
+
+
+def _finals(results: list[BatchEstimate]) -> np.ndarray:
+    """Each config's final ``(delta, epsilon)`` per trial, shape ``(configs, 2, trials)``."""
+    return np.array([(result.params.delta, result.params.epsilon) for result in results])
+
+
+def _summaries(chunks: list[tuple], groups: list, configs: _Variants, *scales: float) -> tuple[list[tuple], int]:
+    """Each config's kept final estimates, reduced per group by :func:`_mean_std`.
+
+    Each chunk of trials is ``(finals, ok)``: final estimates of shape
+    ``(configs, columns, ..., chunk)`` and the mask ``(..., chunk)`` of the
+    kept trials.  Joined along the trial axis, they split into
+    ``len(groups)`` groups of equally many consecutive trials.  Returns
+    ``(group, method, kept, statistics)`` for every config of every group
+    that kept a trial, and the count of dropped trials.  The groups that
+    kept every trial reduce at once.
+    """
+    finals, oks = zip(*chunks)
+    ok = np.concatenate(oks, axis=-1).reshape(len(groups), -1)
+    samples = np.concatenate(finals, axis=-1)
+    per_group = samples.reshape(samples.shape[:2] + ok.shape).transpose(0, 2, 1, 3)
+    kept = ok.sum(axis=1).tolist()
+    whole = ok.all(axis=1)
+    stats = np.empty(per_group.shape[:2] + (2 * len(scales),))
+    stats[:, whole] = _mean_std(per_group[:, whole], *scales)
+    for g in np.flatnonzero(~whole & ok.any(axis=1)):
+        stats[:, g] = _mean_std(per_group[:, g][..., ok[g]], *scales)
+    summary = [(group, method, kept[g], stats[m, g].tolist()) for g, group in enumerate(groups) if kept[g] for m, (method, _) in enumerate(configs)]
+    return summary, ok.size - sum(kept)
+
+
+def _iteration_rows(keys: Iterable[tuple], draw: Callable[..., tuple], variants: _Variants, truth: OffsetParams | None = None) -> tuple[list[tuple], int]:
+    """Estimate each trial's 1024-sample window with several configs and the canonical bank.
+
+    One row ``(*key, *extras, label, iteration, delta_ppm, epsilon, nmse,
+    flagged)`` per kept trial, variant and iteration.  The estimators see
+    the real component; the NMSE compensates the measured stream with that
+    iteration's offsets, a ``simplified`` estimate through the first-degree
+    truncation of the bank.  ``truth`` adds a row ``"true"`` of iteration 0
+    per trial, compensated with those offsets.
+    """
+    n = 1024
+    rows: list[tuple] = []
+    failures = 0
+    for chunk, extras, u, ref in _trial_windows(keys, draw, get_bank(), n):
+        results, ok = _estimate_chunk(SubfilterOutputs(u.u.real), ref.real, variants)
+        failures += int(np.count_nonzero(~ok))
+        for b in np.flatnonzero(ok):
+            scored = [
+                (label, m + 1, OffsetParams(p.delta[b], p.epsilon[b]), u.u[b, :2] if config.method == "simplified" else u.u[b])
+                for (label, config), result in zip(variants, results)
+                for m, p in enumerate(result.history[: result.iterations[b]])
+            ]
+            scored += [("true", 0, truth, u.u[b])] if truth else []
+            for label, iteration, params, outputs in scored:
+                err = nmse(farrow_output(SubfilterOutputs(outputs), params), ref[b])
+                rows.append((*chunk[b], *(extra[b] for extra in extras), label, iteration, params.delta_ppm, params.epsilon, err, iteration > 0 and delay_out_of_range(params, n)))
+    return rows, failures
 
 
 def _check_real_signals(signals: Iterable[str]) -> None:
@@ -256,29 +312,6 @@ def _check_real_signals(signals: Iterable[str]) -> None:
 def _real_model(signal: str, seed: int) -> HarmonicSignalModel:
     """Real test signal of a kind that passed :func:`_check_real_signals`."""
     return make_multisine(seed=seed) if signal == "multisine" else make_bandpass_noise(seed=seed)
-
-
-def _window(model: HarmonicSignalModel, impairment: ImpairmentSpec, bank: CoefficientBank, n: int) -> tuple[SubfilterOutputs, np.ndarray]:
-    """Branch outputs of the measured stream and the reference over an ``n``-sample window from sample 0."""
-    gd = bank.group_delay
-    x0, x1 = sample_pair(model, impairment, n + bank.order, start=-gd)
-    return compute_subfilter_outputs(x1, bank), x0[gd : gd + n]
-
-
-def _real_trial_rows(
-    model: HarmonicSignalModel, impairment: ImpairmentSpec, variants: list[tuple[str, EstimatorConfig]]
-) -> list[tuple[str, int, float, float, float, bool]]:
-    """Estimate a real 1024-sample window with several configs and the canonical bank.
-
-    One row ``(variant, iteration, delta_ppm, epsilon, nmse, flagged)`` per
-    iteration, where the NMSE compensates with that iteration's parameters.
-    """
-    u, ref = _window(model, impairment, get_bank(), 1024)
-    return [
-        (label, rec.iteration, rec.params.delta_ppm, rec.params.epsilon, nmse(farrow_output(u, rec.params), ref), rec.delay_exceeded)
-        for label, config in variants
-        for rec in estimate_from_outputs(u, ref, config).records
-    ]
 
 
 def _true_params(delta: float, epsilon: float) -> OffsetParams:
@@ -301,14 +334,13 @@ def example1_rows(trials: int, base_seed: int, *, snr_db: float = 30.0) -> tuple
     """
     variants = _newton_ils(max_iterations=2) + [(f"{m}_sfo", c) for m, c in _newton_ils(max_iterations=2, sfo_only=True)]
 
-    def trial(t: int) -> list[tuple]:
+    def draw(t: int):
         model_seed = stable_seed(base_seed, "example1", t, "model")
-        model = make_multisine(seed=model_seed)
         impairment = ImpairmentSpec(delta=400e-6, epsilon=-0.2, snr_db=snr_db, seed=stable_seed(base_seed, "example1", t, "noise"))
-        trial_rows = _real_trial_rows(model, impairment, variants)
-        return [(t, model_seed, label.removesuffix("_sfo"), label.endswith("_sfo"), *rest) for label, *rest in trial_rows]
+        return make_multisine(seed=model_seed), impairment, model_seed
 
-    return _run_trials(trial, range(trials))
+    rows, failures = _iteration_rows(product(range(trials)), draw, variants)
+    return [(t, seed, label.removesuffix("_sfo"), label.endswith("_sfo"), *rest) for t, seed, label, *rest in rows], failures
 
 
 TABLE3_HEADER = ("signal", "snr_db", "trial", "seed", "method", "iteration", "delta_ppm", "epsilon", "nmse", "flag_d_exceeded")
@@ -327,15 +359,13 @@ def table3_rows(
     canonical bank.
     """
     _check_real_signals(signals)
-    variants = _newton_ils(max_iterations=2)
 
-    def trial(signal: str, snr: float, t: int) -> list[tuple]:
+    def draw(signal: str, snr: float, t: int):
         model_seed = stable_seed(base_seed, "table3", signal, t, "model")
-        model = _real_model(signal, model_seed)
         impairment = ImpairmentSpec(delta=300e-6, epsilon=300e-6, snr_db=snr, seed=stable_seed(base_seed, "table3", signal, snr, t, "noise"))
-        return [(signal, snr, t, model_seed, *row) for row in _real_trial_rows(model, impairment, variants)]
+        return _real_model(signal, model_seed), impairment, model_seed
 
-    return _run_trials(trial, signals, snrs, range(trials))
+    return _iteration_rows(product(signals, snrs, range(trials)), draw, _newton_ils(max_iterations=2))
 
 
 GRID_HEADER = ("snr_db", "delta_ppm", "epsilon_ppm", "method", "trials", "failures", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon_ppm", "std_epsilon_ppm")
@@ -362,39 +392,18 @@ def grid_rows(
     configs = _newton_ils(max_iterations=1)
     offsets = np.linspace(-span_ppm, span_ppm, grid_points) * 1e-6
     cells = list(product(snrs, range(grid_points), range(grid_points)))
-    keys = list(product(range(len(cells)), range(trials)))
-    estimates = np.empty((len(configs), 2, len(keys)))
-    ok = np.empty(len(keys), dtype=bool)
-    for chunk in _chunks(len(keys)):
-        models, impairments = [], []
-        for c, t in keys[chunk]:
-            snr, di, ei = cells[c]
-            models.append(make_ofdm(OfdmSpec(qam_order=16, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "model")))[0])
-            impairments.append(
-                ImpairmentSpec(delta=float(offsets[di]), epsilon=float(offsets[ei]), snr_db=snr, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise"))
-            )
-        x0, x1 = sample_pairs(models, impairments, n_samples + bank.order, start=-gd)
-        results, ok[chunk] = _estimate_chunk(_filter_rows(x1.real, bank), x0.real[:, gd : gd + n_samples], configs)
-        for m, result in enumerate(results):
-            estimates[m, :, chunk] = result.params.delta, result.params.epsilon
 
-    ok = ok.reshape(len(cells), trials)
-    per_cell = estimates.reshape(len(configs), 2, len(cells), trials).transpose(0, 2, 1, 3)
-    stats = np.empty((len(configs), len(cells), 4))
-    whole = ok.all(axis=1)
-    stats[:, whole] = _mean_std(np.ascontiguousarray(per_cell[:, whole]), 1e6, 1e6)
-    rows: list[tuple] = []
-    total_failures = 0
-    for c, (snr, di, ei) in enumerate(cells):
-        kept = int(ok[c].sum())
-        total_failures += trials - kept
-        if not kept:
-            continue
-        if not whole[c]:
-            stats[:, c] = _mean_std(np.ascontiguousarray(per_cell[:, c][..., ok[c]]), 1e6, 1e6)
-        for m, (method, _) in enumerate(configs):
-            rows.append((snr, float(offsets[di]) * 1e6, float(offsets[ei]) * 1e6, method, kept, trials - kept, *stats[m, c].tolist()))
-    return rows, total_failures
+    def draw(snr: float, di: int, ei: int, t: int):
+        model = make_ofdm(OfdmSpec(qam_order=16, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "model")))[0]
+        return model, ImpairmentSpec(delta=float(offsets[di]), epsilon=float(offsets[ei]), snr_db=snr, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise"))
+
+    chunks = []
+    for _, _, x0, x1 in _trial_chunks(product(snrs, range(grid_points), range(grid_points), range(trials)), draw, n_samples + bank.order, -gd):
+        results, ok = _estimate_chunk(_filter_rows(x1.real, bank), x0.real[:, gd : gd + n_samples], configs)
+        chunks.append((_finals(results), ok))
+    summary, failures = _summaries(chunks, cells, configs, 1e6, 1e6)
+    rows = [(snr, float(offsets[di]) * 1e6, float(offsets[ei]) * 1e6, method, kept, trials - kept, *stats) for (snr, di, ei), method, kept, stats in summary]
+    return rows, failures
 
 
 IMPAIRED_HEADER = ("trial", "seed", "method", "iteration", "delta_ppm", "epsilon_ppm", "nmse", "flag_d_exceeded")
@@ -412,42 +421,25 @@ def impaired_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     ``simplified`` variant compensates with the first-degree truncation of
     the bank; ``true`` compensates with the exact delay-law coefficients.
     """
-    n, delta, epsilon = 1024, -300e-6, -500e-6
-    bank = get_bank()
+    delta, epsilon = -300e-6, -500e-6
 
-    def trial(t: int) -> list[tuple]:
+    def draw(t: int):
         model_seed = stable_seed(base_seed, "impaired", t, "model")
         spec = OfdmSpec(qam_order=64, seed=model_seed)
-        model, _ = make_ofdm(spec)
-        po_rng = np.random.default_rng(stable_seed(base_seed, "impaired", t, "phase"))
         impairment = ImpairmentSpec(
             delta=delta,
             epsilon=epsilon,
             snr_db=30.0,
             cfo_fraction=0.05,
-            phase_offset=float(po_rng.uniform(-np.pi, np.pi)),
+            phase_offset=float(np.random.default_rng(stable_seed(base_seed, "impaired", t, "phase")).uniform(-np.pi, np.pi)),
             n_fft=spec.n_fft,
             seed=stable_seed(base_seed, "impaired", t, "noise"),
         )
-        u, reference = _window(model, impairment, bank, n)
-        u_re = SubfilterOutputs(u.u.real)
+        return make_ofdm(spec)[0], impairment, model_seed
 
-        def row(method: str, iteration: int, params: OffsetParams, outputs: SubfilterOutputs, flagged: bool) -> tuple:
-            err = nmse(farrow_output(outputs, params), reference)
-            return (t, model_seed, method, iteration, params.delta_ppm, params.epsilon * 1e6, err, flagged)
-
-        rows = [
-            row(method, rec.iteration, rec.params, u, rec.delay_exceeded)
-            for method, config in _newton_ils(max_iterations=2)
-            for rec in estimate_from_outputs(u_re, reference.real, config).records
-        ]
-        rec = estimate_from_outputs(u_re, reference.real, EstimatorConfig(method="simplified")).records[0]
-        truncated = SubfilterOutputs(u.u[:2])  # the degree-1 truncation's branch outputs
-        rows.append(row("simplified", 1, rec.params, truncated, rec.delay_exceeded))
-        rows.append(row("true", 0, _true_params(delta, epsilon), u, False))
-        return rows
-
-    return _run_trials(trial, range(trials))
+    variants = _newton_ils(max_iterations=2) + [("simplified", EstimatorConfig(method="simplified"))]
+    rows, failures = _iteration_rows(product(range(trials)), draw, variants, _true_params(delta, epsilon))
+    return [(*head, eps * 1e6, err, flagged) for *head, eps, err, flagged in rows], failures
 
 
 BER_HEADER = ("snr_db", "trial", "seed", "method", "iteration", "delta_ppm", "epsilon_ppm", "nmse", "bit_errors", "total_bits")
@@ -468,21 +460,18 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
     bank = get_bank()
     gd = bank.group_delay
     configs = _newton_ils(max_iterations=2)
-    keys = list(product(snrs, range(trials)))
+    spec = OfdmSpec(qam_order=64)
+    symbol_start = -spec.n_fft // 4
+    offset = -symbol_start  # array index of absolute sample -gd
+
+    def draw(snr: float, t: int):
+        seed = stable_seed(base_seed, "ber", snr, t, "model")
+        model, payload = make_ofdm(OfdmSpec(qam_order=64, seed=seed))
+        return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")), seed, payload
+
     rows: list[tuple] = []
     failures = 0
-    for chunk in _chunks(len(keys)):
-        seeds, models, payloads, impairments = [], [], [], []
-        for snr, t in keys[chunk]:
-            seeds.append(stable_seed(base_seed, "ber", snr, t, "model"))
-            spec = OfdmSpec(qam_order=64, seed=seeds[-1])
-            model, payload = make_ofdm(spec)
-            models.append(model)
-            payloads.append(payload)
-            impairments.append(ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")))
-        symbol_start = -spec.n_fft // 4
-        offset = -symbol_start  # array index of absolute sample -gd
-        x0, x1 = sample_pairs(models, impairments, spec.n_fft + bank.order, start=symbol_start - gd)
+    for keys, (seeds, payloads), x0, x1 in _trial_chunks(product(snrs, range(trials)), draw, spec.n_fft + bank.order, symbol_start - gd):
         u = _filter_rows(x1, bank)
         ref = x0[:, offset + gd : offset + gd + n]
         results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., offset : offset + n]), ref.real, configs)
@@ -494,9 +483,9 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
         compensated = np.empty((kept.size, len(estimates) + 1, spec.n_fft), dtype=np.complex128)
         trial_rows = []
         for i, b in enumerate(kept):
-            snr, t = keys[chunk][b]
+            snr, t = keys[b]
             trial_u = SubfilterOutputs(u.u[b])
-            variants = [(method, it, OffsetParams(float(p.delta[b]), float(p.epsilon[b]))) for method, it, p in estimates]
+            variants = [(method, it, OffsetParams(p.delta[b], p.epsilon[b])) for method, it, p in estimates]
             for j, (method, iteration, params) in enumerate(variants + [("true", 0, _true_params(delta, epsilon))]):
                 y = compensated[i, j] = farrow_output(trial_u, params, n0=symbol_start)
                 trial_rows.append((snr, t, seeds[b], method, iteration, params.delta_ppm, params.epsilon * 1e6, nmse(y[offset : offset + n], ref[b])))
@@ -520,25 +509,26 @@ def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     delta = 200 ppm, epsilon = 0.01, a 1024-sample window, and up to three
     iterations stopping at a step below 1e-8.
     """
-    n = 1024
     configs = _newton_ils(max_iterations=3, tolerance=1e-8)
     models = [make_bandpass_noise(seed=stable_seed(base_seed, "approx", t, "model")) for t in range(trials)]
+
+    def draw(t: int):
+        return models[t], ImpairmentSpec(delta=200e-6, epsilon=0.01)
+
     rows: list[tuple] = []
-    total_failures = 0
+    failures = 0
     for target_db, degree, order in ERROR_FRONTIER:
         bank = get_bank(degree, order)
-        report = measure_error(bank)
-
-        def trial(t: int) -> list[tuple[float, float, float]]:
-            u, ref = _window(models[t], ImpairmentSpec(delta=200e-6, epsilon=0.01), bank, n)
-            return [(p.delta, p.epsilon, nmse(farrow_output(u, p), ref)) for p in (estimate_from_outputs(u, ref, config).params for _, config in configs)]
-
-        outputs, failures = _run_trials(trial, range(trials))
-        total_failures += failures
-        for method, values in _per_method(outputs, configs):
-            mean_nmse = float(np.mean(np.array(values)[:, 2]))
-            rows.append((target_db, degree, order, report.error_db, method, len(values), mean_nmse, *_mean_std(_columns(values), 1e6, 1.0).tolist()))
-    return rows, total_failures
+        chunks = []
+        for _, _, u, ref in _trial_windows(product(range(trials)), draw, bank, 1024):
+            results, ok = _estimate_chunk(u, ref, configs)
+            scores = [[nmse(y, r) for y, r in zip(farrow_output(u, result.params), ref)] for result in results]
+            chunks.append((np.concatenate([np.array(scores)[:, None], _finals(results)], axis=1), ok))
+        summary, dropped = _summaries(chunks, [(target_db, degree, order, measure_error(bank).error_db)], configs, 1.0, 1e6, 1.0)
+        failures += dropped
+        # The mean NMSE (its spread is not reported), then both offsets' mean and spread.
+        rows += [(*group, method, kept, stats[0], *stats[2:]) for group, method, kept, stats in summary]
+    return rows, failures
 
 
 NSWEEP_HEADER = ("set_index", "true_delta_ppm", "true_epsilon", "snr_db", "n_samples", "method", "trials", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon", "std_epsilon")
@@ -557,38 +547,29 @@ def nsweep_rows(
     per estimate with the canonical bank, bandpass-noise signals shared
     across lengths; a trial is one estimate at one length, so a singular
     system at one length leaves the other lengths of that signal counted.
-    Each signal is estimated at every length before the next is drawn, so
-    only one signal's branch outputs are held at a time.
+    Each chunk of signals is estimated at every length before the next is
+    drawn, so only one chunk's branch outputs are held at a time.
     """
     bank = get_bank()
-    n_max = max(lengths)
     configs = _newton_ils(max_iterations=2)
     rows: list[tuple] = []
-    total_failures = 0
+    failures = 0
     for set_index, (delta, epsilon) in enumerate([(200e-6, 0.03), (100e-6, 300e-6)]):
         for snr in snrs:
-            per_length: list[list] = [[] for _ in lengths]
-            for t in range(trials):
+
+            def draw(t: int):
                 model = make_bandpass_noise(seed=stable_seed(base_seed, "nsweep", set_index, t, "model"))
-                impairment = ImpairmentSpec(
-                    delta=delta,
-                    epsilon=epsilon,
-                    snr_db=None if np.isinf(snr) else snr,
-                    seed=stable_seed(base_seed, "nsweep", set_index, snr, t, "noise"),
-                )
-                u, ref = _window(model, impairment, bank, n_max)
+                noise_seed = stable_seed(base_seed, "nsweep", set_index, snr, t, "noise")
+                return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=None if np.isinf(snr) else snr, seed=noise_seed)
 
-                def trial(n: int) -> list[tuple[float, float]]:
-                    return [(p.delta, p.epsilon) for p in (estimate_from_outputs(SubfilterOutputs(u.u[:, :n]), ref[:n], config).params for _, config in configs)]
-
-                for n, estimates in zip(lengths, per_length):
-                    outputs, failures = _run_trials(trial, [n])
-                    estimates += outputs
-                    total_failures += failures
-            for n, estimates in zip(lengths, per_length):
-                for method, samples in _per_method(estimates, configs):
-                    rows.append((set_index, delta * 1e6, epsilon, snr, n, method, len(samples), *_mean_std(_columns(samples), 1e6, 1.0).tolist()))
-    return rows, total_failures
+            chunks = []
+            for _, _, u, ref in _trial_windows(product(range(trials)), draw, bank, max(lengths)):
+                per_length, oks = zip(*(_estimate_chunk(SubfilterOutputs(u.u[..., :n]), ref[:, :n], configs) for n in lengths))
+                chunks.append((np.stack([_finals(results) for results in per_length], axis=2), np.array(oks)))
+            summary, dropped = _summaries(chunks, lengths, configs, 1e6, 1.0)
+            failures += dropped
+            rows += [(set_index, delta * 1e6, epsilon, snr, n, method, kept, *stats) for n, method, kept, stats in summary]
+    return rows, failures
 
 
 OPCOUNT_HEADER = ("method", "degree", "n_samples", "iterations", "source", "fixed_mults", "general_mults", "additions", "divisions")
@@ -665,26 +646,29 @@ class Campaign(NamedTuple):
 
     ``trials`` holds the desk and full trial counts, or ``None`` when the
     campaign takes no trial count; ``full`` replaces keyword defaults under
-    ``--full``.  ``rows`` returns ``(rows, failures, *extra_files)``, each
-    extra file being ``(file name, header, rows)``.
+    ``--full``; ``least`` holds the smallest value each numeric key (or
+    each entry of a list key) accepts, beside ``trials`` >= 1.  ``rows``
+    returns ``(rows, failures, *extra_files)``, each extra file being
+    ``(file name, header, rows)``.
     """
 
     rows: Callable[..., tuple]
     header: tuple[str, ...]
     trials: tuple[int, int] | None = None
     full: Mapping[str, object] = {}
+    least: Mapping[str, int] = {}
 
 
 CAMPAIGNS = {
     "example1": Campaign(example1_rows, EXAMPLE1_HEADER, (100, 1000)),
     "table3": Campaign(table3_rows, TABLE3_HEADER, (100, 1000)),
-    "grid": Campaign(grid_rows, GRID_HEADER, (100, 1000), {"grid_points": 20, "snrs": (20.0, 30.0, 40.0)}),
+    "grid": Campaign(grid_rows, GRID_HEADER, (100, 1000), {"grid_points": 20, "snrs": (20.0, 30.0, 40.0)}, {"grid_points": 1, "n_samples": 3}),
     "impaired": Campaign(impaired_rows, IMPAIRED_HEADER, (100, 1000)),
     "ber": Campaign(ber_rows, BER_HEADER, (120, 10000)),
     "approx_sweep": Campaign(approx_sweep_rows, APPROX_HEADER, (100, 1000)),
-    "nsweep": Campaign(nsweep_rows, NSWEEP_HEADER, (100, 1000)),
+    "nsweep": Campaign(nsweep_rows, NSWEEP_HEADER, (100, 1000), least={"lengths": 3}),
     "opcounts": Campaign(opcount_rows, OPCOUNT_HEADER),
-    "single": Campaign(single_rows, SINGLE_HEADER),
+    "single": Campaign(single_rows, SINGLE_HEADER, least={"n_samples": 3, "iterations": 1}),
 }
 
 _GETTERS = {bool: "get_bool", int: "get_int", float: "get_float", str: "get_str"}
@@ -701,14 +685,10 @@ def run_experiment(
     if name not in CAMPAIGNS:
         raise ConfigError(f"unknown experiment {name!r}")
     campaign = CAMPAIGNS[name]
-    args = []
+    kwargs = {}
     if campaign.trials is not None:
         desk_trials, full_trials = campaign.trials
-        trials = options.get_int("trials", full_trials if full else desk_trials)
-        if trials < 1:
-            raise ConfigError(f"[{options._section}] trials must be positive")
-        args.append(trials)
-    kwargs = {}
+        kwargs["trials"] = options.get_int("trials", full_trials if full else desk_trials)
     for key, default in (campaign.rows.__kwdefaults__ or {}).items():
         default = campaign.full.get(key, default) if full else default
         if isinstance(default, tuple):
@@ -716,7 +696,10 @@ def run_experiment(
         else:
             kwargs[key] = getattr(options, _GETTERS[type(default)])(key, default)
     options.finish()
-    rows, failures, *extra = campaign.rows(*args, base_seed, **kwargs)
+    for key, least in {"trials": 1, **campaign.least}.items():
+        if key in kwargs and np.min(kwargs[key]) < least:
+            raise ConfigError(f"[{options._section}] {key} must be at least {least}")
+    rows, failures, *extra = campaign.rows(base_seed=base_seed, **kwargs)
     files = []
     for file_name, header, body in [(f"{name}.csv", campaign.header, rows), *extra]:
         files.append(out_dir / file_name)

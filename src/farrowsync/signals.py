@@ -29,8 +29,8 @@ give every row exactly the bits of a one-row call, but a complex multiply
 broadcast across rows can differ from the one-row product in the last bit
 (about 1e-13 was seen on x0), so the phase multiplies before and after the
 transform, the carrier rotation and the noise run row by row on contiguous
-rows.  The campaigns that batch trials cap a batch at ``harness.TRIAL_CHUNK``
-rows, which bounds the memory a batch holds.
+rows.  Every Monte-Carlo campaign samples its trials through it, capped at
+``harness.TRIAL_CHUNK`` rows a batch, which bounds the memory a batch holds.
 
 Conventions fixed here and relied on elsewhere:
 

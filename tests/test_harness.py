@@ -10,7 +10,6 @@ import pytest
 
 from farrowsync import estimation, harness
 from farrowsync.design import ERROR_FRONTIER
-from farrowsync.estimation import SingularSystemError
 from farrowsync.harness import (
     ConfigError,
     Options,
@@ -226,14 +225,8 @@ class TestRunExperiment:
         assert {r[4] for r in rows} == {"64", "128"}
 
     def test_a_singular_trial_is_dropped_whole_and_counted_once(self, tmp_path, monkeypatch):
-        # grid and ber estimate batches; the other campaigns estimate one trial at a time.
-        real_estimate = harness.estimate_from_outputs
+        # Every campaign estimates its trials in batches through estimate_batch.
         real_batch = harness.estimate_batch
-
-        def singular_ils(u, ref, config):
-            if config.method == "ils":
-                raise SingularSystemError("forced")
-            return real_estimate(u, ref, config)
 
         def singular_ils_batch(u, ref, config):
             result = real_batch(u, ref, config)
@@ -241,7 +234,6 @@ class TestRunExperiment:
                 return dataclasses.replace(result, singular=np.ones_like(result.singular))
             return result
 
-        monkeypatch.setattr(harness, "estimate_from_outputs", singular_ils)
         monkeypatch.setattr(harness, "estimate_batch", singular_ils_batch)
         trials_run = {
             "example1": ({"trials": "2"}, 2),
@@ -258,14 +250,19 @@ class TestRunExperiment:
             assert outcome.failures == count, name
 
     @pytest.mark.parametrize(
-        "name,raw,trials",
+        "name,raw,filtered",
         [
+            ("example1", {"trials": "2"}, 2),
+            ("table3", {"trials": "1", "signals": "multisine bandpass", "snrs": "30"}, 2),
             ("grid", {"trials": "2", "grid_points": "2", "snrs": "40", "n_samples": "256"}, 8),
+            ("impaired", {"trials": "2"}, 2),
             ("ber", {"trials": "2", "snrs": "30"}, 2),
+            ("approx_sweep", {"trials": "1"}, len(ERROR_FRONTIER)),  # once per bank
+            ("nsweep", {"trials": "1", "lengths": "64 128", "snrs": "inf"}, 2),  # once per signal, for every length
         ],
-        ids=["grid", "ber"],
+        ids=["example1", "table3", "grid", "impaired", "ber", "approx_sweep", "nsweep"],
     )
-    def test_the_measured_stream_is_filtered_once_per_trial(self, name, raw, trials, tmp_path, monkeypatch):
+    def test_the_measured_stream_is_filtered_once_per_trial(self, name, raw, filtered, tmp_path, monkeypatch):
         calls = []
         real_filter = harness.compute_subfilter_outputs
 
@@ -276,7 +273,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "compute_subfilter_outputs", counting)
         monkeypatch.setattr(estimation, "compute_subfilter_outputs", counting)
         assert run(name, raw, out_dir=tmp_path).failures == 0
-        assert len(calls) == trials
+        assert len(calls) == filtered
 
     def test_a_grid_cell_keeps_the_statistics_of_its_good_trials(self, tmp_path, monkeypatch):
         results = {}
@@ -304,13 +301,19 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "name,raw,chunk,trials",
         [
+            ("example1", {"trials": "5"}, 2, 5),
+            ("table3", {"trials": "2", "signals": "multisine bandpass", "snrs": "30"}, 3, 4),
             ("grid", {"trials": "5", "grid_points": "2", "snrs": "40", "n_samples": "256"}, 3, 20),
+            ("impaired", {"trials": "3"}, 2, 3),
             ("ber", {"trials": "5", "snrs": "30"}, 2, 5),
+            ("approx_sweep", {"trials": "3"}, 2, 3 * len(ERROR_FRONTIER)),
+            ("nsweep", {"trials": "3", "lengths": "64 128", "snrs": "inf"}, 2, 6),  # 2 sets x 3 signals
         ],
-        ids=["grid", "ber"],
+        ids=["example1", "table3", "grid", "impaired", "ber", "approx_sweep", "nsweep"],
     )
     def test_chunks_bound_the_batch_and_leave_the_csv_unchanged(self, name, raw, chunk, trials, tmp_path, monkeypatch):
-        # Chunks cross cell boundaries, so a cell's trials may come from two chunks.
+        # Chunks cross cell boundaries, so a cell's trials may come from two chunks
+        # (and a table3 chunk may hold both signal kinds).
         whole = run(name, raw, out_dir=tmp_path / "whole").files[0].read_bytes()
         batches = []
         real_sampler = harness.sample_pairs
@@ -320,9 +323,11 @@ class TestRunExperiment:
         assert max(batches) == chunk
         assert sum(batches) == trials
 
-    def test_nsweep_peak_memory_does_not_grow_with_the_trial_count(self):
-        # Each signal is estimated at every length before the next is drawn,
-        # so one signal's branch outputs are alive at a time, not every trial's.
+    def test_nsweep_peak_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        # Each chunk of signals is estimated at every length before the next
+        # is drawn, so one chunk's branch outputs are alive at a time, not
+        # every trial's.  Both runs span whole chunks of 4 signals.
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", 4)
         harness.nsweep_rows(1, 42, lengths=(64, 2048), snrs=(30.0,))  # designs and caches the bank
         peaks = []
         for trials in (4, 32):
@@ -333,6 +338,32 @@ class TestRunExperiment:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("grid", "n_samples", "2"),
+            ("grid", "grid_points", "0"),
+            ("nsweep", "lengths", "2 64"),
+            ("single", "n_samples", "2"),
+            ("single", "iterations", "0"),
+        ],
+    )
+    def test_bad_values_fail_before_the_first_trial(self, name, key, value, tmp_path, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(harness, "sample_pairs", lambda *args, **kw: sampled.append(args))
+        monkeypatch.setattr(harness, "sample_pair", lambda *args, **kw: sampled.append(args))
+        with pytest.raises(ConfigError, match=rf"\[{name}\] {key} must be at least"):
+            run(name, {key: value}, out_dir=tmp_path)
+        assert sampled == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_bad_value_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[grid]\ngrid_points = 0\n")
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "[grid] grid_points must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_table3_signal_fails_before_any_trial(self, tmp_path, monkeypatch):
         made = []
