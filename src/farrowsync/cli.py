@@ -21,16 +21,9 @@ from .harness import (
     run_measure,
 )
 
-_RUNNERS = ("run", "grid", "approx-sweep", "n-sweep", "opcounts")
-
-#: subcommand -> (config section, default experiment name)
-_SECTION = {
-    "run": ("run", None),
-    "grid": ("grid", "grid"),
-    "approx-sweep": ("approx_sweep", "approx_sweep"),
-    "n-sweep": ("n_sweep", "nsweep"),
-    "opcounts": ("opcounts", "opcounts"),
-}
+#: Shorthand subcommand -> the campaign it runs.  Every subcommand reads the
+#: config section named like it, with "-" as "_".
+_SHORTHANDS = {"grid": "grid", "approx-sweep": "approx_sweep", "n-sweep": "nsweep", "opcounts": "opcounts"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,40 +32,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sampling-offset estimation and compensation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("design", "measure") + _RUNNERS:
+    for name in ("design", "measure", "run", *_SHORTHANDS):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
         p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
-        if name in _RUNNERS:
+        if name not in ("design", "measure"):
             p.add_argument("--full", action="store_true", help="full-scale trial counts")
             p.add_argument("--seed", type=int, default=None, help="base seed override")
     return parser
 
 
-def _section_options(args, section: str) -> Options:
-    if args.config is None:
-        return Options({}, section)
-    sections = load_config(args.config)
-    return Options(sections.get(section, {}), section)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    section = args.command.replace("-", "_")
     try:
+        options = Options(load_config(args.config).get(section, {}) if args.config else {}, section)
         if args.command == "design":
-            outcome = run_design(_section_options(args, "design"), args.out)
+            outcome = run_design(options, args.out)
         elif args.command == "measure":
-            outcome = run_measure(_section_options(args, "measure"), args.out)
+            outcome = run_measure(options, args.out)
         else:
-            section, default_experiment = _SECTION[args.command]
-            options = _section_options(args, section)
-            experiment = options.get_str("experiment", default_experiment)
+            experiment = _SHORTHANDS.get(args.command) or options.get("experiment", str)
             if experiment is None:
                 raise ConfigError("[run] requires an experiment = <name> entry")
-            seed = args.seed
-            if seed is None:
-                seed = options.get_int("seed", DEFAULT_SEED)
-            outcome = run_experiment(experiment, options, seed, args.full, args.out)
+            seed = options.get("seed", DEFAULT_SEED)
+            outcome = run_experiment(experiment, options, seed if args.seed is None else args.seed, args.full, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -86,9 +86,6 @@ class OffsetParams:
     def delta_ppm(self) -> float:
         return self.delta * 1e6
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.delta, self.epsilon])
-
 
 @dataclass(frozen=True)
 class OpCounts:
@@ -278,7 +275,6 @@ class EstimatorConfig:
     method: str = "newton"
     max_iterations: int = 2
     tolerance: float | None = None
-    compute_cost: bool = False
     sfo_only: bool = False
 
     def __post_init__(self) -> None:
@@ -300,7 +296,6 @@ class IterationRecord:
     params: OffsetParams
     step: np.ndarray
     residual_norm: float  # 2-norm of the solved right-hand side (g or c)
-    cost: float  # batch cost at params, nan unless compute_cost
     delay_exceeded: bool  # any |d(n)| > 0.5 over the window at params
     ops: OpCounts
 
@@ -321,17 +316,6 @@ class EstimationResult:
         for rec in self.records:
             total = total + rec.ops
         return total
-
-
-TRACE_HEADER = ("iter", "delta_ppm", "epsilon", "grad_norm", "cost", "flag_d_exceeded")
-
-
-def trace_rows(result: EstimationResult) -> list[tuple]:
-    """Trace table rows matching :data:`TRACE_HEADER`."""
-    return [
-        (rec.iteration, rec.params.delta_ppm, rec.params.epsilon, rec.residual_norm, rec.cost, int(rec.delay_exceeded))
-        for rec in result.records
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -509,7 +493,6 @@ def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: Estimato
                 params=params,
                 step=batch.steps[m],
                 residual_norm=rhs_norm,
-                cost=batch_cost(u, np.asarray(ref, dtype=np.float64), params) if config.compute_cost else float("nan"),
                 delay_exceeded=delay_out_of_range(params, n),
                 ops=ops,
             )

