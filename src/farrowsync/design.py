@@ -79,6 +79,14 @@ class DesignError(RuntimeError):
     """Raised when the least-squares design problem is rank deficient."""
 
 
+def _check_band(omega_c: float, d_max: float) -> None:
+    """Reject a design or measurement band outside ``0 < omega_c < pi``, ``0 < d_max <= 0.5`` (NaN included)."""
+    if not 0.0 < omega_c < np.pi:
+        raise ValueError("omega_c must be in (0, pi)")
+    if not 0.0 < d_max <= 0.5:
+        raise ValueError("d_max must be in (0, 0.5]")
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Design-time parameters of a coefficient bank."""
@@ -96,10 +104,7 @@ class DesignSpec:
             raise ValueError("degree must be at least 1")
         if self.order < 2 or self.order % 2 != 0:
             raise ValueError("order must be even and at least 2")
-        if not 0.0 < self.omega_c < np.pi:
-            raise ValueError("omega_c must be in (0, pi)")
-        if not 0.0 < self.d_max <= 0.5:
-            raise ValueError("d_max must be in (0, 0.5]")
+        _check_band(self.omega_c, self.d_max)
         if self.freq_points < 8 * self.order:
             raise ValueError(f"frequency grid too coarse: need at least {8 * self.order} points")
         if self.n_delay < 16:
@@ -214,8 +219,10 @@ def measure_error(
 
     Defaults to a grid four times denser than the design default
     (``64*N_G`` frequencies by 129 delays) so the report is an honest check
-    rather than a readback of the fit residual.
+    rather than a readback of the fit residual.  ``omega_c`` and ``d_max``
+    must lie within the :class:`DesignSpec` bounds.
     """
+    _check_band(omega_c, d_max)
     if n_freq is None:
         n_freq = 64 * bank.order
     if n_freq < 2 or n_delay < 2:

@@ -44,7 +44,7 @@ from .design import DesignSpec, ERROR_FRONTIER, design_bank, measure_error
 from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, batch_cost, count_operations, estimate, estimate_batch, estimate_from_outputs
 from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, delay_out_of_range, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
-from .signals import HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs
+from .signals import MAX_SNR_DB, HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs, valid_snr_db
 
 DEFAULT_SEED = 42
 
@@ -693,6 +693,9 @@ def run_experiment(
     for key, least in {"trials": 1, **campaign.least}.items():
         if key in kwargs and np.min(kwargs[key]) < least:
             raise ConfigError(f"[{options._section}] {key} must be at least {least}")
+    for key in ("snr_db", "snrs"):
+        if key in kwargs and not all(map(valid_snr_db, np.atleast_1d(kwargs[key]))):
+            raise ConfigError(f"[{options._section}] {key} must be inf or finite within +-{MAX_SNR_DB:g} dB, got {kwargs[key]}")
     rows, failures, *extra = campaign.rows(base_seed=base_seed, **kwargs)
     files = []
     for file_name, header, body in [(f"{name}.csv", campaign.header, rows), *extra]:

@@ -11,7 +11,13 @@ direct evaluation to about 1e-10 of the peak sample magnitude (8.1e-11 to
 1.04e-10 measured for 1537 OFDM tones over 1036 samples, 6.4e-11 in RMS; the
 tests bound a multisine case at 1e-10) and is used automatically for large
 products of tone count and sample count.
-A chirp-z plan depends only on ``(n_tones, count, w, a)``, and within a
+The transform is Bluestein's algorithm (Rabiner, Schafer & Rader, "The
+chirp z-transform algorithm", BSTJ 1969) on ``scipy.fft``, written here with
+the arithmetic of ``scipy.signal.CZT`` at start point 1, so the samples are
+bit for bit those of that class without importing ``scipy.signal``, which
+loads sparse, optimize, stats, interpolate, ndimage and spatial (about
+0.9 s and 49 MB per process on a 2-core VM).
+A chirp-z plan depends only on ``(n_tones, count, w)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
 sampling rate, so plans are kept in a module-level cache bounded by the
 bytes of their arrays (:data:`_CZT_PLAN_CACHE_BYTES`) and shared across
@@ -56,7 +62,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import CZT
+from scipy.fft import fft, ifft, next_fast_len
 
 MAX_OMEGA = 0.9 * np.pi
 
@@ -67,8 +73,29 @@ _DIRECT_CHUNK = 4096
 
 # Bytes of plan arrays the chirp-z cache may hold.  A desk campaign needs at
 # most 30 plans at once (approx_sweep: 15 window lengths times 2 sampling
-# rates) of about 0.1 MiB each; one CZT(512, 2**20) plan alone holds 32 MiB.
+# rates) of about 0.1 MiB each; one (512, 2**20) plan alone holds 32 MiB.
 _CZT_PLAN_CACHE_BYTES = 64 << 20
+
+
+class _ChirpZPlan:
+    """Chirp-z transform ``y[..., j] = sum_k x[..., k] * w**(j*k)``, ``k < n``, ``j < m``, along the last axis.
+
+    Bluestein's algorithm with exactly the arithmetic of
+    ``scipy.signal.CZT(n, m, w, 1+0j)``, so the output is bit for bit that
+    class's.  The chirps are computed once, the transform on every call.
+    """
+
+    def __init__(self, n: int, m: int, w: complex) -> None:
+        wk2 = w ** (np.arange(max(m, n)) ** 2 / 2.0)
+        self._n, self._m = n, m
+        self._nfft = next_fast_len(n + m - 1)
+        self._wk2_n = wk2[:n]
+        self._wk2_m = wk2[:m]
+        self._fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self._nfft)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = ifft(self._fwk2 * fft(x * self._wk2_n, self._nfft))
+        return y[..., self._n - 1 : self._n + self._m - 1] * self._wk2_m
 
 
 class _PlanCacheInfo(NamedTuple):
@@ -79,24 +106,24 @@ class _PlanCacheInfo(NamedTuple):
 
 
 class _PlanCache:
-    """Chirp-z plans by ``(n, m, w, a)``, least recently used evicted first past the byte budget.
+    """Chirp-z plans by ``(n, m, w)``, least recently used evicted first past the byte budget.
 
     The plan just built always stays, even when it alone exceeds the budget.
     """
 
     def __init__(self) -> None:
-        self._plans: OrderedDict[tuple, tuple[CZT, int]] = OrderedDict()
+        self._plans: OrderedDict[tuple, tuple[_ChirpZPlan, int]] = OrderedDict()
         self.cache_clear()
 
-    def __call__(self, n: int, m: int, w: complex, a: complex) -> CZT:
-        key = (n, m, w, a)
+    def __call__(self, n: int, m: int, w: complex) -> _ChirpZPlan:
+        key = (n, m, w)
         entry = self._plans.get(key)
         if entry is not None:
             self._plans.move_to_end(key)
             self._hits += 1
             return entry[0]
         self._misses += 1
-        plan = CZT(n, m, w, a)
+        plan = _ChirpZPlan(n, m, w)
         size = sum(v.nbytes for v in vars(plan).values() if isinstance(v, np.ndarray))
         self._plans[key] = (plan, size)
         self._nbytes += size
@@ -204,7 +231,7 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
         elif not model.has_uniform_grid:
             raise ValueError("fast evaluation requires a uniform frequency grid")
         else:
-            plans.setdefault((model.n_tones, count, np.exp(1j * model._grid[1] * float(step)), 1.0 + 0.0j), []).append(row)
+            plans.setdefault((model.n_tones, count, np.exp(1j * model._grid[1] * float(step))), []).append(row)
     before: dict[tuple, np.ndarray] = {}
     after: dict[tuple, np.ndarray] = {}
     for key, rows in plans.items():
@@ -350,6 +377,14 @@ def ofdm_demodulate(samples: np.ndarray, payload: OfdmPayload, start_time: float
 
 # ── Impairments ───────────────────────────────────────────────────────────────
 
+# Largest finite |snr_db| accepted: 10**(snr_db/10) stays a normal float.
+MAX_SNR_DB = 3000.0
+
+
+def valid_snr_db(snr_db: float) -> bool:
+    """True for ``inf`` (noiseless) and for finite SNRs within ``MAX_SNR_DB`` dB of 0."""
+    return snr_db == np.inf or abs(snr_db) <= MAX_SNR_DB
+
 
 @dataclass(frozen=True)
 class ImpairmentSpec:
@@ -362,7 +397,9 @@ class ImpairmentSpec:
     models.  The carrier rotation models a common downconversion error, so
     it multiplies the continuous-time signal ahead of both sampling chains:
     each chain picks up the rotation evaluated at its own sampling instants.
-    ``snr_db=None`` means noiseless.
+    ``snr_db=None`` means noiseless; so does ``snr_db=inf``, which still
+    draws the (zero-variance) noise.  NaN, ``-inf`` and finite SNRs beyond
+    ``MAX_SNR_DB`` in magnitude are rejected.
     """
 
     delta: float = 0.0
@@ -374,6 +411,8 @@ class ImpairmentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.snr_db is not None and not valid_snr_db(self.snr_db):
+            raise ValueError(f"snr_db must be inf or a finite value within +-{MAX_SNR_DB:g} dB, got {self.snr_db}")
         if self.cfo_fraction != 0.0 and self.n_fft is None:
             raise ValueError("cfo_fraction requires n_fft to define the subcarrier spacing")
 

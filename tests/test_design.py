@@ -103,6 +103,12 @@ def test_measurement_grid_guards(canonical):
         measure_error(bank, n_freq=1)
     report = measure_error(bank, n_freq=None)
     assert report.n_freq == 64 * bank.order
+    for omega_c in (2.0 * np.pi, np.pi, 0.0, np.nan):
+        with pytest.raises(ValueError, match="omega_c"):
+            measure_error(bank, omega_c=omega_c)
+    for d_max in (-3.0, 0.0, 0.6, np.nan):
+        with pytest.raises(ValueError, match="d_max"):
+            measure_error(bank, d_max=d_max)
     assert isinstance(report, ErrorReport)
 
 

@@ -612,6 +612,30 @@ class TestCli:
         assert "error: measurement grid needs at least 2 points per axis" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, message", [("cutoff = 2", "omega_c must be in (0, pi)"), ("cutoff = nan", "omega_c must be in (0, pi)"), ("d_max = -3", "d_max must be in (0, 0.5]")])
+    def test_measure_outside_the_design_band_exits_one(self, line, message, tmp_path, capsys):
+        bank = run_design(Options({"degree": "2", "order": "8"}, "design"), tmp_path).files[0]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[measure]\nbank = {bank}\n{line}\n")
+        assert main(["measure", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["[grid]\nsnrs = 20 {}", "[run]\nexperiment = single\nsnr_db = {}"], ids=["grid", "single"])
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "1e308"])
+    def test_a_non_finite_snr_exits_one_before_the_first_trial(self, section, snr, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(harness, "sample_pairs", no_trials)
+        monkeypatch.setattr(harness, "sample_pair", no_trials)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(section.format(snr) + "\n")
+        command = "grid" if section.startswith("[grid]") else "run"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "must be inf or finite within +-3000 dB" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_design_with_an_empty_bank_name_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("[design]\ndegree = 2\norder = 8\nbank =\n")

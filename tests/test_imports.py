@@ -1,6 +1,9 @@
 """Every module of the package uses each name it imports, and every public name has a caller."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,28 @@ def test_every_public_method_and_property_has_a_reader_in_the_package():
     unread = unread_public_members([(PACKAGE / f"{module}.py").read_text() for module in MODULES])
     assert sorted(set(unread) - set(READER_EXEMPT)) == []
     assert sorted(set(READER_EXEMPT) - set(unread)) == []  # an exemption that gained a reader is stale
+
+
+def scipy_signal_imports(source: str) -> list[str]:
+    """Modules under ``scipy.signal`` that an import statement anywhere in ``source`` names."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+    return [name for name in names if name == "scipy.signal" or name.startswith("scipy.signal.")]
+
+
+def test_no_module_imports_scipy_signal():
+    # scipy.signal loads sparse, optimize, stats, interpolate, ndimage and
+    # spatial: about 0.9 s and 49 MB more than scipy.fft per process on a 2-core VM.
+    assert scipy_signal_imports("import scipy.signal as ss\nfrom scipy.signal import CZT\nfrom scipy.fft import fft\n") == ["scipy.signal", "scipy.signal"]
+    assert {module: scipy_signal_imports((PACKAGE / f"{module}.py").read_text()) for module in MODULES} == {module: [] for module in MODULES}
+
+
+def test_importing_the_cli_loads_no_scipy_signal_module():
+    probe = "import farrowsync.cli, sys; print(sorted(m for m in sys.modules if m == 'scipy.signal' or m.startswith('scipy.signal.')))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from scipy.signal import CZT, czt
 from farrowsync import signals
 from farrowsync.harness import Options, run_experiment
 from farrowsync.signals import (
+    _ChirpZPlan,
     _czt_plan,
     HarmonicSignalModel,
     ImpairmentSpec,
@@ -99,6 +100,21 @@ def _uncached_fast_path(model, t0, step, count):
 
 
 class TestPlanCache:
+    @pytest.mark.parametrize("n, m", [(1537, 1036), (1537, 2084), (512, 1060), (64, 400), (3, 5), (5, 3), (1, 1)])
+    def test_plan_is_bit_identical_to_scipy_signal_czt(self, n, m):
+        rng = np.random.default_rng(n * m)
+        rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        # OFDM and multisine tone spacings at the nominal, offset and half sampling rates.
+        for dw in (2.0 * np.pi / 2048, 0.9 * np.pi / 64, 0.013):
+            for step in (1.0, 1.0 + 1e-4, 1.0 - 3e-4, 0.5):
+                w = np.exp(1j * dw * step)
+                ours, reference = _ChirpZPlan(n, m, w), CZT(n, m, w, 1.0 + 0.0j)
+                for x in (rows[0], rows):
+                    got, want = ours(x), reference(x)
+                    assert got.shape == want.shape == x.shape[:-1] + (m,)
+                    assert np.array_equal(got, want), (dw, step, x.ndim)
+                    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
     @pytest.mark.parametrize("is_complex", [False, True])
     def test_cached_fast_path_is_bit_identical_to_a_fresh_plan(self, is_complex):
         model = make_multisine(seed=5, complex_signal=is_complex)
@@ -117,8 +133,8 @@ class TestPlanCache:
     def test_desk_grid_builds_one_plan_per_sampling_rate(self, tmp_path, monkeypatch):
         grid_points = 5  # the desk default
         transforms = []
-        real_call = CZT.__call__
-        monkeypatch.setattr(CZT, "__call__", lambda plan, x, **kw: transforms.append(np.atleast_2d(x).shape) or real_call(plan, x, **kw))
+        real_call = _ChirpZPlan.__call__
+        monkeypatch.setattr(_ChirpZPlan, "__call__", lambda plan, x: transforms.append(np.atleast_2d(x).shape) or real_call(plan, x))
         _czt_plan.cache_clear()
         run_experiment("grid", Options({"trials": "1", "snrs": "20"}, "grid"), 42, False, tmp_path)
         assert 0 < _czt_plan.cache_info().misses <= 1 + grid_points
@@ -268,6 +284,19 @@ class TestImpairments:
         with pytest.raises(ValueError, match="n_fft"):
             ImpairmentSpec(cfo_fraction=0.05)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, 1e308, -1e308, 3000.5])
+    def test_snr_outside_the_accepted_range_is_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            ImpairmentSpec(snr_db=snr_db)
+
+    def test_infinite_snr_is_noiseless(self):
+        model = _toy_model(True)
+        clean = sample_pair(model, ImpairmentSpec(delta=1e-4), 32)
+        noiseless = sample_pair(model, ImpairmentSpec(delta=1e-4, snr_db=np.inf, seed=5), 32)
+        assert all(np.array_equal(a, b) for a, b in zip(clean, noiseless))
+        for snr_db in (-3000.0, 3000.0):
+            assert all(np.all(np.isfinite(x)) for x in sample_pair(model, ImpairmentSpec(snr_db=snr_db, seed=5), 32))
+
 
 class TestTrialAxis:
     """A batch of trials equals one-trial calls, row for row and bit for bit."""
@@ -304,8 +333,8 @@ class TestTrialAxis:
 
     def test_rows_sharing_a_plan_share_one_transform(self, monkeypatch):
         transforms = []
-        real_call = CZT.__call__
-        monkeypatch.setattr(CZT, "__call__", lambda plan, x, **kw: transforms.append(np.atleast_2d(x).shape) or real_call(plan, x, **kw))
+        real_call = _ChirpZPlan.__call__
+        monkeypatch.setattr(_ChirpZPlan, "__call__", lambda plan, x: transforms.append(np.atleast_2d(x).shape) or real_call(plan, x))
         models = [make_ofdm(OfdmSpec(qam_order=16, seed=k))[0] for k in range(6)]
         impairments = [ImpairmentSpec(delta=d, epsilon=0.1 * k) for k, d in enumerate([1e-4, 1e-4, -1e-4, 1e-4, -1e-4, 0.0])]
         sample_pairs(models, impairments, 600, fast=True)
