@@ -696,6 +696,13 @@ def run_experiment(
     for key in ("snr_db", "snrs"):
         if key in kwargs and not all(map(valid_snr_db, np.atleast_1d(kwargs[key]))):
             raise ConfigError(f"[{options._section}] {key} must be inf or finite within +-{MAX_SNR_DB:g} dB, got {kwargs[key]}")
+    # Each offset key as the impairment it sets; the grid spans +-span_ppm in delta and epsilon.
+    for key, field, scale in (("delta_ppm", "delta", 1e-6), ("span_ppm", "delta", 1e-6), ("epsilon", "epsilon", 1.0)):
+        if key in kwargs:
+            try:
+                ImpairmentSpec(**{field: kwargs[key] * scale})
+            except ValueError as exc:
+                raise ConfigError(f"[{options._section}] {key} = {kwargs[key]} is out of range: {exc}") from exc
     rows, failures, *extra = campaign.rows(base_seed=base_seed, **kwargs)
     files = []
     for file_name, header, body in [(f"{name}.csv", campaign.header, rows), *extra]:

@@ -21,16 +21,20 @@ A chirp-z plan depends only on ``(n_tones, count, w)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
 sampling rate, so plans are kept in a module-level cache bounded by the
 bytes of their arrays (:data:`_CZT_PLAN_CACHE_BYTES`) and shared across
-trials and models.  Each model likewise computes its grid check once.  A
-cached plan is the result of the same arithmetic on the same inputs as a
-freshly built one, so the samples are bit-for-bit those of a plan built on
-every call.
+trials and models.  The phase vectors around the transform depend only on
+the grid, the start time and the step, which repeat across the calls of a
+campaign, so they sit in a second cache with a budget of the same size.  The
+frequency grid of a model is checked once per distinct grid (by its bytes),
+and OFDM models share one read-only layout; only the coefficients are
+checked for every model.  A cached plan or vector is the result of the same
+arithmetic on the same inputs as a fresh one, so the samples are bit for
+bit those of one built on every call.  The transform runs in place on one
+zero-padded buffer per call, and the noise is added in place.
 
 The sampler has a leading trial axis: :func:`sample_pairs` samples one
 model under one impairment per row, and :func:`sample_pair` is its
 one-trial case.  Rows whose models share a chirp-z plan go through one
-stacked transform, and the phase vectors a row needs are computed once per
-distinct start time and step.  Stacked FFTs and real elementwise operations
+stacked transform.  Stacked FFTs and real elementwise operations
 give every row exactly the bits of a one-row call, but a complex multiply
 broadcast across rows can differ from the one-row product in the last bit
 (about 1e-13 was seen on x0), so the phase multiplies before and after the
@@ -58,8 +62,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -82,7 +85,8 @@ class _ChirpZPlan:
 
     Bluestein's algorithm with exactly the arithmetic of
     ``scipy.signal.CZT(n, m, w, 1+0j)``, so the output is bit for bit that
-    class's.  The chirps are computed once, the transform on every call.
+    class's.  The chirps are computed once; every call fills one zero-padded
+    buffer and transforms it in place, and the result is a view of it.
     """
 
     def __init__(self, n: int, m: int, w: complex) -> None:
@@ -92,54 +96,102 @@ class _ChirpZPlan:
         self._wk2_n = wk2[:n]
         self._wk2_m = wk2[:m]
         self._fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self._nfft)
+        self.nbytes = sum(v.nbytes for v in (self._wk2_n, self._wk2_m, self._fwk2))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = ifft(self._fwk2 * fft(x * self._wk2_n, self._nfft))
-        return y[..., self._n - 1 : self._n + self._m - 1] * self._wk2_m
+        a = np.zeros(x.shape[:-1] + (self._nfft,), dtype=np.complex128)
+        np.multiply(x, self._wk2_n, out=a[..., : self._n])
+        a = fft(a, overwrite_x=True)
+        # Operands in this order: a complex multiply is not bitwise commutative.
+        np.multiply(self._fwk2, a, out=a)
+        y = ifft(a, overwrite_x=True)[..., self._n - 1 : self._n + self._m - 1]
+        return np.multiply(y, self._wk2_m, out=y)
 
 
-class _PlanCacheInfo(NamedTuple):
+class _CacheInfo(NamedTuple):
     hits: int
     misses: int
     currsize: int
     nbytes: int
 
 
-class _PlanCache:
-    """Chirp-z plans by ``(n, m, w)``, least recently used evicted first past the byte budget.
+class _ByteLRU:
+    """Values ``build(*key)`` by key, least recently used evicted first past :data:`_CZT_PLAN_CACHE_BYTES`.
 
-    The plan just built always stays, even when it alone exceeds the budget.
+    A value counts its ``nbytes``.  The value just built always stays, even
+    when it alone exceeds the budget.  A ``build`` that raises caches nothing.
     """
 
-    def __init__(self) -> None:
-        self._plans: OrderedDict[tuple, tuple[_ChirpZPlan, int]] = OrderedDict()
+    def __init__(self, build: Callable[..., Any]) -> None:
+        self._build = build
+        self._values: OrderedDict[tuple, Any] = OrderedDict()
         self.cache_clear()
 
-    def __call__(self, n: int, m: int, w: complex) -> _ChirpZPlan:
-        key = (n, m, w)
-        entry = self._plans.get(key)
-        if entry is not None:
-            self._plans.move_to_end(key)
+    def __call__(self, *key) -> Any:
+        value = self._values.get(key)
+        if value is not None:
+            self._values.move_to_end(key)
             self._hits += 1
-            return entry[0]
+            return value
         self._misses += 1
-        plan = _ChirpZPlan(n, m, w)
-        size = sum(v.nbytes for v in vars(plan).values() if isinstance(v, np.ndarray))
-        self._plans[key] = (plan, size)
-        self._nbytes += size
-        while self._nbytes > _CZT_PLAN_CACHE_BYTES and len(self._plans) > 1:
-            self._nbytes -= self._plans.popitem(last=False)[1][1]
-        return plan
+        value = self._values[key] = self._build(*key)
+        self._nbytes += value.nbytes
+        while self._nbytes > _CZT_PLAN_CACHE_BYTES and len(self._values) > 1:
+            self._nbytes -= self._values.popitem(last=False)[1].nbytes
+        return value
 
-    def cache_info(self) -> _PlanCacheInfo:
-        return _PlanCacheInfo(self._hits, self._misses, len(self._plans), self._nbytes)
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, len(self._values), self._nbytes)
 
     def cache_clear(self) -> None:
-        self._plans.clear()
+        self._values.clear()
         self._hits = self._misses = self._nbytes = 0
 
 
-_czt_plan = _PlanCache()
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _before_phase(dw: float, t0: float, n_tones: int) -> np.ndarray:
+    """``exp(1j*dw*t0*k)``, ``k < n_tones``: moves a uniform grid's tones to the start time ``t0``."""
+    return _read_only(np.exp(1j * dw * t0 * np.arange(n_tones)))
+
+
+def _after_phase(w0: float, t0: float, step: float, count: int) -> np.ndarray:
+    """``exp(1j*w0*t)`` on ``t = t0 + step*arange(count)``: shifts the transform up to the first tone ``w0``."""
+    return _read_only(np.exp(1j * w0 * (t0 + step * np.arange(count))))
+
+
+class _Grid(NamedTuple):
+    """Facts of a validated frequency grid; ``nbytes`` is what its cache key holds."""
+
+    uniform: bool
+    w0: float
+    dw: float
+    nbytes: int
+
+
+def _check_grid(omega_bytes: bytes) -> _Grid:
+    """Validate the tone frequencies held in ``omega_bytes`` (float64) and describe their grid."""
+    omegas = np.frombuffer(omega_bytes)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("model parameters must be finite")
+    if np.max(np.abs(omegas)) > MAX_OMEGA + 1e-12:
+        raise ValueError(f"tone frequencies must satisfy |omega| <= 0.9*pi, got {np.max(np.abs(omegas)):.6f}")
+    steps = np.diff(omegas)
+    if np.any(steps <= 0):
+        raise ValueError("omegas must be strictly increasing")
+    uniform = omegas.size < 3 or bool(np.all(np.abs(steps - steps[0]) <= 1e-12))
+    return _Grid(uniform, float(omegas[0]), float(steps[0]) if steps.size else 0.0, len(omega_bytes))
+
+
+# Chirp-z plans by ``(n, m, w)``; the phase vectors around them by their
+# builder and its arguments; the check of each distinct frequency grid by
+# its bytes.  Each cache has the byte budget to itself.
+_czt_plan = _ByteLRU(_ChirpZPlan)
+_phases = _ByteLRU(lambda build, *args: build(*args))
+_grids = _ByteLRU(_check_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +209,10 @@ class HarmonicSignalModel:
             raise ValueError("coefficients and omegas must be 1-D arrays of equal length")
         if coeffs.size == 0:
             raise ValueError("model must contain at least one tone")
-        if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(omegas)):
+        if not np.all(np.isfinite(coeffs)):
             raise ValueError("model parameters must be finite")
-        if np.max(np.abs(omegas)) > MAX_OMEGA + 1e-12:
-            raise ValueError(f"tone frequencies must satisfy |omega| <= 0.9*pi, got {np.max(np.abs(omegas)):.6f}")
-        if np.any(np.diff(omegas) <= 0):
-            raise ValueError("omegas must be strictly increasing")
+        # One check per distinct grid: a campaign's models share a few.
+        object.__setattr__(self, "_grid", _grids(omegas.tobytes()))
         for name, arr in (("coefficients", coeffs), ("omegas", omegas)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -171,20 +221,10 @@ class HarmonicSignalModel:
     def n_tones(self) -> int:
         return self.omegas.size
 
-    @cached_property
+    @property
     def has_uniform_grid(self) -> bool:
         """True when the tone frequencies form an exact arithmetic progression."""
-        if self.n_tones < 3:
-            return True
-        steps = np.diff(self.omegas)
-        return bool(np.all(np.abs(steps - steps[0]) <= 1e-12))
-
-    @cached_property
-    def _grid(self) -> tuple[float, float]:
-        """First tone frequency and tone spacing of a uniform grid."""
-        w0 = float(self.omegas[0])
-        dw = float(self.omegas[1] - self.omegas[0]) if self.n_tones > 1 else 0.0
-        return w0, dw
+        return self._grid.uniform
 
     def _tone_sum(self, t: np.ndarray) -> np.ndarray:
         """Complex sum ``sum_k c_k*exp(1j*omega_k*t)`` at the flat times ``t``, by direct summation."""
@@ -231,25 +271,19 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
         elif not model.has_uniform_grid:
             raise ValueError("fast evaluation requires a uniform frequency grid")
         else:
-            plans.setdefault((model.n_tones, count, np.exp(1j * model._grid[1] * float(step))), []).append(row)
-    before: dict[tuple, np.ndarray] = {}
-    after: dict[tuple, np.ndarray] = {}
+            plans.setdefault((model.n_tones, count, np.exp(1j * model._grid.dw * float(step))), []).append(row)
     for key, rows in plans.items():
         n_tones = key[0]
         x = np.empty((len(rows), n_tones), dtype=np.complex128)
         for i, row in enumerate(rows):
             # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
-            dw, t0 = models[row]._grid[1], float(t0s[row])
-            if (dw, t0, n_tones) not in before:
-                before[dw, t0, n_tones] = np.exp(1j * dw * t0 * np.arange(n_tones))
-            np.multiply(models[row].coefficients, before[dw, t0, n_tones], out=x[i])
+            np.multiply(models[row].coefficients, _phases(_before_phase, models[row]._grid.dw, float(t0s[row]), n_tones), out=x[i])
         # scipy transforms a lone row faster as a 1-D array than as a stack of one.
         spectrum = _czt_plan(*key)(x if len(rows) > 1 else x[0]).reshape(len(rows), count)
+        del x
         for i, row in enumerate(rows):
-            w0, t0, step = models[row]._grid[0], float(t0s[row]), float(steps[row])
-            if (w0, t0, step) not in after:
-                after[w0, t0, step] = np.exp(1j * w0 * (t0 + step * np.arange(count)))
-            np.multiply(spectrum[i], after[w0, t0, step], out=out[row])
+            after = _phases(_after_phase, models[row]._grid.w0, float(t0s[row]), float(steps[row]), count)
+            np.multiply(spectrum[i], after, out=out[row])
     return out
 
 
@@ -337,24 +371,43 @@ class OfdmPayload:
     n_fft: int
 
 
+class _OfdmLayout(NamedTuple):
+    bins: np.ndarray  # signed subcarrier indices without DC, ascending
+    omegas: np.ndarray  # tone frequencies of the model grid, DC included
+
+    @property
+    def nbytes(self) -> int:
+        return self.bins.nbytes + self.omegas.nbytes
+
+
+def _ofdm_layout(n_fft: int, active_subcarriers: int) -> _OfdmLayout:
+    """The read-only subcarrier layout that every OFDM model of these sizes shares."""
+    half = active_subcarriers // 2
+    bins = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
+    return _OfdmLayout(_read_only(bins), _read_only(2.0 * np.pi * np.arange(-half, half + 1) / n_fft))
+
+
+_ofdm_layouts = _ByteLRU(_ofdm_layout)
+
+
 def make_ofdm(spec: OfdmSpec) -> tuple[HarmonicSignalModel, OfdmPayload]:
     """Build the complex baseband OFDM waveform and its payload.
 
     Subcarriers ``k = -A/2..A/2`` excluding DC carry random QAM symbols; the
     DC bin is kept in the model with zero amplitude so the frequency grid
-    stays uniform for the fast evaluation path.
+    stays uniform for the fast evaluation path.  Models and payloads of one
+    layout share its read-only ``omegas`` and ``bins``.
     """
     from . import qam
 
     rng = np.random.default_rng(spec.seed)
+    layout = _ofdm_layouts(spec.n_fft, spec.active_subcarriers)
     half = spec.active_subcarriers // 2
-    bins = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
-    symbols = qam.random_symbols(spec.qam_order, bins.size, rng)
-    grid = np.arange(-half, half + 1)
-    coeffs = np.zeros(grid.size, dtype=np.complex128)
-    coeffs[grid != 0] = symbols
-    model = HarmonicSignalModel(coefficients=coeffs, omegas=2.0 * np.pi * grid / spec.n_fft, is_complex=True)
-    payload = OfdmPayload(bins=bins, symbols=symbols, qam_order=spec.qam_order, n_fft=spec.n_fft)
+    symbols = qam.random_symbols(spec.qam_order, layout.bins.size, rng)
+    coeffs = np.zeros(layout.omegas.size, dtype=np.complex128)
+    coeffs[:half], coeffs[half + 1 :] = symbols[:half], symbols[half:]
+    model = HarmonicSignalModel(coefficients=coeffs, omegas=layout.omegas, is_complex=True)
+    payload = OfdmPayload(bins=layout.bins, symbols=symbols, qam_order=spec.qam_order, n_fft=spec.n_fft)
     return model, payload
 
 
@@ -399,7 +452,9 @@ class ImpairmentSpec:
     each chain picks up the rotation evaluated at its own sampling instants.
     ``snr_db=None`` means noiseless; so does ``snr_db=inf``, which still
     draws the (zero-variance) noise.  NaN, ``-inf`` and finite SNRs beyond
-    ``MAX_SNR_DB`` in magnitude are rejected.
+    ``MAX_SNR_DB`` in magnitude are rejected, as are a non-finite ``delta``
+    or ``epsilon`` and any ``|delta| >= 1``, which would stop or reverse the
+    impaired clock.
     """
 
     delta: float = 0.0
@@ -411,26 +466,33 @@ class ImpairmentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not abs(self.delta) < 1.0:
+            raise ValueError(f"delta must be finite with |delta| < 1, got {self.delta}")
+        if not np.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.snr_db is not None and not valid_snr_db(self.snr_db):
             raise ValueError(f"snr_db must be inf or a finite value within +-{MAX_SNR_DB:g} dB, got {self.snr_db}")
         if self.cfo_fraction != 0.0 and self.n_fft is None:
             raise ValueError("cfo_fraction requires n_fft to define the subcarrier spacing")
 
 
-def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Add white Gaussian noise at ``snr_db`` relative to the measured power of ``x``.
 
     Complex inputs get circular noise with the variance split evenly between
-    the real and imaginary parts.
+    the real and imaginary parts.  The noisy signal goes to ``out`` (a new
+    array by default; ``out=x`` adds the noise in place) and is returned.
     """
     power = float(np.mean(np.abs(x) ** 2))
     variance = power / 10.0 ** (snr_db / 10.0)
+    out = np.array(x, dtype=np.result_type(x, np.float64)) if out is None else out
     if np.iscomplexobj(x):
         scale = np.sqrt(variance / 2.0)
-        noise = rng.normal(0.0, scale, x.size) + 1j * rng.normal(0.0, scale, x.size)
+        out.real += rng.normal(0.0, scale, out.size)
+        out.imag += rng.normal(0.0, scale, out.size)
     else:
-        noise = rng.normal(0.0, np.sqrt(variance), x.size)
-    return x + noise
+        out += rng.normal(0.0, np.sqrt(variance), out.size)
+    return out
 
 
 def sample_pairs(
@@ -470,8 +532,8 @@ def sample_pairs(
             x1[row] = x1[row] * np.exp(1j * (omega_cfo * t1 + imp.phase_offset))
         if imp.snr_db is not None:
             rng = np.random.default_rng(imp.seed)
-            x0[row] = add_awgn(x0[row], imp.snr_db, rng)
-            x1[row] = add_awgn(x1[row], imp.snr_db, rng)
+            add_awgn(x0[row], imp.snr_db, rng, out=x0[row])
+            add_awgn(x1[row], imp.snr_db, rng, out=x1[row])
     return x0, x1
 
 

@@ -636,6 +636,33 @@ class TestCli:
         assert "must be inf or finite within +-3000 dB" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("[run]\nexperiment = single\ndelta_ppm = nan", "delta_ppm = nan is out of range: delta must be finite"),
+            ("[run]\nexperiment = single\ndelta_ppm = 1e300", "delta_ppm = 1e+300 is out of range: delta must be finite with |delta| < 1"),
+            ("[run]\nexperiment = single\ndelta_ppm = -1e6", "delta_ppm = -1000000.0 is out of range"),
+            ("[run]\nexperiment = single\nepsilon = inf", "epsilon = inf is out of range: epsilon must be finite"),
+            ("[run]\nexperiment = single\nepsilon = nan", "epsilon = nan is out of range: epsilon must be finite"),
+            ("[grid]\nspan_ppm = nan", "span_ppm = nan is out of range"),
+            ("[grid]\nspan_ppm = 2e6", "span_ppm = 2000000.0 is out of range"),
+        ],
+        ids=["single-delta-nan", "single-delta-1e300", "single-delta-minus-1", "single-epsilon-inf", "single-epsilon-nan", "grid-span-nan", "grid-span-2e6"],
+    )
+    def test_an_offset_that_cannot_run_exits_one_before_the_first_trial(self, section, message, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(harness, "sample_pairs", no_trials)
+        monkeypatch.setattr(harness, "sample_pair", no_trials)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(section + "\n")
+        command = "grid" if section.startswith("[grid]") else "run"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: [{command}] {message}"), err
+        assert not (tmp_path / "out").exists()
+
     def test_design_with_an_empty_bank_name_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("[design]\ndegree = 2\norder = 8\nbank =\n")

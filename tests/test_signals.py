@@ -1,5 +1,7 @@
 """Harmonic signal models, OFDM framing, and impairment generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import CZT, czt
@@ -9,6 +11,8 @@ from farrowsync.harness import Options, run_experiment
 from farrowsync.signals import (
     _ChirpZPlan,
     _czt_plan,
+    _grids,
+    _phases,
     HarmonicSignalModel,
     ImpairmentSpec,
     OfdmSpec,
@@ -87,6 +91,46 @@ class TestHarmonicModel:
             HarmonicSignalModel(np.array([1.0, 1j * np.inf]), np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="equal length"):
             HarmonicSignalModel(np.ones(3), np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize(
+        "omegas, message",
+        [([0.1, np.nan], "finite"), ([-np.inf, 0.2], "finite"), ([0.5, 0.95 * np.pi], "0.9"), ([0.5, 0.5], "increasing"), ([0.3, 0.2, 0.4], "increasing")],
+    )
+    def test_a_bad_grid_raises_on_every_attempt(self, omegas, message):
+        # Grid checks are cached by the grid's bytes; a failed check is not.
+        cached = _grids.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                HarmonicSignalModel(np.ones(len(omegas)), np.array(omegas))
+        assert _grids.cache_info().currsize == cached
+
+    def test_coefficients_are_checked_for_every_model_on_a_known_grid(self):
+        omegas = np.array([0.1, 0.2, 0.3])
+        HarmonicSignalModel(np.ones(3), omegas)
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicSignalModel(np.array([1.0, np.nan, 1.0]), omegas)
+
+    @pytest.mark.parametrize(
+        "omegas",
+        [
+            [0.4],
+            [0.1, 0.7],
+            [0.1, 0.2, 0.5],
+            2.0 * np.pi * np.arange(-768, 769) / 2048,
+            0.9 * np.pi * np.arange(1, 65) / 64,
+            np.pi * np.linspace(0.1, 0.8, 512),
+            [0.1, 0.2, 0.3 + 5e-13],
+            [0.1, 0.2, 0.3 + 5e-12],
+        ],
+    )
+    def test_uniform_grid_test_is_unchanged(self, omegas):
+        omegas = np.asarray(omegas, dtype=np.float64)
+        steps = np.diff(omegas)
+        expected = omegas.size < 3 or bool(np.all(np.abs(steps - steps[0]) <= 1e-12))
+        for _ in range(2):
+            model = HarmonicSignalModel(np.ones(omegas.size), omegas)
+            assert model.has_uniform_grid is expected
+            assert model._grid.w0 == omegas[0] and model._grid.dw == (steps[0] if steps.size else 0.0)
 
 
 def _uncached_fast_path(model, t0, step, count):
@@ -173,6 +217,62 @@ class TestPlanCache:
                 assert _czt_plan.cache_info().currsize == 1
         assert _czt_plan.cache_info().hits == 0
 
+    def test_plan_call_keeps_its_input_and_stacked_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((5, 1537)) + 1j * rng.standard_normal((5, 1537))
+        x.setflags(write=False)
+        before = x.copy()
+        plan = _ChirpZPlan(1537, 1036, np.exp(1j * 2.0 * np.pi / 2048 * (1.0 + 3e-4)))
+        stacked = plan(x)
+        assert np.array_equal(x, before)
+        for row in range(5):
+            one = plan(x[row])
+            assert np.array_equal(one, stacked[row])
+            assert np.array_equal(np.signbit(one.view(np.float64)), np.signbit(stacked[row].view(np.float64)))
+
+    @staticmethod
+    def _grid_chunk():
+        # One desk grid chunk: 5x5 offsets at two SNRs, one trial each.
+        offsets = np.linspace(-500e-6, 500e-6, 5)
+        models = [make_ofdm(OfdmSpec(qam_order=16, seed=k))[0] for k in range(50)]
+        impairments = [
+            ImpairmentSpec(delta=float(offsets[k // 5 % 5]), epsilon=float(offsets[k % 5]), snr_db=20.0 if k < 25 else 40.0, seed=k) for k in range(50)
+        ]
+        return models, impairments
+
+    def test_phase_cache_is_bit_identical_cold_and_warm(self):
+        models, impairments = self._grid_chunk()
+        _phases.cache_clear()
+        cold = sample_pairs(models, impairments, 1036, start=-18)
+        # One start time and step per offset cell; x0 shares the zero-offset cell's.
+        assert _phases.cache_info().misses == 2 * 25
+        warm = sample_pairs(models, impairments, 1036, start=-18)
+        assert _phases.cache_info().misses == 2 * 25
+        for a, b in zip(cold, warm):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64)))
+
+    def test_phase_cache_stays_bounded(self, monkeypatch):
+        model = make_multisine(seed=5, complex_signal=True)
+        budget = 3 * 600 * 16  # three 600-sample vectors
+        monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", budget)
+        _phases.cache_clear()
+        for k in range(40):
+            reference = _uncached_fast_path(model, -18.0 + 0.01 * k, 1.0 + 1e-5 * k, 600)
+            assert np.array_equal(model.evaluate_affine(-18.0 + 0.01 * k, 1.0 + 1e-5 * k, 600, fast=True), reference)
+            assert _phases.cache_info().nbytes <= budget
+        assert _phases.cache_info().misses == 2 * 40
+
+    def test_sampling_a_warm_grid_chunk_holds_little_beyond_its_output(self):
+        models, impairments = self._grid_chunk()
+        sample_pairs(models, impairments, 1036, start=-18)
+        tracemalloc.start()
+        try:
+            x0, x1 = sample_pairs(models, impairments, 1036, start=-18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * (x0.nbytes + x1.nbytes), peak / (x0.nbytes + x1.nbytes)
+
 
 class TestGenerators:
     def test_multisine_grid_and_determinism(self):
@@ -201,6 +301,14 @@ class TestGenerators:
         dc = payload.bins.size // 2
         np.testing.assert_array_equal(np.delete(model.coefficients, dc), payload.symbols)
         assert model.coefficients[dc] == 0.0
+
+    def test_ofdm_models_share_one_read_only_layout(self):
+        (a, pa), (b, pb) = make_ofdm(OfdmSpec(qam_order=16, seed=2)), make_ofdm(OfdmSpec(qam_order=64, seed=3))
+        assert a.omegas is b.omegas and pa.bins is pb.bins
+        for array in (pa.bins, a.omegas):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_ofdm_spec_guards(self):
         with pytest.raises(ValueError):
@@ -288,6 +396,18 @@ class TestImpairments:
     def test_snr_outside_the_accepted_range_is_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
             ImpairmentSpec(snr_db=snr_db)
+
+    @pytest.mark.parametrize("offsets", [{"delta": np.nan}, {"delta": np.inf}, {"delta": 1.0}, {"delta": -1.0}, {"delta": 1e294}, {"epsilon": np.nan}, {"epsilon": -np.inf}])
+    def test_offsets_that_cannot_run_are_rejected(self, offsets):
+        with pytest.raises(ValueError, match=next(iter(offsets))):
+            ImpairmentSpec(**offsets)
+
+    def test_awgn_in_place_equals_a_new_array(self):
+        for x in (np.linspace(-1.0, 1.0, 64), np.exp(1j * np.linspace(0.0, 3.0, 64))):
+            fresh = add_awgn(x, 10.0, np.random.default_rng(4))
+            y = x.copy()
+            assert add_awgn(y, 10.0, np.random.default_rng(4), out=y) is y
+            assert np.array_equal(fresh, y) and not np.array_equal(fresh, x)
 
     def test_infinite_snr_is_noiseless(self):
         model = _toy_model(True)
