@@ -21,20 +21,19 @@ A chirp-z plan depends only on ``(n_tones, count, w)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
 sampling rate, so plans are kept in a module-level cache bounded by the
 bytes of their arrays (:data:`_CZT_PLAN_CACHE_BYTES`) and shared across
-trials and models.  The phase vectors around the transform depend only on
-the grid, the start time and the step, which repeat across the calls of a
-campaign, so they sit in a second cache with a budget of the same size.  The
-frequency grid of a model is checked once per distinct grid (by its bytes),
-and OFDM models share one read-only layout; only the coefficients are
-checked for every model.  A cached plan or vector is the result of the same
+trials and models.  The frequency grid of a model is checked once per
+distinct grid (by its bytes), and OFDM models share one read-only layout;
+only the coefficients are checked for every model.  Those two caches get a
+sixteenth of the plan budget each.  A cached plan is the result of the same
 arithmetic on the same inputs as a fresh one, so the samples are bit for
-bit those of one built on every call.  The transform runs in place on one
-zero-padded buffer per call, and the noise is added in place.
+bit those of a plan built on every call.  The transform runs in place on
+one zero-padded buffer per call, and the noise is added in place.
 
 The sampler has a leading trial axis: :func:`sample_pairs` samples one
 model under one impairment per row, and :func:`sample_pair` is its
 one-trial case.  Rows whose models share a chirp-z plan go through one
-stacked transform.  Stacked FFTs and real elementwise operations
+stacked transform, and the phase vectors a row needs are computed once per
+distinct start time and step.  Stacked FFTs and real elementwise operations
 give every row exactly the bits of a one-row call, but a complex multiply
 broadcast across rows can differ from the one-row product in the last bit
 (about 1e-13 was seen on x0), so the phase multiplies before and after the
@@ -77,6 +76,9 @@ _DIRECT_CHUNK = 4096
 # Bytes of plan arrays the chirp-z cache may hold.  A desk campaign needs at
 # most 30 plans at once (approx_sweep: 15 window lengths times 2 sampling
 # rates) of about 0.1 MiB each; one (512, 2**20) plan alone holds 32 MiB.
+# The grid-check and OFDM-layout caches get a sixteenth of it each, so the
+# three together hold at most 72 MiB of arrays and grid bytes beyond the
+# entry each built last, which always stays.
 _CZT_PLAN_CACHE_BYTES = 64 << 20
 
 
@@ -116,14 +118,15 @@ class _CacheInfo(NamedTuple):
 
 
 class _ByteLRU:
-    """Values ``build(*key)`` by key, least recently used evicted first past :data:`_CZT_PLAN_CACHE_BYTES`.
+    """Values ``build(*key)`` by key, least recently used evicted first past ``share`` of :data:`_CZT_PLAN_CACHE_BYTES`.
 
     A value counts its ``nbytes``.  The value just built always stays, even
     when it alone exceeds the budget.  A ``build`` that raises caches nothing.
     """
 
-    def __init__(self, build: Callable[..., Any]) -> None:
+    def __init__(self, build: Callable[..., Any], share: float = 1.0) -> None:
         self._build = build
+        self._share = share
         self._values: OrderedDict[tuple, Any] = OrderedDict()
         self.cache_clear()
 
@@ -136,7 +139,7 @@ class _ByteLRU:
         self._misses += 1
         value = self._values[key] = self._build(*key)
         self._nbytes += value.nbytes
-        while self._nbytes > _CZT_PLAN_CACHE_BYTES and len(self._values) > 1:
+        while self._nbytes > self._share * _CZT_PLAN_CACHE_BYTES and len(self._values) > 1:
             self._nbytes -= self._values.popitem(last=False)[1].nbytes
         return value
 
@@ -151,16 +154,6 @@ class _ByteLRU:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _before_phase(dw: float, t0: float, n_tones: int) -> np.ndarray:
-    """``exp(1j*dw*t0*k)``, ``k < n_tones``: moves a uniform grid's tones to the start time ``t0``."""
-    return _read_only(np.exp(1j * dw * t0 * np.arange(n_tones)))
-
-
-def _after_phase(w0: float, t0: float, step: float, count: int) -> np.ndarray:
-    """``exp(1j*w0*t)`` on ``t = t0 + step*arange(count)``: shifts the transform up to the first tone ``w0``."""
-    return _read_only(np.exp(1j * w0 * (t0 + step * np.arange(count))))
 
 
 class _Grid(NamedTuple):
@@ -186,12 +179,9 @@ def _check_grid(omega_bytes: bytes) -> _Grid:
     return _Grid(uniform, float(omegas[0]), float(steps[0]) if steps.size else 0.0, len(omega_bytes))
 
 
-# Chirp-z plans by ``(n, m, w)``; the phase vectors around them by their
-# builder and its arguments; the check of each distinct frequency grid by
-# its bytes.  Each cache has the byte budget to itself.
+# Chirp-z plans by ``(n, m, w)``; the check of each distinct frequency grid by its bytes.
 _czt_plan = _ByteLRU(_ChirpZPlan)
-_phases = _ByteLRU(lambda build, *args: build(*args))
-_grids = _ByteLRU(_check_grid)
+_grids = _ByteLRU(_check_grid, share=1 / 16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,18 +262,25 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
             raise ValueError("fast evaluation requires a uniform frequency grid")
         else:
             plans.setdefault((model.n_tones, count, np.exp(1j * model._grid.dw * float(step))), []).append(row)
+    before: dict[tuple, np.ndarray] = {}
+    after: dict[tuple, np.ndarray] = {}
     for key, rows in plans.items():
         n_tones = key[0]
         x = np.empty((len(rows), n_tones), dtype=np.complex128)
         for i, row in enumerate(rows):
             # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
-            np.multiply(models[row].coefficients, _phases(_before_phase, models[row]._grid.dw, float(t0s[row]), n_tones), out=x[i])
+            dw, t0 = models[row]._grid.dw, float(t0s[row])
+            if (dw, t0, n_tones) not in before:
+                before[dw, t0, n_tones] = np.exp(1j * dw * t0 * np.arange(n_tones))
+            np.multiply(models[row].coefficients, before[dw, t0, n_tones], out=x[i])
         # scipy transforms a lone row faster as a 1-D array than as a stack of one.
         spectrum = _czt_plan(*key)(x if len(rows) > 1 else x[0]).reshape(len(rows), count)
         del x
         for i, row in enumerate(rows):
-            after = _phases(_after_phase, models[row]._grid.w0, float(t0s[row]), float(steps[row]), count)
-            np.multiply(spectrum[i], after, out=out[row])
+            w0, t0, step = models[row]._grid.w0, float(t0s[row]), float(steps[row])
+            if (w0, t0, step) not in after:
+                after[w0, t0, step] = np.exp(1j * w0 * (t0 + step * np.arange(count)))
+            np.multiply(spectrum[i], after[w0, t0, step], out=out[row])
     return out
 
 
@@ -387,7 +384,7 @@ def _ofdm_layout(n_fft: int, active_subcarriers: int) -> _OfdmLayout:
     return _OfdmLayout(_read_only(bins), _read_only(2.0 * np.pi * np.arange(-half, half + 1) / n_fft))
 
 
-_ofdm_layouts = _ByteLRU(_ofdm_layout)
+_ofdm_layouts = _ByteLRU(_ofdm_layout, share=1 / 16)
 
 
 def make_ofdm(spec: OfdmSpec) -> tuple[HarmonicSignalModel, OfdmPayload]:
