@@ -7,16 +7,16 @@ any residual after compensation is attributable to the compensator itself.
 
 A model evaluated on an affine time grid ``t_j = t0 + j*step`` with a uniform
 frequency grid reduces to a chirp-z transform; that fast path agrees with
-direct evaluation to about 1e-10 of the peak sample magnitude (8.1e-11 to
-1.04e-10 measured for 1537 OFDM tones over 1036 samples, 6.4e-11 in RMS; the
-tests bound a multisine case at 1e-10) and is used automatically for large
-products of tone count and sample count.
+direct evaluation to about 1e-10 of the peak sample magnitude (7.99e-11 to
+1.09e-10 measured for 16-QAM OFDM models of 1537 tones over 1036 samples,
+2.2e-11 to 2.7e-11 in RMS; the tests bound that case at 1.25e-10 and a
+multisine case at 1e-10) and is used automatically for large products of
+tone count and sample count.
 The transform is Bluestein's algorithm (Rabiner, Schafer & Rader, "The
-chirp z-transform algorithm", BSTJ 1969) on ``scipy.fft``, written here with
+chirp z-transform algorithm", BSTJ 1969) on ``numpy.fft``, written here with
 the arithmetic of ``scipy.signal.CZT`` at start point 1, so the samples are
-bit for bit those of that class without importing ``scipy.signal``, which
-loads sparse, optimize, stats, interpolate, ndimage and spatial (about
-0.9 s and 49 MB per process on a 2-core VM).
+bit for bit those of that class; the package itself needs NumPy alone and
+imports no SciPy module.
 A chirp-z plan depends only on ``(n_tones, count, w)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
 sampling rate, so plans are kept in a module-level cache bounded by the
@@ -64,7 +64,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 MAX_OMEGA = 0.9 * np.pi
 
@@ -82,10 +81,22 @@ _DIRECT_CHUNK = 4096
 _CZT_PLAN_CACHE_BYTES = 64 << 20
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer ``>= n``: a length that ``numpy.fft`` transforms fast (as ``scipy.fft.next_fast_len``)."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 class _ChirpZPlan:
     """Chirp-z transform ``y[..., j] = sum_k x[..., k] * w**(j*k)``, ``k < n``, ``j < m``, along the last axis.
 
-    Bluestein's algorithm with exactly the arithmetic of
+    Bluestein's algorithm on ``numpy.fft`` with exactly the arithmetic of
     ``scipy.signal.CZT(n, m, w, 1+0j)``, so the output is bit for bit that
     class's.  The chirps are computed once; every call fills one zero-padded
     buffer and transforms it in place, and the result is a view of it.
@@ -94,19 +105,19 @@ class _ChirpZPlan:
     def __init__(self, n: int, m: int, w: complex) -> None:
         wk2 = w ** (np.arange(max(m, n)) ** 2 / 2.0)
         self._n, self._m = n, m
-        self._nfft = next_fast_len(n + m - 1)
+        self._nfft = _next_fast_len(n + m - 1)
         self._wk2_n = wk2[:n]
         self._wk2_m = wk2[:m]
-        self._fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self._nfft)
+        self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self._nfft)
         self.nbytes = sum(v.nbytes for v in (self._wk2_n, self._wk2_m, self._fwk2))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         a = np.zeros(x.shape[:-1] + (self._nfft,), dtype=np.complex128)
         np.multiply(x, self._wk2_n, out=a[..., : self._n])
-        a = fft(a, overwrite_x=True)
+        np.fft.fft(a, out=a)
         # Operands in this order: a complex multiply is not bitwise commutative.
         np.multiply(self._fwk2, a, out=a)
-        y = ifft(a, overwrite_x=True)[..., self._n - 1 : self._n + self._m - 1]
+        y = np.fft.ifft(a, out=a)[..., self._n - 1 : self._n + self._m - 1]
         return np.multiply(y, self._wk2_m, out=y)
 
 
@@ -273,8 +284,7 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
             if (dw, t0, n_tones) not in before:
                 before[dw, t0, n_tones] = np.exp(1j * dw * t0 * np.arange(n_tones))
             np.multiply(models[row].coefficients, before[dw, t0, n_tones], out=x[i])
-        # scipy transforms a lone row faster as a 1-D array than as a stack of one.
-        spectrum = _czt_plan(*key)(x if len(rows) > 1 else x[0]).reshape(len(rows), count)
+        spectrum = _czt_plan(*key)(x)
         del x
         for i, row in enumerate(rows):
             w0, t0, step = models[row]._grid.w0, float(t0s[row]), float(steps[row])

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,26 +100,44 @@ def test_every_public_method_and_property_has_a_reader_in_the_package():
     assert sorted(set(READER_EXEMPT) - set(unread)) == []  # an exemption that gained a reader is stale
 
 
-def scipy_signal_imports(source: str) -> list[str]:
-    """Modules under ``scipy.signal`` that an import statement anywhere in ``source`` names."""
+def imported_modules(source: str) -> list[str]:
+    """Absolute module names that an import statement anywhere in ``source`` names."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             names.append(node.module)
-    return [name for name in names if name == "scipy.signal" or name.startswith("scipy.signal.")]
+    return names
 
 
-def test_no_module_imports_scipy_signal():
-    # scipy.signal loads sparse, optimize, stats, interpolate, ndimage and
-    # spatial: about 0.9 s and 49 MB more than scipy.fft per process on a 2-core VM.
-    assert scipy_signal_imports("import scipy.signal as ss\nfrom scipy.signal import CZT\nfrom scipy.fft import fft\n") == ["scipy.signal", "scipy.signal"]
-    assert {module: scipy_signal_imports((PACKAGE / f"{module}.py").read_text()) for module in MODULES} == {module: [] for module in MODULES}
+def scipy_imports(source: str) -> list[str]:
+    """Modules of ``scipy`` that an import statement anywhere in ``source`` names."""
+    return [name for name in imported_modules(source) if name.split(".")[0] == "scipy"]
 
 
-def test_importing_the_cli_loads_no_scipy_signal_module():
-    probe = "import farrowsync.cli, sys; print(sorted(m for m in sys.modules if m == 'scipy.signal' or m.startswith('scipy.signal.')))"
+def test_no_module_imports_scipy():
+    # The package runs on NumPy alone; even scipy.fft loads scipy.special and
+    # costs about 0.25 s and 20 MB per process on a 2-core VM.
+    assert scipy_imports("import scipy.signal as ss\nfrom scipy import fft\nfrom scipy.fft import fft\nimport scipyx\nfrom . import scipy\n") == ["scipy.signal", "scipy", "scipy.fft"]
+    assert {module: scipy_imports((PACKAGE / f"{module}.py").read_text()) for module in MODULES} == {module: [] for module in MODULES}
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    probe = "import farrowsync.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    declared = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]["dependencies"]
+    declared_names = {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_") for requirement in declared}
+    imported = {
+        name.split(".")[0]
+        for path in PACKAGE.glob("*.py")
+        for name in imported_modules(path.read_text())
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert declared_names == imported == {"numpy"}
