@@ -19,11 +19,20 @@ are run-up history.  A complex stream is filtered as two real ones, its real
 and imaginary parts, into complex branch outputs; their Horner combination
 equals two real resamplers, one per component, bit for bit.
 
+The Horner pass runs in place: the first step ``y = u_L * d`` allocates the
+result, and every later step is ``y *= d; y += u_k``, the same operations in
+the same order as ``y = y * d + u_k``, so only one output-sized array is
+made per call.
+
 Branch outputs may carry leading trial axes, ``(..., L+1, N)``, with one
 stream's outputs per leading index; offsets holding arrays of that batch
-shape then give one delay law per trial.  Each trial's compensated samples
-are exactly those of a one-trial call, because the Horner passes multiply by
-a real delay elementwise.  The filter itself runs one stream at a time.
+shape then give one delay law per trial.  Offset arrays with a trailing axis
+of their own give several delay laws per stream: params of shape ``(K,)`` on
+one stream's ``(L+1, N)`` outputs give ``(K, N)``, and params of shape
+``(B, K)`` on outputs of shape ``(B, 1, L+1, N)`` give ``(B, K, N)``.  Each
+row of a batched call is exactly the output of a one-law call, because the
+Horner passes multiply by a real delay elementwise.  The filter itself runs
+one stream at a time.
 """
 
 from __future__ import annotations
@@ -158,12 +167,16 @@ def delay_out_of_range(params, n_samples: int, n0: int = 0) -> bool:
 
 
 def farrow_output(u: SubfilterOutputs, params, n0: int = 0) -> np.ndarray:
-    """Combine branch outputs into the compensated stream via Horner's rule."""
+    """Combine branch outputs into the compensated stream via Horner's rule, in place on one result array."""
     d = delay_sequence(params, u.n_samples, n0)
     branches = u.branches
-    y = branches[u.degree].copy()
-    for k in range(u.degree - 1, -1, -1):
-        y = y * d + branches[k]
+    # The first multiply allocates the broadcast result; every later step
+    # updates it in place, in the order of ``y = y * d + u_k``.
+    y = branches[u.degree] * d
+    y += branches[u.degree - 1]
+    for k in range(u.degree - 2, -1, -1):
+        y *= d
+        y += branches[k]
     return y
 
 

@@ -466,6 +466,7 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
         model, payload = make_ofdm(OfdmSpec(qam_order=64, seed=seed))
         return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")), seed, payload
 
+    truth = _true_params(delta, epsilon)
     rows: list[tuple] = []
     failures = 0
     for keys, (seeds, payloads), x0, x1 in _trial_chunks(product(snrs, range(trials)), draw, spec.n_fft + bank.order, symbol_start - gd):
@@ -473,25 +474,22 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
         ref = x0[:, offset + gd : offset + gd + n]
         results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., offset : offset + n]), ref.real, configs)
         failures += int(np.count_nonzero(~ok))
-        kept = np.flatnonzero(ok)
-        if not kept.size:
-            continue
-        estimates = [(method, m + 1, params) for (method, _), result in zip(configs, results) for m, params in enumerate(result.history)]
-        compensated = np.empty((kept.size, len(estimates) + 1, spec.n_fft), dtype=np.complex128)
-        trial_rows = []
-        for i, b in enumerate(kept):
+        # Row j of the parameter sets holds every trial's delays for set j:
+        # each method's estimate after each iteration, then the true law.
+        labels = [(method, m + 1) for (method, _), result in zip(configs, results) for m in range(len(result.history))] + [("true", 0)]
+        history = [p for result in results for p in result.history]
+        deltas = np.array([p.delta for p in history] + [np.full(len(keys), truth.delta)])
+        epsilons = np.array([p.epsilon for p in history] + [np.full(len(keys), truth.epsilon)])
+        for b in np.flatnonzero(ok):
             snr, t = keys[b]
-            trial_u = SubfilterOutputs(u.u[b])
-            variants = [(method, it, OffsetParams(p.delta[b], p.epsilon[b])) for method, it, p in estimates]
-            for j, (method, iteration, params) in enumerate(variants + [("true", 0, _true_params(delta, epsilon))]):
-                y = compensated[i, j] = farrow_output(trial_u, params, n0=symbol_start)
-                trial_rows.append((snr, t, seeds[b], method, iteration, params.delta_ppm, params.epsilon * 1e6, nmse(y[offset : offset + n], ref[b])))
-        # Every payload shares the subcarrier layout, so the chunk takes one
-        # FFT and one rotation, and each trial's sent symbols are labelled once.
-        rx = ofdm_demodulate(compensated, payloads[0], start_time=symbol_start)
-        sent = np.array([payloads[b].symbols for b in kept])[:, None, :]
-        errors, bits, _ = qam_demod_ber(rx, sent, spec.qam_order)
-        rows += [row + (bit_errors, bits) for row, bit_errors in zip(trial_rows, errors.ravel().tolist())]
+            # One Horner pass compensates every parameter set of the trial;
+            # the trial's buffers stay small enough for the allocator to reuse.
+            params = OffsetParams(deltas[:, b], epsilons[:, b])
+            y = farrow_output(SubfilterOutputs(u.u[b]), params, n0=symbol_start)
+            scores = nmse(y[:, offset : offset + n], ref[b])
+            errors, bits, _ = qam_demod_ber(ofdm_demodulate(y, payloads[b], start_time=symbol_start), payloads[b].symbols, spec.qam_order)
+            for (method, iteration), d, e, score, bit_errors in zip(labels, params.delta.tolist(), params.epsilon.tolist(), scores.tolist(), errors.tolist()):
+                rows.append((snr, t, seeds[b], method, iteration, d * 1e6, e * 1e6, score, bit_errors, bits))
     return rows, failures
 
 
@@ -519,8 +517,8 @@ def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
         chunks = []
         for _, _, u, ref in _trial_windows(product(range(trials)), draw, bank, 1024):
             results, ok = _estimate_chunk(u, ref, configs)
-            scores = [[nmse(y, r) for y, r in zip(farrow_output(u, result.params), ref)] for result in results]
-            chunks.append((np.concatenate([np.array(scores)[:, None], _finals(results)], axis=1), ok))
+            scores = np.array([nmse(farrow_output(u, result.params), ref) for result in results])
+            chunks.append((np.concatenate([scores[:, None], _finals(results)], axis=1), ok))
         summary, dropped = _summaries(chunks, [(target_db, degree, order, measure_error(bank).error_db)], configs, 1.0, 1e6, 1.0)
         failures += dropped
         # The mean NMSE (its spread is not reported), then both offsets' mean and spread.

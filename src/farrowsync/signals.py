@@ -424,15 +424,19 @@ def ofdm_demodulate(samples: np.ndarray, payload: OfdmPayload, start_time: float
     ``samples`` must hold ``n_fft`` consecutive samples whose first element
     corresponds to absolute time ``start_time`` on the reference grid.
     Leading axes are separate waveforms with the same subcarrier layout; they
-    share one stacked FFT and one rotation vector.
+    share one stacked FFT and one rotation vector.  The scaling and the
+    rotation run in place on the arrays this call makes; ``samples`` is
+    left as it was.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     m = payload.n_fft
     if samples.shape[-1:] != (m,):
         raise ValueError(f"expected {m} samples, got {samples.shape[-1] if samples.ndim else 0}")
-    spectrum = np.fft.fft(samples) / m
-    rotation = np.exp(-2j * np.pi * payload.bins * start_time / m)
-    return spectrum[..., np.mod(payload.bins, m)] * rotation
+    spectrum = np.fft.fft(samples)
+    spectrum /= m
+    symbols = spectrum[..., np.mod(payload.bins, m)]
+    symbols *= np.exp(-2j * np.pi * payload.bins * start_time / m)
+    return symbols
 
 
 # ── Impairments ───────────────────────────────────────────────────────────────

@@ -11,6 +11,7 @@ from farrowsync.design import ERROR_FRONTIER, DesignSpec, design_bank, measure_e
 from farrowsync.estimation import OffsetParams
 from farrowsync.farrow import (
     CoefficientBank,
+    SubfilterOutputs,
     bank_from_text,
     bank_to_text,
     compute_subfilter_outputs,
@@ -113,6 +114,32 @@ def test_complex_compensation_is_componentwise(canonical_bank):
     y = farrow_output(u, params)
     np.testing.assert_array_equal(y.real, farrow_output(u_re, params))
     np.testing.assert_array_equal(y.imag, farrow_output(u_im, params))
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_a_batch_of_delay_laws_gives_each_row_its_one_law_bits(canonical_bank, is_complex):
+    rng = np.random.default_rng(4)
+    shape = (3, 300)
+    x1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if is_complex else rng.standard_normal(shape)
+    streams = [compute_subfilter_outputs(x, canonical_bank) for x in x1]
+    delta = rng.uniform(-4e-4, 4e-4, (3, 5))
+    epsilon = rng.uniform(-0.4, 0.4, (3, 5))
+
+    def one_law(b, k):
+        return farrow_output(streams[b], OffsetParams(float(delta[b, k]), float(epsilon[b, k])), n0=-7)
+
+    # Params of shape (K,) on one stream's (L+1, N) outputs.
+    y = farrow_output(streams[0], OffsetParams(delta[0], epsilon[0]), n0=-7)
+    assert y.shape == (5, streams[0].n_samples) and y.dtype == streams[0].u.dtype
+    for k in range(5):
+        assert np.array_equal(y[k], one_law(0, k))
+    # Params of shape (B, K) on (B, 1, L+1, N) outputs.
+    batch = SubfilterOutputs(np.stack([s.u for s in streams])[:, None])
+    y = farrow_output(batch, OffsetParams(delta, epsilon), n0=-7)
+    assert y.shape == (3, 5, streams[0].n_samples)
+    for b in range(3):
+        for k in range(5):
+            assert np.array_equal(y[b, k], one_law(b, k))
 
 
 @pytest.mark.parametrize("degree,order", sorted({(degree, order) for _, degree, order in ERROR_FRONTIER}))

@@ -27,6 +27,7 @@ from farrowsync.harness import (
     write_csv,
 )
 from farrowsync.cli import main
+from farrowsync.signals import OfdmSpec
 
 
 def read_rows(path):
@@ -348,6 +349,23 @@ class TestRunExperiment:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_a_ber_chunk_scores_its_trials_in_trial_sized_buffers(self):
+        # Each kept trial is compensated, demodulated and scored on its own,
+        # so beside the chunk's x0, x1 and branch outputs the peak holds one
+        # trial's work, not chunk-wide arrays per parameter set.
+        harness.ber_rows(1, 42)  # designs and caches the bank
+        bank, spec = get_bank(), OfdmSpec(qam_order=64)
+        streams = harness.TRIAL_CHUNK * 2 * (spec.n_fft + bank.order)  # x0 and x1
+        outputs = harness.TRIAL_CHUNK * (bank.degree + 1) * spec.n_fft
+        tracemalloc.start()
+        try:
+            harness.ber_rows(harness.TRIAL_CHUNK, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = (streams + outputs) * np.dtype(np.complex128).itemsize
+        assert peak < 1.6 * held, (peak, held)
 
     def test_filter_rows_holds_its_branch_outputs_once(self):
         # A chunk's branch outputs are filled into one array, so the peak is

@@ -35,6 +35,25 @@ def test_nmse_rejects_degenerate_inputs():
         nmse(np.ones(3), np.zeros(3))
 
 
+def test_nmse_scores_each_window_of_a_batch_with_its_one_window_bits():
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((3, 5, 1024)) + 1j * rng.standard_normal((3, 5, 1024))
+    refs = rng.standard_normal((3, 1, 1024)) + 1j * rng.standard_normal((3, 1, 1024))
+    # One reference for five windows, and one reference per window.
+    scores = nmse(y[0, :, 100:900], refs[0, 0, 100:900])
+    assert scores.shape == (5,)
+    assert scores.tolist() == [nmse(w, refs[0, 0, 100:900]) for w in y[0, :, 100:900]]
+    scores = nmse(y, refs)
+    assert scores.shape == (3, 5)
+    assert scores.tolist() == [[nmse(w, r[0]) for w in ws] for ws, r in zip(y, refs)]
+    with pytest.raises(ValueError):
+        nmse(y[0], refs)  # the reference has more windows than y
+    silent = np.repeat(refs[0], 5, axis=0)
+    silent[2] = 0.0
+    with pytest.raises(ValueError, match="zero power"):
+        nmse(y[0], silent)  # one window of zero power
+
+
 def test_qam_demod_ber_matches_counts():
     from farrowsync import qam
 

@@ -484,3 +484,15 @@ class TestTrialAxis:
         assert rx.shape == (5, 1, 128)
         for k in range(5):
             assert np.array_equal(rx[k, 0], ofdm_demodulate(waveforms[k, 0], payload, start_time=-64))
+
+    def test_demodulation_leaves_its_input_unchanged(self):
+        # The scaling and rotation run in place on the call's own arrays, never on the samples.
+        spec = OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=4)
+        model, payload = make_ofdm(spec)
+        waveforms = np.stack([model.evaluate(np.arange(-64.0, 192.0) * (1 + k * 1e-4)) for k in range(3)])
+        kept = waveforms.copy()
+        rx = ofdm_demodulate(waveforms, payload, start_time=-64)
+        assert np.array_equal(waveforms, kept)
+        for k in range(3):
+            assert np.array_equal(rx[k], ofdm_demodulate(waveforms[k], payload, start_time=-64))
+        assert np.array_equal(waveforms, kept)
