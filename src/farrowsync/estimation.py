@@ -25,6 +25,14 @@ zero and solves only the delta row of the method's own system: the first
 entry of the gradient (or of c) over the first diagonal entry of the
 Hessian (or of Q).
 
+Every estimate's first iteration is at rest, where d(n) = 0: the Farrow
+output is u_0 and the delay derivatives are P1 = u_1 and P2 = 2*u_2.  A step
+at rest takes these branch outputs as they are, with no delay sequence and
+no Horner pass, so Newton's terms are P0 = u_0 - x0, P1 and P2, and the ILS
+residual is u_0 - x0.  They are the bits a Horner pass gives at d = +-0,
+since p*(+-0) + u_k = u_k for every non-zero u_k.  Later iterations run
+their Horner passes in place on one array per polynomial.
+
 Index-weighted sums ``sum n^p * v(n)`` are never formed with explicit
 products; each is obtained from plain running-sum cascades (one addition per
 sample) combined with a handful of fixed multiplications at the end of the
@@ -33,6 +41,9 @@ batch:
     A1 = sum v,  A2 = sum (N-n)*v,  A3 = sum (N-n)(N-n+1)/2 * v
     sum n*v   = N*A1 - A2
     sum n^2*v = N^2*A1 - (2N+1)*A2 + 2*A3
+
+The gradient and the ILS right-hand side read only the first two sums and
+run only the first two accumulators.
 
 Every step takes leading trial axes: branch outputs ``(..., L+1, N)``,
 references ``(..., N)`` and offsets of the batch shape, accumulated along the
@@ -55,7 +66,9 @@ samples and one iteration the totals are, for Newton with degree L >= 2,
 ``2N+8`` general, five fixed, ``7N+4`` additions and one division.  ILS
 iterations after the first reuse Q and are cheaper; see
 :func:`count_operations`.  The power-of-two scaling in :func:`solve_sym2x2`
-shifts exponents only and is not counted.
+shifts exponents only and is not counted.  The at-rest first iteration
+leaves these counts as they are, because they model the reference datapath
+and not this code.
 """
 
 from __future__ import annotations
@@ -131,29 +144,58 @@ def weighted_sums(acc: tuple, n_samples: int) -> tuple:
     return s0, s1, s2
 
 
+def _at_rest(u: SubfilterOutputs, params: OffsetParams) -> bool:
+    """True when every delay of ``params`` is zero and the point adds no trial axis to those of ``u``."""
+    batch = u.u.shape[:-2]
+    for v in (params.delta, params.epsilon):
+        v = np.asarray(v)
+        if v.any() or v.shape not in ((), batch):
+            return False
+    return True
+
+
+def _horner(d: np.ndarray, terms) -> np.ndarray:
+    """Evaluate at ``d`` the polynomial whose coefficient arrays ``terms`` run from the highest degree down.
+
+    The first multiply allocates the broadcast result and every later step
+    is ``y *= d; y += t``, the operations of ``y = y * d + t`` in the same
+    order.  A lone term is returned as it is, without ``d``.
+    """
+    terms = iter(terms)
+    y = next(terms)
+    t = next(terms, None)
+    if t is None:
+        return y
+    y = y * d
+    y += t
+    for t in terms:
+        y *= d
+        y += t
+    return y
+
+
 def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample first and second derivatives of the cost w.r.t. the delay.
 
     Returns ``(F'_n, F''_n)`` evaluated at ``params`` over the window.  For a
-    first-degree bank the second derivative collapses to ``u_1**2``.
+    first-degree bank the second derivative collapses to ``u_1**2``.  At
+    rest each Horner pass reduces to its constant term.
     """
     degree = u.degree
-    d = delay_sequence(params, u.n_samples, n0)
     branches = u.branches
-    p0 = branches[degree].copy()
-    for k in range(degree - 1, -1, -1):
-        p0 = p0 * d + branches[k]
-    p0 -= x0
-    p1 = degree * branches[degree].copy()
-    for k in range(degree - 1, 0, -1):
-        p1 = p1 * d + k * branches[k]
-    if degree >= 2:
-        p2 = degree * (degree - 1) * branches[degree].copy()
-        for k in range(degree - 1, 1, -1):
-            p2 = p2 * d + k * (k - 1) * branches[k]
-        f2 = p1 * p1 + p0 * p2
+    if _at_rest(u, params):
+        # p * (+-0) + u_k == u_k for every non-zero u_k, so these are the
+        # bits of the Horner passes at d == 0.
+        p0 = branches[0] - x0
+        p1 = branches[1]
+        p2 = 2 * branches[2] if degree >= 2 else None
     else:
-        f2 = p1 * p1
+        d = delay_sequence(params, u.n_samples, n0)
+        p0 = _horner(d, branches[::-1])
+        p0 -= x0
+        p1 = _horner(d, (k * branches[k] for k in range(degree, 0, -1)))
+        p2 = _horner(d, (k * (k - 1) * branches[k] for k in range(degree, 1, -1))) if degree >= 2 else None
+    f2 = p1 * p1 if p2 is None else p1 * p1 + p0 * p2
     return p0 * p1, f2
 
 
@@ -172,12 +214,22 @@ def _index_weighted(v: np.ndarray, n0: int) -> tuple:
     return s0, s1, s2
 
 
+def _index_weighted_01(v: np.ndarray, n0: int) -> tuple:
+    """The first two sums of :func:`_index_weighted`, ``(sum v, sum n*v)``, from two accumulators only."""
+    c1 = v.cumsum(axis=-1)
+    a1, a2 = c1[..., -1][()], c1.cumsum(axis=-1)[..., -1][()]
+    s1 = float(v.shape[-1]) * a1 - a2
+    if n0:
+        s1 = s1 + n0 * a1
+    return a1, s1
+
+
 def assemble_gradient_hessian(
     u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient ``(2, ...)`` and Hessian ``(2, 2, ...)`` of F w.r.t. ``(delta, epsilon)`` at ``params``."""
     f1, f2 = per_sample_derivatives(u, x0, params, n0)
-    g0, g1, _ = _index_weighted(f1, n0)
+    g0, g1 = _index_weighted_01(f1, n0)
     h0, h1, h2 = _index_weighted(f2, n0)
     gradient = np.array([g1, g0])
     hessian = np.array([[h2, h1], [h1, h0]])
@@ -250,8 +302,8 @@ def ils_step(
     Returns ``(new_params, step, c)`` where ``c`` is the projected residual
     vector of the linearized problem.
     """
-    r = farrow_output(u, params, n0) - x0
-    c0, c1, _ = _index_weighted(u.branches[1] * r, n0)
+    r = u.branches[0] - x0 if _at_rest(u, params) else farrow_output(u, params, n0) - x0
+    c0, c1 = _index_weighted_01(u.branches[1] * r, n0)
     c = np.array([c1, c0])
     sd, se, _ = solve_sym2x2(normal_matrix[0, 0], normal_matrix[0, 1], normal_matrix[1, 1], c[0], c[1])
     new = OffsetParams(params.delta - sd, params.epsilon - se)

@@ -279,7 +279,8 @@ def _iteration_rows(keys: Iterable[tuple], draw: Callable[..., tuple], variants:
     the real component; the NMSE compensates the measured stream with that
     iteration's offsets, a ``simplified`` estimate through the first-degree
     truncation of the bank.  ``truth`` adds a row ``"true"`` of iteration 0
-    per trial, compensated with those offsets.
+    per trial, compensated with those offsets.  A trial's parameter sets on
+    each bank go through one Horner pass and one ``nmse`` call together.
     """
     n = 1024
     rows: list[tuple] = []
@@ -289,13 +290,18 @@ def _iteration_rows(keys: Iterable[tuple], draw: Callable[..., tuple], variants:
         failures += int(np.count_nonzero(~ok))
         for b in np.flatnonzero(ok):
             scored = [
-                (label, m + 1, OffsetParams(p.delta[b], p.epsilon[b]), u.u[b, :2] if config.method == "simplified" else u.u[b])
+                (label, m + 1, OffsetParams(p.delta[b], p.epsilon[b]), config.method == "simplified")
                 for (label, config), result in zip(variants, results)
                 for m, p in enumerate(result.history[: result.iterations[b]])
             ]
-            scored += [("true", 0, truth, u.u[b])] if truth else []
-            for label, iteration, params, outputs in scored:
-                err = nmse(farrow_output(SubfilterOutputs(outputs), params), ref[b])
+            scored += [("true", 0, truth, False)] if truth else []
+            errors = np.empty(len(scored))
+            for first_degree, outputs in ((False, u.u[b]), (True, u.u[b, :2])):
+                batch = [i for i, entry in enumerate(scored) if entry[3] == first_degree]
+                if batch:
+                    params = OffsetParams(np.array([scored[i][2].delta for i in batch]), np.array([scored[i][2].epsilon for i in batch]))
+                    errors[batch] = nmse(farrow_output(SubfilterOutputs(outputs), params), ref[b])
+            for (label, iteration, params, _), err in zip(scored, errors.tolist()):
                 rows.append((*chunk[b], *(extra[b] for extra in extras), label, iteration, params.delta_ppm, params.epsilon, err, iteration > 0 and delay_out_of_range(params, n)))
     return rows, failures
 
