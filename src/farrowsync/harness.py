@@ -10,7 +10,10 @@ A campaign is a ``*_rows`` function whose keyword-only parameters are its
 config keys, desk-scale values as defaults; :data:`CAMPAIGNS` adds the rest.
 A trial whose update system is singular is dropped whole and counted once.
 A trial filters its measured stream once: every estimator and the scoring
-take those branch outputs, or a slice of them.  Every Monte-Carlo campaign
+take those branch outputs, or a slice of them.  The per-trial campaigns
+(``example1``, ``table3``, ``impaired`` and ``ber``) compensate and score in
+one loop, :func:`_iteration_rows`: one Horner pass and one ``nmse`` call per
+kept trial and bank, plus ``ber``'s bit counts.  Every Monte-Carlo campaign
 runs its trials, across cells, in chunks of at most :data:`TRIAL_CHUNK`: a
 campaign states its trial keys and how to draw one trial, and
 :func:`_trial_chunks` samples each chunk with one :func:`sample_pairs` call,
@@ -224,15 +227,15 @@ def _filter_rows(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
     return SubfilterOutputs(u)
 
 
-def _trial_windows(keys: Iterable[tuple], draw: Callable[..., tuple], bank: CoefficientBank, n: int) -> Iterable[tuple]:
-    """:func:`_trial_chunks` over an ``n``-sample window from sample 0.
+def _trial_windows(keys: Iterable[tuple], draw: Callable[..., tuple], bank: CoefficientBank, span: int, lead: int = 0) -> Iterable[tuple]:
+    """:func:`_trial_chunks` over ``span`` samples from sample ``-lead``.
 
     Each chunk yields its keys, its extras, the branch outputs of every
-    measured stream, filtered once, and the reference windows.
+    measured stream, filtered once, and the reference streams.
     """
     gd = bank.group_delay
-    for chunk, extras, x0, x1 in _trial_chunks(keys, draw, n + bank.order, -gd):
-        yield chunk, extras, _filter_rows(x1, bank), x0[:, gd : gd + n]
+    for chunk, extras, x0, x1 in _trial_chunks(keys, draw, span + bank.order, -lead - gd):
+        yield chunk, extras, _filter_rows(x1, bank), x0[:, gd : gd + span]
 
 
 def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
@@ -271,38 +274,52 @@ def _summaries(chunks: list[tuple], groups: list, configs: _Variants, *scales: f
     return summary, ok.size - sum(kept)
 
 
-def _iteration_rows(keys: Iterable[tuple], draw: Callable[..., tuple], variants: _Variants, truth: OffsetParams | None = None) -> tuple[list[tuple], int]:
+def _iteration_rows(
+    keys: Iterable[tuple],
+    draw: Callable[..., tuple],
+    variants: _Variants,
+    truth: OffsetParams | None = None,
+    span: int = 1024,
+    lead: int = 0,
+    columns: Callable[..., Iterable[tuple]] = lambda y, *trial: [()] * len(y),
+) -> tuple[list[tuple], int]:
     """Estimate each trial's 1024-sample window with several configs and the canonical bank.
 
     One row ``(*key, *extras, label, iteration, delta_ppm, epsilon, nmse,
-    flagged)`` per kept trial, variant and iteration.  The estimators see
-    the real component; the NMSE compensates the measured stream with that
-    iteration's offsets, a ``simplified`` estimate through the first-degree
-    truncation of the bank.  ``truth`` adds a row ``"true"`` of iteration 0
-    per trial, compensated with those offsets.  A trial's parameter sets on
-    each bank go through one Horner pass and one ``nmse`` call together.
+    flagged, *columns)`` per kept trial, variant and iteration.  A trial
+    spans ``span`` samples from sample ``-lead``; the estimators see the
+    window's real component.  A trial's parameter sets on each bank are
+    compensated over the span in one Horner pass, a ``simplified`` estimate
+    through the first-degree truncation of the bank, and one ``nmse`` call
+    scores their window; ``columns(y, *key, *extras)`` adds columns per set
+    from that ``(sets, span)`` block ``y``.  ``truth`` adds a row ``"true"``
+    of iteration 0 per trial, compensated with those offsets.
     """
     n = 1024
+    window = slice(lead, lead + n)
     rows: list[tuple] = []
     failures = 0
-    for chunk, extras, u, ref in _trial_windows(keys, draw, get_bank(), n):
-        results, ok = _estimate_chunk(SubfilterOutputs(u.u.real), ref.real, variants)
+    for chunk, extras, u, ref in _trial_windows(keys, draw, get_bank(), span, lead):
+        results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., window]), ref[:, window].real, variants)
         failures += int(np.count_nonzero(~ok))
         for b in np.flatnonzero(ok):
+            trial = (*chunk[b], *(extra[b] for extra in extras))
             scored = [
                 (label, m + 1, OffsetParams(p.delta[b], p.epsilon[b]), config.method == "simplified")
                 for (label, config), result in zip(variants, results)
                 for m, p in enumerate(result.history[: result.iterations[b]])
             ]
             scored += [("true", 0, truth, False)] if truth else []
-            errors = np.empty(len(scored))
+            scores = [()] * len(scored)
             for first_degree, outputs in ((False, u.u[b]), (True, u.u[b, :2])):
                 batch = [i for i, entry in enumerate(scored) if entry[3] == first_degree]
                 if batch:
                     params = OffsetParams(np.array([scored[i][2].delta for i in batch]), np.array([scored[i][2].epsilon for i in batch]))
-                    errors[batch] = nmse(farrow_output(SubfilterOutputs(outputs), params), ref[b])
-            for (label, iteration, params, _), err in zip(scored, errors.tolist()):
-                rows.append((*chunk[b], *(extra[b] for extra in extras), label, iteration, params.delta_ppm, params.epsilon, err, iteration > 0 and delay_out_of_range(params, n)))
+                    y = farrow_output(SubfilterOutputs(outputs), params, n0=-lead)
+                    for i, err, more in zip(batch, nmse(y[:, window], ref[b, window]).tolist(), columns(y, *trial)):
+                        scores[i] = (err, *more)
+            for (label, iteration, params, _), (err, *more) in zip(scored, scores):
+                rows.append((*trial, label, iteration, params.delta_ppm, params.epsilon, err, iteration > 0 and delay_out_of_range(params, n), *more))
     return rows, failures
 
 
@@ -459,44 +476,22 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
     Demodulation is a plain FFT; the model is periodic, which stands in for
     the cyclic prefix of a streaming system.
     """
-    n, delta, epsilon = 1024, 293e-6, 293e-6
-    bank = get_bank()
-    gd = bank.group_delay
-    configs = _newton_ils(max_iterations=2)
+    delta, epsilon = 293e-6, 293e-6
     spec = OfdmSpec(qam_order=64)
-    symbol_start = -spec.n_fft // 4
-    offset = -symbol_start  # array index of absolute sample -gd
+    lead = spec.n_fft // 4
 
     def draw(snr: float, t: int):
         seed = stable_seed(base_seed, "ber", snr, t, "model")
         model, payload = make_ofdm(OfdmSpec(qam_order=64, seed=seed))
         return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")), seed, payload
 
-    truth = _true_params(delta, epsilon)
-    rows: list[tuple] = []
-    failures = 0
-    for keys, (seeds, payloads), x0, x1 in _trial_chunks(product(snrs, range(trials)), draw, spec.n_fft + bank.order, symbol_start - gd):
-        u = _filter_rows(x1, bank)
-        ref = x0[:, offset + gd : offset + gd + n]
-        results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., offset : offset + n]), ref.real, configs)
-        failures += int(np.count_nonzero(~ok))
-        # Row j of the parameter sets holds every trial's delays for set j:
-        # each method's estimate after each iteration, then the true law.
-        labels = [(method, m + 1) for (method, _), result in zip(configs, results) for m in range(len(result.history))] + [("true", 0)]
-        history = [p for result in results for p in result.history]
-        deltas = np.array([p.delta for p in history] + [np.full(len(keys), truth.delta)])
-        epsilons = np.array([p.epsilon for p in history] + [np.full(len(keys), truth.epsilon)])
-        for b in np.flatnonzero(ok):
-            snr, t = keys[b]
-            # One Horner pass compensates every parameter set of the trial;
-            # the trial's buffers stay small enough for the allocator to reuse.
-            params = OffsetParams(deltas[:, b], epsilons[:, b])
-            y = farrow_output(SubfilterOutputs(u.u[b]), params, n0=symbol_start)
-            scores = nmse(y[:, offset : offset + n], ref[b])
-            errors, bits, _ = qam_demod_ber(ofdm_demodulate(y, payloads[b], start_time=symbol_start), payloads[b].symbols, spec.qam_order)
-            for (method, iteration), d, e, score, bit_errors in zip(labels, params.delta.tolist(), params.epsilon.tolist(), scores.tolist(), errors.tolist()):
-                rows.append((snr, t, seeds[b], method, iteration, d * 1e6, e * 1e6, score, bit_errors, bits))
-    return rows, failures
+    def bits(y: np.ndarray, snr: float, t: int, seed: int, payload):
+        errors, total, _ = qam_demod_ber(ofdm_demodulate(y, payload, start_time=-lead), payload.symbols, spec.qam_order)
+        return [(count, total) for count in errors.tolist()]
+
+    variants = _newton_ils(max_iterations=2)
+    rows, failures = _iteration_rows(product(snrs, range(trials)), draw, variants, _true_params(delta, epsilon), spec.n_fft, lead, bits)
+    return [(snr, t, seed, method, m, d, eps * 1e6, err, *counts) for snr, t, seed, _, method, m, d, eps, err, _, *counts in rows], failures
 
 
 APPROX_HEADER = ("target_db", "degree", "order", "measured_error_db", "method", "trials", "mean_nmse", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon", "std_epsilon")
@@ -523,8 +518,10 @@ def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
         chunks = []
         for _, _, u, ref in _trial_windows(product(range(trials)), draw, bank, 1024):
             results, ok = _estimate_chunk(u, ref, configs)
-            scores = np.array([nmse(farrow_output(u, result.params), ref) for result in results])
-            chunks.append((np.concatenate([scores[:, None], _finals(results)], axis=1), ok))
+            # Both configs' delay laws, shape (trials, configs), in one Horner pass.
+            finals = _finals(results)
+            scores = nmse(farrow_output(SubfilterOutputs(u.u[:, None]), OffsetParams(*finals.transpose(1, 2, 0))), ref[:, None])
+            chunks.append((np.concatenate([scores.T[:, None], finals], axis=1), ok))
         summary, dropped = _summaries(chunks, [(target_db, degree, order, measure_error(bank).error_db)], configs, 1.0, 1e6, 1.0)
         failures += dropped
         # The mean NMSE (its spread is not reported), then both offsets' mean and spread.
@@ -718,20 +715,34 @@ def run_experiment(
 MEASURE_HEADER = ("L", "N_G", "omega_c_over_pi", "error_db", "worst_omega_over_pi", "worst_d")
 
 
+def _band(options: Options, n_delay: int) -> dict:
+    """The band keys that ``design`` and ``measure`` share, as :func:`measure_error` keywords; ``n_delay`` is the command's default."""
+    cutoff, d_max = options.get("cutoff", 0.9), options.get("d_max", 0.5)
+    return {"omega_c": cutoff * np.pi, "d_max": d_max, "n_freq": options.get("n_freq", int), "n_delay": options.get("n_delay", n_delay)}
+
+
+def _report(path: Path, bank: CoefficientBank, **band) -> Path:
+    """Write the measured error of ``bank`` over ``band`` to ``path``; a band :func:`measure_error` refuses is a configuration error."""
+    try:
+        report = measure_error(bank, **band)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    row = (bank.degree, bank.order, report.omega_c / np.pi, report.error_db, report.worst_omega / np.pi, report.worst_delay)
+    write_csv(path, MEASURE_HEADER, [row])
+    return path
+
+
 def run_design(options: Options, out_dir: Path) -> ExperimentOutcome:
     """Design a bank per the config, save it, and report its measured error."""
     degree = options.get("degree", CANONICAL_DEGREE)
     order = options.get("order", CANONICAL_ORDER)
-    cutoff = options.get("cutoff", 0.9)
-    d_max = options.get("d_max", 0.5)
-    n_freq = options.get("n_freq", int)
-    n_delay = options.get("n_delay", 33)
+    band = _band(options, 33)
     bank_name = options.get("bank", f"bank_L{degree}_NG{order}.txt")
     options.finish()
     if not bank_name:
         raise ConfigError("[design] bank must not be empty")
     try:
-        spec = DesignSpec(degree=degree, order=order, omega_c=cutoff * np.pi, d_max=d_max, n_freq=n_freq, n_delay=n_delay)
+        spec = DesignSpec(degree=degree, order=order, **band)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bank = design_bank(spec)
@@ -741,19 +752,13 @@ def run_design(options: Options, out_dir: Path) -> ExperimentOutcome:
         save_bank(bank, bank_path)
     except OSError as exc:
         raise ConfigError(f"cannot write bank {bank_path}: {exc}") from exc
-    report = measure_error(bank, omega_c=spec.omega_c, d_max=spec.d_max)
-    report_path = out_dir / "design_report.csv"
-    write_csv(report_path, MEASURE_HEADER, [_measure_row(bank, report)])
-    return ExperimentOutcome((bank_path, report_path), 0)
+    return ExperimentOutcome((bank_path, _report(out_dir / "design_report.csv", bank, omega_c=spec.omega_c, d_max=spec.d_max)), 0)
 
 
 def run_measure(options: Options, out_dir: Path) -> ExperimentOutcome:
     """Measure the approximation error of a saved bank."""
     bank_path = options.get("bank", str)
-    cutoff = options.get("cutoff", 0.9)
-    d_max = options.get("d_max", 0.5)
-    n_freq = options.get("n_freq", int)
-    n_delay = options.get("n_delay", 129)
+    band = _band(options, 129)
     options.finish()
     if bank_path is None:
         raise ConfigError("[measure] requires a bank = <path> entry")
@@ -761,21 +766,4 @@ def run_measure(options: Options, out_dir: Path) -> ExperimentOutcome:
         bank = load_bank(bank_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load bank {bank_path}: {exc}") from exc
-    try:
-        report = measure_error(bank, omega_c=cutoff * np.pi, d_max=d_max, n_freq=n_freq, n_delay=n_delay)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    path = out_dir / "measure.csv"
-    write_csv(path, MEASURE_HEADER, [_measure_row(bank, report)])
-    return ExperimentOutcome((path,), 0)
-
-
-def _measure_row(bank: CoefficientBank, report) -> tuple:
-    return (
-        bank.degree,
-        bank.order,
-        report.omega_c / np.pi,
-        report.error_db,
-        report.worst_omega / np.pi,
-        report.worst_delay,
-    )
+    return ExperimentOutcome((_report(out_dir / "measure.csv", bank, **band),), 0)

@@ -511,7 +511,6 @@ def sample_pairs(
     impairments: Sequence[ImpairmentSpec],
     n_total: int,
     start: int = 0,
-    fast: bool | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample a batch of trials: row ``b`` of ``x0`` and ``x1`` is ``models[b]`` under ``impairments[b]``.
 
@@ -529,9 +528,9 @@ def sample_pairs(
     if not is_complex and any(imp.cfo_fraction != 0.0 or imp.phase_offset != 0.0 for imp in impairments):
         raise ValueError("carrier impairments require a complex model")
     t0 = float(start)
-    x0 = _tone_sums(models, [t0] * len(models), [1.0] * len(models), n_total, fast)
+    x0 = _tone_sums(models, [t0] * len(models), [1.0] * len(models), n_total, None)
     steps = [1.0 + imp.delta for imp in impairments]
-    x1 = _tone_sums(models, [t0 * (1.0 + imp.delta) + imp.epsilon for imp in impairments], steps, n_total, fast)
+    x1 = _tone_sums(models, [t0 * (1.0 + imp.delta) + imp.epsilon for imp in impairments], steps, n_total, None)
     if not is_complex:
         x0, x1 = np.ascontiguousarray(x0.real), np.ascontiguousarray(x1.real)
     n = np.arange(n_total, dtype=np.float64) + t0
@@ -553,7 +552,6 @@ def sample_pair(
     impairment: ImpairmentSpec,
     n_total: int,
     start: int = 0,
-    fast: bool | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the reference and the impaired channel over a common index window.
 
@@ -563,5 +561,5 @@ def sample_pair(
     at their respective sampling times; per-channel noise is independent.
     This is the one-trial case of :func:`sample_pairs`.
     """
-    x0, x1 = sample_pairs([model], [impairment], n_total, start, fast)
+    x0, x1 = sample_pairs([model], [impairment], n_total, start)
     return x0[0], x1[0]

@@ -286,6 +286,35 @@ class TestRunExperiment:
         assert run(name, raw, out_dir=tmp_path).failures == 0
         assert len(calls) == filtered
 
+    @pytest.mark.parametrize(
+        "name,raw,scored",
+        [
+            ("example1", {"trials": "2"}, 2),
+            ("table3", {"trials": "1", "signals": "multisine bandpass", "snrs": "30"}, 2),
+            ("impaired", {"trials": "2"}, 4),  # the full bank and its first-degree truncation
+            ("ber", {"trials": "2", "snrs": "30"}, 2),
+            ("approx_sweep", {"trials": "3"}, 2 * len(ERROR_FRONTIER)),  # once per chunk of 2 and bank
+        ],
+        ids=["example1", "table3", "impaired", "ber", "approx_sweep"],
+    )
+    def test_each_trial_is_compensated_and_scored_in_one_call_per_bank(self, name, raw, scored, tmp_path, monkeypatch):
+        calls = {"farrow_output": 0, "nmse": 0}
+
+        def counting(attr):
+            real = getattr(harness, attr)
+
+            def call(*args, **kwargs):
+                calls[attr] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        for attr in calls:
+            monkeypatch.setattr(harness, attr, counting(attr))
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", 2)
+        assert run(name, raw, out_dir=tmp_path).failures == 0
+        assert calls == {"farrow_output": scored, "nmse": scored}
+
     def test_a_grid_cell_keeps_the_statistics_of_its_good_trials(self, tmp_path, monkeypatch):
         results = {}
         real_batch = harness.estimate_batch

@@ -446,15 +446,14 @@ class TestTrialAxis:
             for k, (d, e) in enumerate(offsets)
         ]
 
-    @pytest.mark.parametrize("fast", [None, True])
     @pytest.mark.parametrize("is_complex", [False, True])
-    def test_batched_sampler_equals_per_trial_calls(self, is_complex, fast):
+    def test_batched_sampler_equals_per_trial_calls(self, is_complex):
         models, impairments = self._models(is_complex), self._impairments(is_complex)
-        x0, x1 = sample_pairs(models, impairments, 700, start=-18, fast=fast)
+        x0, x1 = sample_pairs(models, impairments, 700, start=-18)
         assert x0.shape == x1.shape == (len(models), 700)
         assert np.iscomplexobj(x0) == is_complex
         for row, (model, imp) in enumerate(zip(models, impairments)):
-            a0, a1 = sample_pair(model, imp, 700, start=-18, fast=fast)
+            a0, a1 = sample_pair(model, imp, 700, start=-18)
             assert np.array_equal(x0[row], a0) and np.array_equal(x1[row], a1), row
 
     def test_rows_sharing_a_plan_share_one_transform(self, monkeypatch):
@@ -463,7 +462,7 @@ class TestTrialAxis:
         monkeypatch.setattr(_ChirpZPlan, "__call__", lambda plan, x: transforms.append(np.atleast_2d(x).shape) or real_call(plan, x))
         models = [make_ofdm(OfdmSpec(qam_order=16, seed=k))[0] for k in range(6)]
         impairments = [ImpairmentSpec(delta=d, epsilon=0.1 * k) for k, d in enumerate([1e-4, 1e-4, -1e-4, 1e-4, -1e-4, 0.0])]
-        sample_pairs(models, impairments, 600, fast=True)
+        sample_pairs(models, impairments, 600)
         # x0: one plan for all six rows; x1: one plan per distinct delta.
         assert sorted(transforms) == sorted([(6, 1537), (3, 1537), (2, 1537), (1, 1537)])
 
