@@ -11,7 +11,9 @@ over a window of N samples, starting always from (0, 0):
   pieces are three Horner evaluations sharing the branch outputs: the
   residual P0 = y - x0, the first delay derivative P1 = sum k*u_k*d**(k-1)
   and the second P2 = sum k*(k-1)*u_k*d**(k-2), giving
-  F'_n = P0*P1 and F''_n = P1**2 + P0*P2.
+  F'_n = P0*P1 and F''_n = P1**2 + P0*P2.  All three run the compensator's own
+  in-place Horner pass from :mod:`farrowsync.farrow`, so P0 is the
+  compensated stream y, bit for bit, less x0.
 * Iterative least squares (ILS) linearizes y around the current delay using
   only the first-degree branch, solving the normal equations with the fixed
   matrix Q built from u_1 once per batch and the projected residual c
@@ -31,7 +33,7 @@ at rest takes these branch outputs as they are, with no delay sequence and
 no Horner pass, so Newton's terms are P0 = u_0 - x0, P1 and P2, and the ILS
 residual is u_0 - x0.  They are the bits a Horner pass gives at d = +-0,
 since p*(+-0) + u_k = u_k for every non-zero u_k.  Later iterations run
-their Horner passes in place on one array per polynomial.
+the compensator's Horner pass, one array per polynomial.
 
 Index-weighted sums ``sum n^p * v(n)`` are never formed with explicit
 products; each is obtained from plain running-sum cascades (one addition per
@@ -79,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, delay_out_of_range, delay_sequence, farrow_output
+from .farrow import CoefficientBank, SubfilterOutputs, _horner, compute_subfilter_outputs, delay_out_of_range, delay_sequence, farrow_output
 
 _METHODS = ("newton", "ils", "simplified")
 
@@ -152,26 +154,6 @@ def _at_rest(u: SubfilterOutputs, params: OffsetParams) -> bool:
         if v.any() or v.shape not in ((), batch):
             return False
     return True
-
-
-def _horner(d: np.ndarray, terms) -> np.ndarray:
-    """Evaluate at ``d`` the polynomial whose coefficient arrays ``terms`` run from the highest degree down.
-
-    The first multiply allocates the broadcast result and every later step
-    is ``y *= d; y += t``, the operations of ``y = y * d + t`` in the same
-    order.  A lone term is returned as it is, without ``d``.
-    """
-    terms = iter(terms)
-    y = next(terms)
-    t = next(terms, None)
-    if t is None:
-        return y
-    y = y * d
-    y += t
-    for t in terms:
-        y *= d
-        y += t
-    return y
 
 
 def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +328,6 @@ class IterationRecord:
 
     iteration: int
     params: OffsetParams
-    step: np.ndarray
     residual_norm: float  # 2-norm of the solved right-hand side (g or c)
     delay_exceeded: bool  # any |d(n)| > 0.5 over the window at params
     ops: OpCounts
@@ -418,17 +399,16 @@ def count_operations(method: str, degree: int, n_samples: int, iterations: int =
 class BatchEstimate:
     """What :func:`estimate_batch` found for each trial of a batch.
 
-    ``history[m]`` holds the offsets after iteration ``m + 1``, ``steps[m]``
-    the update of that iteration and ``rhs[m]`` the right-hand side it
-    solved (the gradient or ``c``; for ``sfo_only`` the scalar numerator),
-    with the component axis of 2 first and the batch shape after it.  A
+    ``history[m]`` holds the offsets after iteration ``m + 1`` and ``rhs[m]``
+    the right-hand side that iteration solved (the gradient or ``c``; for
+    ``sfo_only`` the scalar numerator), with the component axis of 2 first
+    and the batch shape after it.  A
     trial that stopped repeats its last offsets.  ``iterations`` counts the
     iterations each trial completed, ``converged`` marks a stop at the
     tolerance, and ``singular`` marks a trial whose update was not finite.
     """
 
     history: tuple[OffsetParams, ...]
-    steps: tuple[np.ndarray, ...]
     rhs: tuple[np.ndarray, ...]
     iterations: np.ndarray
     converged: np.ndarray
@@ -466,7 +446,6 @@ def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig
     shape = ref.shape[:-1]
     params = OffsetParams(np.zeros(shape), np.zeros(shape))
     history: list[OffsetParams] = []
-    steps: list[np.ndarray] = []
     rhs: list[np.ndarray] = []
     normal_matrix: np.ndarray | None = None
     active: np.ndarray | None = None  # per-trial state, made when the first trial stops
@@ -504,7 +483,6 @@ def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig
                     converged |= stop
                     active &= ~stop
             history.append(params)
-            steps.append(step)
             rhs.append(b)
             if active is not None and not active.any():
                 break
@@ -513,7 +491,7 @@ def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig
         converged = singular = np.zeros(shape, dtype=bool)
     if config.method == "simplified":
         converged = ~singular
-    return BatchEstimate(tuple(history), tuple(steps), tuple(rhs), iterations, converged, singular)
+    return BatchEstimate(tuple(history), tuple(rhs), iterations, converged, singular)
 
 
 def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig) -> EstimationResult:
@@ -543,7 +521,6 @@ def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: Estimato
             IterationRecord(
                 iteration=m + 1,
                 params=params,
-                step=batch.steps[m],
                 residual_norm=rhs_norm,
                 delay_exceeded=delay_out_of_range(params, n),
                 ops=ops,

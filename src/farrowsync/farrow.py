@@ -22,7 +22,8 @@ equals two real resamplers, one per component, bit for bit.
 The Horner pass runs in place: the first step ``y = u_L * d`` allocates the
 result, and every later step is ``y *= d; y += u_k``, the same operations in
 the same order as ``y = y * d + u_k``, so only one output-sized array is
-made per call.
+made per call.  That one pass also gives the estimator its delay derivatives
+(see :mod:`farrowsync.estimation`), so both run the same operations.
 
 Branch outputs may carry leading trial axes, ``(..., L+1, N)``, with one
 stream's outputs per leading index; offsets holding arrays of that batch
@@ -166,18 +167,29 @@ def delay_out_of_range(params, n_samples: int, n0: int = 0) -> bool:
     return bool(max(abs(float(n) * params.delta + params.epsilon) for n in (n0, n0 + n_samples - 1)) > DESIGN_DELAY_LIMIT)
 
 
+def _horner(d: np.ndarray, terms) -> np.ndarray:
+    """Evaluate at ``d`` the polynomial whose coefficient arrays ``terms`` run from the highest degree down.
+
+    The first multiply allocates the broadcast result and every later step
+    is ``y *= d; y += t``, the operations of ``y = y * d + t`` in the same
+    order.  A lone term is returned as it is, without ``d``.
+    """
+    terms = iter(terms)
+    y = next(terms)
+    t = next(terms, None)
+    if t is None:
+        return y
+    y = y * d
+    y += t
+    for t in terms:
+        y *= d
+        y += t
+    return y
+
+
 def farrow_output(u: SubfilterOutputs, params, n0: int = 0) -> np.ndarray:
     """Combine branch outputs into the compensated stream via Horner's rule, in place on one result array."""
-    d = delay_sequence(params, u.n_samples, n0)
-    branches = u.branches
-    # The first multiply allocates the broadcast result; every later step
-    # updates it in place, in the order of ``y = y * d + u_k``.
-    y = branches[u.degree] * d
-    y += branches[u.degree - 1]
-    for k in range(u.degree - 2, -1, -1):
-        y *= d
-        y += branches[k]
-    return y
+    return _horner(delay_sequence(params, u.n_samples, n0), u.branches[::-1])
 
 
 # ── Serialization ─────────────────────────────────────────────────────────────

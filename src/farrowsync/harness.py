@@ -16,8 +16,9 @@ one loop, :func:`_iteration_rows`: one Horner pass and one ``nmse`` call per
 kept trial and bank, plus ``ber``'s bit counts.  Every Monte-Carlo campaign
 runs its trials, across cells, in chunks of at most :data:`TRIAL_CHUNK`: a
 campaign states its trial keys and how to draw one trial, and
-:func:`_trial_chunks` samples each chunk with one :func:`sample_pairs` call,
-which :func:`estimate_batch` then estimates; the chunk size changes no
+:func:`_trial_windows` samples each chunk with one :func:`sample_pairs` call
+and cuts its reference windows; the campaign filters the measured streams
+once and :func:`estimate_batch` estimates them.  The chunk size changes no
 output byte.  ``single`` (one traced realization) and ``opcounts`` (the
 instrumented :func:`estimate`) run outside that path.
 
@@ -43,11 +44,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .design import DesignSpec, ERROR_FRONTIER, design_bank, measure_error
+from .design import DesignError, DesignSpec, ERROR_FRONTIER, design_bank, measure_error
 from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, batch_cost, count_operations, estimate, estimate_batch, estimate_from_outputs
 from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, delay_out_of_range, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
-from .signals import MAX_SNR_DB, HarmonicSignalModel, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs, valid_snr_db
+from .signals import MAX_SNR_DB, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs, valid_snr_db
 
 DEFAULT_SEED = 42
 
@@ -205,20 +206,6 @@ def _mean_std(samples: np.ndarray, *scales: float) -> np.ndarray:
     return stats.reshape(stats.shape[:-2] + (2 * len(scales),))
 
 
-def _trial_chunks(keys: Iterable[tuple], draw: Callable[..., tuple], n_total: int, start: int) -> Iterable[tuple]:
-    """Sample the trials of ``keys`` in chunks of at most :data:`TRIAL_CHUNK`, one :func:`sample_pairs` call each.
-
-    ``draw(*key)`` gives one trial's ``(model, impairment, *extras)``.  Each
-    chunk yields its keys, a tuple per extra with one entry per trial, and
-    ``x0`` and ``x1`` with one row per trial.
-    """
-    keys = list(keys)
-    for lo in range(0, len(keys), TRIAL_CHUNK):
-        chunk = keys[lo : lo + TRIAL_CHUNK]
-        models, impairments, *extras = zip(*(draw(*key) for key in chunk))
-        yield (chunk, extras, *sample_pairs(models, impairments, n_total, start=start))
-
-
 def _filter_rows(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
     """Branch outputs of every stream (row) of ``x1``, filled one row at a time into an array with a leading trial axis."""
     u = np.empty((len(x1), bank.degree + 1, x1.shape[-1] - bank.order), dtype=np.result_type(x1, np.float64))
@@ -228,14 +215,20 @@ def _filter_rows(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
 
 
 def _trial_windows(keys: Iterable[tuple], draw: Callable[..., tuple], bank: CoefficientBank, span: int, lead: int = 0) -> Iterable[tuple]:
-    """:func:`_trial_chunks` over ``span`` samples from sample ``-lead``.
+    """Sample the trials of ``keys`` over ``span`` samples from sample ``-lead``, one :func:`sample_pairs` call per chunk.
 
-    Each chunk yields its keys, its extras, the branch outputs of every
-    measured stream, filtered once, and the reference streams.
+    ``draw(*key)`` gives one trial's ``(model, impairment, *extras)``.  Each
+    chunk of at most :data:`TRIAL_CHUNK` trials yields its keys, a tuple per
+    extra, the unfiltered measured streams ``x1`` (``span + N_G`` samples)
+    and the reference windows, one row per trial.
     """
     gd = bank.group_delay
-    for chunk, extras, x0, x1 in _trial_chunks(keys, draw, span + bank.order, -lead - gd):
-        yield chunk, extras, _filter_rows(x1, bank), x0[:, gd : gd + span]
+    keys = list(keys)
+    for lo in range(0, len(keys), TRIAL_CHUNK):
+        chunk = keys[lo : lo + TRIAL_CHUNK]
+        models, impairments, *extras = zip(*(draw(*key) for key in chunk))
+        x0, x1 = sample_pairs(models, impairments, span + bank.order, start=-lead - gd)
+        yield chunk, extras, x1, x0[:, gd : gd + span]
 
 
 def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
@@ -297,9 +290,11 @@ def _iteration_rows(
     """
     n = 1024
     window = slice(lead, lead + n)
+    bank = get_bank()
     rows: list[tuple] = []
     failures = 0
-    for chunk, extras, u, ref in _trial_windows(keys, draw, get_bank(), span, lead):
+    for chunk, extras, x1, ref in _trial_windows(keys, draw, bank, span, lead):
+        u = _filter_rows(x1, bank)
         results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., window]), ref[:, window].real, variants)
         failures += int(np.count_nonzero(~ok))
         for b in np.flatnonzero(ok):
@@ -323,15 +318,8 @@ def _iteration_rows(
     return rows, failures
 
 
-def _check_real_signals(signals: Iterable[str]) -> None:
-    for signal in signals:
-        if signal not in ("multisine", "bandpass"):
-            raise ConfigError(f"unknown signal kind {signal!r}")
-
-
-def _real_model(signal: str, seed: int) -> HarmonicSignalModel:
-    """Real test signal of a kind that passed :func:`_check_real_signals`."""
-    return make_multisine(seed=seed) if signal == "multisine" else make_bandpass_noise(seed=seed)
+#: Real test signal of each signal kind from its seed.  Each generator is looked up by name at call time, so a rebound module name is seen.
+_REAL_MODELS = {"multisine": lambda seed: make_multisine(seed=seed), "bandpass": lambda seed: make_bandpass_noise(seed=seed)}
 
 
 def _true_params(delta: float, epsilon: float) -> OffsetParams:
@@ -378,12 +366,11 @@ def table3_rows(
     Fixed scenario: delta = epsilon = 300 ppm, a 1024-sample window and the
     canonical bank.
     """
-    _check_real_signals(signals)
 
     def draw(signal: str, snr: float, t: int):
         model_seed = stable_seed(base_seed, "table3", signal, t, "model")
         impairment = ImpairmentSpec(delta=300e-6, epsilon=300e-6, snr_db=snr, seed=stable_seed(base_seed, "table3", signal, snr, t, "noise"))
-        return _real_model(signal, model_seed), impairment, model_seed
+        return _REAL_MODELS[signal](model_seed), impairment, model_seed
 
     return _iteration_rows(product(signals, snrs, range(trials)), draw, _newton_ils(max_iterations=2))
 
@@ -408,7 +395,6 @@ def grid_rows(
     :data:`TRIAL_CHUNK`, so one chunk can span several cells.
     """
     bank = get_bank()
-    gd = bank.group_delay
     configs = _newton_ils(max_iterations=1)
     offsets = np.linspace(-span_ppm, span_ppm, grid_points) * 1e-6
     cells = list(product(snrs, range(grid_points), range(grid_points)))
@@ -418,8 +404,8 @@ def grid_rows(
         return model, ImpairmentSpec(delta=float(offsets[di]), epsilon=float(offsets[ei]), snr_db=snr, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise"))
 
     chunks = []
-    for _, _, x0, x1 in _trial_chunks(product(snrs, range(grid_points), range(grid_points), range(trials)), draw, n_samples + bank.order, -gd):
-        results, ok = _estimate_chunk(_filter_rows(x1.real, bank), x0.real[:, gd : gd + n_samples], configs)
+    for _, _, x1, ref in _trial_windows(product(snrs, range(grid_points), range(grid_points), range(trials)), draw, bank, n_samples):
+        results, ok = _estimate_chunk(_filter_rows(x1.real, bank), ref.real, configs)
         chunks.append((_finals(results), ok))
     summary, failures = _summaries(chunks, cells, configs, 1e6, 1e6)
     rows = [(snr, float(offsets[di]) * 1e6, float(offsets[ei]) * 1e6, method, kept, trials - kept, *stats) for (snr, di, ei), method, kept, stats in summary]
@@ -516,7 +502,8 @@ def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     for target_db, degree, order in ERROR_FRONTIER:
         bank = get_bank(degree, order)
         chunks = []
-        for _, _, u, ref in _trial_windows(product(range(trials)), draw, bank, 1024):
+        for _, _, x1, ref in _trial_windows(product(range(trials)), draw, bank, 1024):
+            u = _filter_rows(x1, bank)
             results, ok = _estimate_chunk(u, ref, configs)
             # Both configs' delay laws, shape (trials, configs), in one Horner pass.
             finals = _finals(results)
@@ -561,7 +548,8 @@ def nsweep_rows(
                 return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=None if np.isinf(snr) else snr, seed=noise_seed)
 
             chunks = []
-            for _, _, u, ref in _trial_windows(product(range(trials)), draw, bank, max(lengths)):
+            for _, _, x1, ref in _trial_windows(product(range(trials)), draw, bank, max(lengths)):
+                u = _filter_rows(x1, bank)
                 per_length, oks = zip(*(_estimate_chunk(SubfilterOutputs(u.u[..., :n]), ref[:, :n], configs) for n in lengths))
                 chunks.append((np.stack([_finals(results) for results in per_length], axis=2), np.array(oks)))
             summary, dropped = _summaries(chunks, lengths, configs, 1e6, 1.0)
@@ -618,10 +606,9 @@ def single_rows(
     exceeds the design range near the end of the window, which shows up in
     the trace flag.  Uses the canonical bank.
     """
-    _check_real_signals([signal])
     bank = get_bank()
     gd = bank.group_delay
-    model = _real_model(signal, stable_seed(base_seed, "single", "model"))
+    model = _REAL_MODELS[signal](stable_seed(base_seed, "single", "model"))
     impairment = ImpairmentSpec(delta=delta_ppm * 1e-6, epsilon=epsilon, snr_db=snr_db, seed=stable_seed(base_seed, "single", "noise"))
     x0, x1 = sample_pair(model, impairment, n_samples + bank.order, start=-gd)
     u, ref = compute_subfilter_outputs(x1, bank), x0[gd : gd + n_samples]
@@ -686,8 +673,7 @@ def run_experiment(
     campaign = CAMPAIGNS[name]
     kwargs = {}
     if campaign.trials is not None:
-        desk_trials, full_trials = campaign.trials
-        kwargs["trials"] = options.get("trials", full_trials if full else desk_trials)
+        kwargs["trials"] = options.get("trials", campaign.trials[full])
     for key, default in (campaign.rows.__kwdefaults__ or {}).items():
         kwargs[key] = options.get(key, campaign.full.get(key, default) if full else default)
     options.finish()
@@ -704,6 +690,14 @@ def run_experiment(
                 ImpairmentSpec(**{field: kwargs[key] * scale})
             except ValueError as exc:
                 raise ConfigError(f"[{options._section}] {key} = {kwargs[key]} is out of range: {exc}") from exc
+    # table3's signals and single's signal; a campaign without the key checks a known kind.
+    for signal in [*kwargs.get("signals", []), kwargs.get("signal", "bandpass")]:
+        if signal not in _REAL_MODELS:
+            raise ConfigError(f"unknown signal kind {signal!r}")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
     rows, failures, *extra = campaign.rows(base_seed=base_seed, **kwargs)
     files = []
     for file_name, header, body in [(f"{name}.csv", campaign.header, rows), *extra]:
@@ -742,17 +736,16 @@ def run_design(options: Options, out_dir: Path) -> ExperimentOutcome:
     if not bank_name:
         raise ConfigError("[design] bank must not be empty")
     try:
-        spec = DesignSpec(degree=degree, order=order, **band)
-    except ValueError as exc:
+        bank = design_bank(DesignSpec(degree=degree, order=order, **band))
+    except (ValueError, DesignError) as exc:
         raise ConfigError(str(exc)) from exc
-    bank = design_bank(spec)
     bank_path = out_dir / bank_name
     try:
         bank_path.parent.mkdir(parents=True, exist_ok=True)
         save_bank(bank, bank_path)
     except OSError as exc:
         raise ConfigError(f"cannot write bank {bank_path}: {exc}") from exc
-    return ExperimentOutcome((bank_path, _report(out_dir / "design_report.csv", bank, omega_c=spec.omega_c, d_max=spec.d_max)), 0)
+    return ExperimentOutcome((bank_path, _report(out_dir / "design_report.csv", bank, omega_c=band["omega_c"], d_max=band["d_max"])), 0)
 
 
 def run_measure(options: Options, out_dir: Path) -> ExperimentOutcome:

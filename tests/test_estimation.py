@@ -522,7 +522,6 @@ class TestTrialAxis:
             assert batch.converged[k] == one.converged
             for m, rec in enumerate(one.records):
                 assert (batch.history[m].delta[k], batch.history[m].epsilon[k]) == (rec.params.delta, rec.params.epsilon)
-                assert np.array_equal(batch.steps[m][:, k], rec.step)
             assert (batch.params.delta[k], batch.params.epsilon[k]) == (one.params.delta, one.params.epsilon)
         if config.tolerance is not None:
             # Trials stop at different iterations, and a stopped trial keeps its offsets.

@@ -63,6 +63,37 @@ def test_horner_matches_direct_polynomial(canonical_bank):
     np.testing.assert_allclose(y, direct, rtol=1e-13)
 
 
+def _out_of_place_horner(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``y = y * d + u_k`` from the highest branch down, each step making a fresh array."""
+    y = u[..., -1, :]
+    for k in range(u.shape[-2] - 2, -1, -1):
+        y = y * d + u[..., k, :]
+    return y
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.complex128])
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_output_bits_equal_an_out_of_place_horner_loop(degree, kind):
+    rng = np.random.default_rng(degree)
+    n, k_laws, b_trials = 64, 3, 2
+
+    def outputs(*shape):
+        u = rng.standard_normal(shape + (degree + 1, n))
+        return u + 1j * rng.standard_normal(u.shape) if kind is np.complex128 else u
+
+    def law(*shape):
+        return rng.uniform(-4e-4, 4e-4, shape), rng.uniform(-0.4, 0.4, shape)
+
+    # Delay-law shape (), (K,) and (B, K), with the branch outputs each one takes.
+    for u, (delta, epsilon) in [(outputs(), law()), (outputs(), law(k_laws)), (outputs(b_trials, 1), law(b_trials, k_laws))]:
+        for n0 in (0, -7, 11):
+            d = np.arange(n0, n0 + n, dtype=np.float64) * delta[..., None] + epsilon[..., None]
+            want = _out_of_place_horner(u, d)
+            y = farrow_output(SubfilterOutputs(u), OffsetParams(delta, epsilon), n0)
+            assert (y.shape, y.dtype) == (want.shape, want.dtype) == (np.broadcast_shapes(u.shape[:-2], delta.shape) + (n,), kind)
+            assert y.tobytes() == want.tobytes(), (delta.shape, n0)
+
+
 def test_delay_fidelity_within_measured_error(canonical_bank):
     delta_c = measure_error(canonical_bank).max_error
     gd = canonical_bank.group_delay

@@ -440,10 +440,11 @@ class TestRunExperiment:
         real_multisine = harness.make_multisine
         monkeypatch.setattr(harness, "make_multisine", lambda **kw: made.append(kw) or real_multisine(**kw))
         with pytest.raises(ConfigError, match="unknown signal kind 'bogus'"):
-            run("table3", {"trials": "1", "signals": "multisine bogus", "snrs": "30"}, out_dir=tmp_path)
+            run("table3", {"trials": "1", "signals": "multisine bogus", "snrs": "30"}, out_dir=tmp_path / "out")
         assert made == []
         with pytest.raises(ConfigError, match="unknown signal kind 'bogus'"):
-            run("single", {"signal": "bogus"}, out_dir=tmp_path)
+            run("single", {"signal": "bogus"}, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_opcounts_formula_matches_instrumentation(self, tmp_path):
         run("opcounts", {}, out_dir=tmp_path)
@@ -716,6 +717,27 @@ class TestCli:
         assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error: [design] bank must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("degree, order", [(30, 8), (40, 2)])
+    def test_a_rank_deficient_design_exits_one_without_a_bank(self, degree, order, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[design]\ndegree = {degree}\norder = {order}\n")
+        assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "rank deficient" in err[0], err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_an_unwritable_out_exits_one_before_the_first_trial(self, out, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(harness, "sample_pairs", no_trials)
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        assert main(["grid", "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write to {tmp_path / out}: "), err
+        assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
 
     def test_design_to_a_directory_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
