@@ -188,8 +188,14 @@ def _horner(d: np.ndarray, terms) -> np.ndarray:
 
 
 def farrow_output(u: SubfilterOutputs, params, n0: int = 0) -> np.ndarray:
-    """Combine branch outputs into the compensated stream via Horner's rule, in place on one result array."""
-    return _horner(delay_sequence(params, u.n_samples, n0), u.branches[::-1])
+    """Combine branch outputs into the compensated stream via Horner's rule, in place on one result array.
+
+    On complex branch outputs the delay law is cast to complex once, to the
+    ``(d, 0)`` that the multiply would otherwise make in its buffer on every
+    Horner step, so the bits are the same; a real stream takes no copy.
+    """
+    d = delay_sequence(params, u.n_samples, n0)
+    return _horner(d.astype(u.u.dtype, copy=False), u.branches[::-1])
 
 
 # ── Serialization ─────────────────────────────────────────────────────────────

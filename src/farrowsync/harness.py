@@ -48,7 +48,7 @@ from .design import DesignError, DesignSpec, ERROR_FRONTIER, design_bank, measur
 from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, batch_cost, count_operations, estimate, estimate_batch, estimate_from_outputs
 from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, delay_out_of_range, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
-from .signals import MAX_SNR_DB, ImpairmentSpec, OfdmSpec, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs, valid_snr_db
+from .signals import MAX_SNR_DB, ImpairmentSpec, OfdmSpec, demodulation_plan, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs, valid_snr_db
 
 DEFAULT_SEED = 42
 
@@ -267,10 +267,16 @@ def _summaries(chunks: list[tuple], groups: list, configs: _Variants, *scales: f
     return summary, ok.size - sum(kept)
 
 
+def _flagged(iteration: int, delta: float, epsilon: float) -> bool:
+    """The ``flag_d_exceeded`` column: an estimate whose delay law leaves the design range over the 1024-sample window."""
+    return iteration > 0 and delay_out_of_range(OffsetParams(delta, epsilon), 1024)
+
+
 def _iteration_rows(
     keys: Iterable[tuple],
     draw: Callable[..., tuple],
     variants: _Variants,
+    row: Callable[..., tuple],
     truth: OffsetParams | None = None,
     span: int = 1024,
     lead: int = 0,
@@ -278,15 +284,18 @@ def _iteration_rows(
 ) -> tuple[list[tuple], int]:
     """Estimate each trial's 1024-sample window with several configs and the canonical bank.
 
-    One row ``(*key, *extras, label, iteration, delta_ppm, epsilon, nmse,
-    flagged, *columns)`` per kept trial, variant and iteration.  A trial
-    spans ``span`` samples from sample ``-lead``; the estimators see the
-    window's real component.  A trial's parameter sets on each bank are
+    One row ``row(trial, label, iteration, delta, epsilon, nmse, more)`` per
+    kept trial, variant and iteration, ``trial`` being ``(*key, *extras)``;
+    a campaign with a ``flag_d_exceeded`` column fills it from
+    :func:`_flagged`.
+    A trial spans ``span`` samples from sample ``-lead``; the estimators see
+    the window's real component.  A trial's parameter sets on each bank are
     compensated over the span in one Horner pass, a ``simplified`` estimate
     through the first-degree truncation of the bank, and one ``nmse`` call
-    scores their window; ``columns(y, *key, *extras)`` adds columns per set
-    from that ``(sets, span)`` block ``y``.  ``truth`` adds a row ``"true"``
-    of iteration 0 per trial, compensated with those offsets.
+    scores their window; ``columns(y, *trial)`` gives the tuple ``more`` per
+    set from that ``(sets, span)`` block ``y``.  ``truth`` adds a row
+    ``"true"`` of iteration 0 per trial, compensated with those offsets.
+    Each variant's history is read into Python floats once per chunk.
     """
     n = 1024
     window = slice(lead, lead + n)
@@ -297,24 +306,23 @@ def _iteration_rows(
         u = _filter_rows(x1, bank)
         results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., window]), ref[:, window].real, variants)
         failures += int(np.count_nonzero(~ok))
-        for b in np.flatnonzero(ok):
+        histories = [
+            (label, config.method == "simplified", [(p.delta.tolist(), p.epsilon.tolist()) for p in result.history], result.iterations.tolist())
+            for (label, config), result in zip(variants, results)
+        ]
+        for b in np.flatnonzero(ok).tolist():
             trial = (*chunk[b], *(extra[b] for extra in extras))
-            scored = [
-                (label, m + 1, OffsetParams(p.delta[b], p.epsilon[b]), config.method == "simplified")
-                for (label, config), result in zip(variants, results)
-                for m, p in enumerate(result.history[: result.iterations[b]])
-            ]
-            scored += [("true", 0, truth, False)] if truth else []
-            scores = [()] * len(scored)
+            scored = [(label, m + 1, d[b], e[b], first_degree) for label, first_degree, history, done in histories for m, (d, e) in enumerate(history[: done[b]])]
+            scored += [("true", 0, truth.delta, truth.epsilon, False)] if truth else []
+            scores = [None] * len(scored)
             for first_degree, outputs in ((False, u.u[b]), (True, u.u[b, :2])):
-                batch = [i for i, entry in enumerate(scored) if entry[3] == first_degree]
+                batch = [i for i, entry in enumerate(scored) if entry[4] == first_degree]
                 if batch:
-                    params = OffsetParams(np.array([scored[i][2].delta for i in batch]), np.array([scored[i][2].epsilon for i in batch]))
+                    params = OffsetParams(np.array([scored[i][2] for i in batch]), np.array([scored[i][3] for i in batch]))
                     y = farrow_output(SubfilterOutputs(outputs), params, n0=-lead)
                     for i, err, more in zip(batch, nmse(y[:, window], ref[b, window]).tolist(), columns(y, *trial)):
-                        scores[i] = (err, *more)
-            for (label, iteration, params, _), (err, *more) in zip(scored, scores):
-                rows.append((*trial, label, iteration, params.delta_ppm, params.epsilon, err, iteration > 0 and delay_out_of_range(params, n), *more))
+                        scores[i] = (err, more)
+            rows += [row(trial, label, iteration, d, e, err, more) for (label, iteration, d, e, _), (err, more) in zip(scored, scores)]
     return rows, failures
 
 
@@ -347,8 +355,10 @@ def example1_rows(trials: int, base_seed: int, *, snr_db: float = 30.0) -> tuple
         impairment = ImpairmentSpec(delta=400e-6, epsilon=-0.2, snr_db=snr_db, seed=stable_seed(base_seed, "example1", t, "noise"))
         return make_multisine(seed=model_seed), impairment, model_seed
 
-    rows, failures = _iteration_rows(product(range(trials)), draw, variants)
-    return [(t, seed, label.removesuffix("_sfo"), label.endswith("_sfo"), *rest) for t, seed, label, *rest in rows], failures
+    def row(trial, label: str, m: int, d: float, e: float, err: float, _):
+        return (*trial, label.removesuffix("_sfo"), label.endswith("_sfo"), m, d * 1e6, e, err, _flagged(m, d, e))
+
+    return _iteration_rows(product(range(trials)), draw, variants, row)
 
 
 TABLE3_HEADER = ("signal", "snr_db", "trial", "seed", "method", "iteration", "delta_ppm", "epsilon", "nmse", "flag_d_exceeded")
@@ -372,7 +382,10 @@ def table3_rows(
         impairment = ImpairmentSpec(delta=300e-6, epsilon=300e-6, snr_db=snr, seed=stable_seed(base_seed, "table3", signal, snr, t, "noise"))
         return _REAL_MODELS[signal](model_seed), impairment, model_seed
 
-    return _iteration_rows(product(signals, snrs, range(trials)), draw, _newton_ils(max_iterations=2))
+    def row(trial, label: str, m: int, d: float, e: float, err: float, _):
+        return (*trial, label, m, d * 1e6, e, err, _flagged(m, d, e))
+
+    return _iteration_rows(product(signals, snrs, range(trials)), draw, _newton_ils(max_iterations=2), row)
 
 
 GRID_HEADER = ("snr_db", "delta_ppm", "epsilon_ppm", "method", "trials", "failures", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon_ppm", "std_epsilon_ppm")
@@ -444,8 +457,11 @@ def impaired_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
         return make_ofdm(spec)[0], impairment, model_seed
 
     variants = _newton_ils(max_iterations=2) + [("simplified", EstimatorConfig(method="simplified"))]
-    rows, failures = _iteration_rows(product(range(trials)), draw, variants, _true_params(delta, epsilon))
-    return [(*head, eps * 1e6, err, flagged) for *head, eps, err, flagged in rows], failures
+
+    def row(trial, label: str, m: int, d: float, e: float, err: float, _):
+        return (*trial, label, m, d * 1e6, e * 1e6, err, _flagged(m, d, e))
+
+    return _iteration_rows(product(range(trials)), draw, variants, row, _true_params(delta, epsilon))
 
 
 BER_HEADER = ("snr_db", "trial", "seed", "method", "iteration", "delta_ppm", "epsilon_ppm", "nmse", "bit_errors", "total_bits")
@@ -471,13 +487,16 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
         model, payload = make_ofdm(OfdmSpec(qam_order=64, seed=seed))
         return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")), seed, payload
 
+    plan = demodulation_plan(spec, -lead)
+
     def bits(y: np.ndarray, snr: float, t: int, seed: int, payload):
-        errors, total, _ = qam_demod_ber(ofdm_demodulate(y, payload, start_time=-lead), payload.symbols, spec.qam_order)
+        errors, total, _ = qam_demod_ber(ofdm_demodulate(y, payload, -lead, plan), payload.symbols, spec.qam_order)
         return [(count, total) for count in errors.tolist()]
 
-    variants = _newton_ils(max_iterations=2)
-    rows, failures = _iteration_rows(product(snrs, range(trials)), draw, variants, _true_params(delta, epsilon), spec.n_fft, lead, bits)
-    return [(snr, t, seed, method, m, d, eps * 1e6, err, *counts) for snr, t, seed, _, method, m, d, eps, err, _, *counts in rows], failures
+    def row(trial, label: str, m: int, d: float, e: float, err: float, counts: tuple):
+        return (*trial[:3], label, m, d * 1e6, e * 1e6, err, *counts)
+
+    return _iteration_rows(product(snrs, range(trials)), draw, _newton_ils(max_iterations=2), row, _true_params(delta, epsilon), spec.n_fft, lead, bits)
 
 
 APPROX_HEADER = ("target_db", "degree", "order", "measured_error_db", "method", "trials", "mean_nmse", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon", "std_epsilon")
@@ -694,16 +713,21 @@ def run_experiment(
     for signal in [*kwargs.get("signals", []), kwargs.get("signal", "bandpass")]:
         if signal not in _REAL_MODELS:
             raise ConfigError(f"unknown signal kind {signal!r}")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
+    _make_dir(out_dir)
     rows, failures, *extra = campaign.rows(base_seed=base_seed, **kwargs)
     files = []
     for file_name, header, body in [(f"{name}.csv", campaign.header, rows), *extra]:
         files.append(out_dir / file_name)
         write_csv(files[-1], header, body)
     return ExperimentOutcome(tuple(files), failures)
+
+
+def _make_dir(path: Path) -> None:
+    """Make the output directory ``path`` and its parents; one that cannot be made (a file stands there) is a configuration error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {path}: {exc}") from exc
 
 
 MEASURE_HEADER = ("L", "N_G", "omega_c_over_pi", "error_db", "worst_omega_over_pi", "worst_d")
@@ -722,6 +746,7 @@ def _report(path: Path, bank: CoefficientBank, **band) -> Path:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     row = (bank.degree, bank.order, report.omega_c / np.pi, report.error_db, report.worst_omega / np.pi, report.worst_delay)
+    _make_dir(path.parent)
     write_csv(path, MEASURE_HEADER, [row])
     return path
 
@@ -740,8 +765,8 @@ def run_design(options: Options, out_dir: Path) -> ExperimentOutcome:
     except (ValueError, DesignError) as exc:
         raise ConfigError(str(exc)) from exc
     bank_path = out_dir / bank_name
+    _make_dir(bank_path.parent)
     try:
-        bank_path.parent.mkdir(parents=True, exist_ok=True)
         save_bank(bank, bank_path)
     except OSError as exc:
         raise ConfigError(f"cannot write bank {bank_path}: {exc}") from exc

@@ -4,6 +4,8 @@ Symbols live on the integer grid {..., -3, -1, 1, 3, ...} per axis and are
 deliberately left unnormalized; generators that need a particular signal
 power scale the symbols themselves.  Bit labels are Gray-coded per axis,
 in-phase bits first, so nearest-neighbour symbol errors cost one bit.
+Bit errors are counted from a per-axis table of Gray-label distances; its
+integer sums equal the XOR-popcount of the labels exactly.
 """
 
 from __future__ import annotations
@@ -67,19 +69,33 @@ def random_symbols(order: int, size: int, rng: np.random.Generator) -> np.ndarra
     return points[rng.integers(0, order, size=size)]
 
 
-def hard_decision_labels(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Quantize noisy symbols to the nearest grid point and return bit labels."""
-    m = _check_order(order)
-    half = bits_per_symbol(order) // 2
-    idx_i = _nearest_level_index(np.real(symbols), m)
-    idx_q = _nearest_level_index(np.imag(symbols), m)
-    return (_gray_encode(idx_i) << half) | _gray_encode(idx_q)
+def _decide(symbols: np.ndarray, m: int) -> np.ndarray:
+    """Nearest level index of every in-phase and quadrature part, interleaved along the last axis.
+
+    Levels are ``2*i - (m - 1)``, so the index is ``rint((v + (m - 1)) / 2)``
+    clipped to ``[0, m - 1]``: rint rounds a tie on a decision boundary to
+    the even index, and a value beyond the outer levels decides the outer
+    one.  Both parts of a block run in one pass over its interleaved float
+    view.
+    """
+    values = np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("symbols must be finite")
+    index = values + (m - 1)
+    index *= 0.5  # the bits of a division by 2: both round the same exact value
+    np.rint(index, out=index)
+    np.clip(index, 0, m - 1, out=index)
+    return index.astype(np.intp)
 
 
-def _nearest_level_index(values: np.ndarray, m: int) -> np.ndarray:
-    # Levels are 2*i - (m - 1); round to the nearest and clip to the grid.
-    idx = np.rint((np.asarray(values, dtype=np.float64) + (m - 1)) / 2.0).astype(np.int64)
-    return np.clip(idx, 0, m - 1)
+def _bit_distance(m: int) -> np.ndarray:
+    """``table[i * m + j]``: the number of bits in which the per-axis Gray labels of levels ``i`` and ``j`` differ."""
+    gray = _gray_encode(np.arange(m))
+    return np.bitwise_count(gray[:, None] ^ gray).ravel()
+
+
+#: The per-axis bit distance table of each supported order, by its level count ``m``.
+_BIT_DISTANCE = {m: _bit_distance(m) for m in map(_check_order, _SUPPORTED_ORDERS)}
 
 
 def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int) -> tuple[np.ndarray, int]:
@@ -87,16 +103,23 @@ def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int)
 
     The last axis is one block of symbols and leading axes of ``rx_symbols``
     are separate blocks; ``tx_symbols`` broadcasts against them, so one sent
-    block scored against several received ones is labelled once.  Returns
-    ``(bit_errors, total_bits)`` per block.
+    block scored against several received ones is decided once.  Returns
+    ``(bit_errors, total_bits)`` per block; a non-finite symbol is a
+    ``ValueError``.
+
+    A symbol's label holds the in-phase Gray bits above the quadrature ones,
+    so the popcount of the XOR of two labels is the sum of the per-axis
+    popcounts.  Each part's decided levels index a table of those per-axis
+    distances, and the exact integer sum of the table entries equals the
+    XOR-popcount of the labels.
     """
     rx_symbols = np.asarray(rx_symbols)
     tx_symbols = np.asarray(tx_symbols)
     if np.broadcast_shapes(rx_symbols.shape, tx_symbols.shape) != rx_symbols.shape:
         raise ValueError(f"tx symbols of shape {tx_symbols.shape} do not broadcast against rx symbols of shape {rx_symbols.shape}")
-    rx_labels = hard_decision_labels(rx_symbols, order)
-    tx_labels = hard_decision_labels(tx_symbols, order)
-    diff = rx_labels ^ tx_labels
-    errors = np.bitwise_count(diff.astype(np.uint64)).sum(axis=-1)
+    m = _check_order(order)
+    pairs = _decide(rx_symbols, m) * m
+    pairs += _decide(tx_symbols, m)
+    errors = _BIT_DISTANCE[m].take(pairs).sum(axis=-1)
     total = rx_symbols.shape[-1] * bits_per_symbol(order)
     return errors, total

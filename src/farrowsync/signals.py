@@ -418,24 +418,44 @@ def make_ofdm(spec: OfdmSpec) -> tuple[HarmonicSignalModel, OfdmPayload]:
     return model, payload
 
 
-def ofdm_demodulate(samples: np.ndarray, payload: OfdmPayload, start_time: float) -> np.ndarray:
+def demodulation_plan(spec: OfdmSpec, start_time: float) -> tuple[np.ndarray, np.ndarray]:
+    """The FFT bin ``bins mod n_fft`` and the phase rotation ``exp(-2j*pi*bins*start_time/n_fft)`` of each subcarrier of ``spec``'s layout.
+
+    A caller that demodulates many periods of one layout at one start time
+    builds this once and hands it to every :func:`ofdm_demodulate` call.
+    """
+    return _demodulation_plan(_ofdm_layouts(spec.n_fft, spec.active_subcarriers).bins, spec.n_fft, start_time)
+
+
+def _demodulation_plan(bins: np.ndarray, m: int, start_time: float) -> tuple[np.ndarray, np.ndarray]:
+    return np.mod(bins, m), np.exp(-2j * np.pi * bins * start_time / m)
+
+
+def ofdm_demodulate(samples: np.ndarray, payload: OfdmPayload, start_time: float, plan: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Recover subcarrier symbols from one period of the (compensated) waveform.
 
     ``samples`` must hold ``n_fft`` consecutive samples whose first element
     corresponds to absolute time ``start_time`` on the reference grid.
     Leading axes are separate waveforms with the same subcarrier layout; they
-    share one stacked FFT and one rotation vector.  The scaling and the
-    rotation run in place on the arrays this call makes; ``samples`` is
-    left as it was.
+    share one stacked FFT and one rotation vector.  ``plan``, when given, is
+    :func:`demodulation_plan` of the payload's spec at the same
+    ``start_time``, built once by the caller instead of once per call.
+
+    The spectrum is scaled by ``1.0 / n_fft``, which gives the bits of a
+    division by ``n_fft``: NumPy divides a complex number by a real one with
+    Smith's algorithm, which at a zero imaginary part multiplies by the
+    rounded reciprocal.  Only the active bins are taken from the spectrum
+    and scaled, and the scaling and the rotation run in place on the array
+    this call makes; ``samples`` is left as it was.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     m = payload.n_fft
     if samples.shape[-1:] != (m,):
         raise ValueError(f"expected {m} samples, got {samples.shape[-1] if samples.ndim else 0}")
-    spectrum = np.fft.fft(samples)
-    spectrum /= m
-    symbols = spectrum[..., np.mod(payload.bins, m)]
-    symbols *= np.exp(-2j * np.pi * payload.bins * start_time / m)
+    index, rotation = _demodulation_plan(payload.bins, m, start_time) if plan is None else plan
+    symbols = np.fft.fft(samples).take(index, axis=-1)
+    symbols *= 1.0 / m
+    symbols *= rotation
     return symbols
 
 

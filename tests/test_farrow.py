@@ -127,6 +127,18 @@ def test_window_origin_offset():
     np.testing.assert_array_equal(delay_sequence(OffsetParams(0.01, 0.0), u.n_samples, n0=5), d)
 
 
+@pytest.mark.parametrize("kind", [np.float64, np.complex128])
+def test_the_delay_law_takes_the_branch_dtype_and_a_real_one_no_copy(kind, monkeypatch):
+    from farrowsync import farrow
+
+    laws, seen = [], []
+    monkeypatch.setattr(farrow, "delay_sequence", lambda *args: laws.append(delay_sequence(*args)) or laws[-1])
+    monkeypatch.setattr(farrow, "_horner", lambda d, terms: seen.append(d))
+    farrow_output(SubfilterOutputs(np.ones((3, 16), dtype=kind)), OffsetParams(np.array([1e-4, 2e-4]), np.array([0.1, -0.1])))
+    assert seen[0].dtype == kind and np.array_equal(seen[0], laws[0])
+    assert (seen[0] is laws[0]) == (kind is np.float64)
+
+
 def test_complex_compensation_is_componentwise(canonical_bank):
     rng = np.random.default_rng(3)
     z = rng.standard_normal(160) + 1j * rng.standard_normal(160)

@@ -739,6 +739,20 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: cannot write to {tmp_path / out}: "), err
         assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
 
+    @pytest.mark.parametrize("command", ["measure", "design"])
+    def test_an_out_that_is_a_file_exits_one_with_one_error_line(self, command, tmp_path, capsys):
+        bank = run_design(Options({"degree": "2", "order": "8"}, "design"), tmp_path).files[0]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[measure]\nbank = {bank}\n[design]\ndegree = 2\norder = 8\n")
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "taken")]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write to {tmp_path / 'taken'}: "), err
+        assert captured.out == ""
+        assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
+
     def test_design_to_a_directory_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("[design]\ndegree = 2\norder = 8\nbank = .\n")

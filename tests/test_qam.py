@@ -1,5 +1,7 @@
 """Gray-coded QAM constellation and bit-error counting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,22 +29,71 @@ def test_nearest_neighbours_differ_in_one_bit(order):
                 assert bin(labels[a] ^ labels[b]).count("1") == 1
 
 
+def _reference_labels(symbols, order):
+    """Gray labels of the nearest grid points, decided part by part: ``rint((v + (m - 1)) / 2)`` clipped to the grid."""
+    m = int(round(np.sqrt(order)))
+    half = qam.bits_per_symbol(order) // 2
+    gray = [i ^ (i >> 1) for i in range(m)]
+
+    def level(v):
+        return gray[int(min(max(np.rint((v + (m - 1)) / 2.0), 0), m - 1))]
+
+    return np.array([(level(z.real) << half) | level(z.imag) for z in np.ravel(symbols)], dtype=np.uint64).reshape(np.shape(symbols))
+
+
 @pytest.mark.parametrize("order", [4, 16, 64, 256])
 def test_hard_decision_roundtrip(order):
+    # Every grid point, nudged anywhere inside its decision cell, decides its
+    # own label: against point b it costs the bits in which a and b differ.
     points = qam.constellation(order)
-    labels = qam.hard_decision_labels(points, order)
-    np.testing.assert_array_equal(labels, np.arange(order))
-    # Perturbations inside the decision cell do not move the label.
-    noisy = points + (0.49 - 0.49j)
-    np.testing.assert_array_equal(qam.hard_decision_labels(noisy, order), np.arange(order))
+    labels = np.arange(order)
+    for nudge in (0.0, 0.49 - 0.49j, -0.49 + 0.49j):
+        rx = np.broadcast_to((points + nudge)[:, None, None], (order, order, 1))
+        errors, total = qam.count_bit_errors(rx, points[:, None], order)
+        assert errors.shape == (order, order) and total == qam.bits_per_symbol(order)
+        np.testing.assert_array_equal(errors, np.bitwise_count(labels[:, None] ^ labels[None, :]))
 
 
 def test_hard_decision_clips_outside_the_grid():
-    labels = qam.hard_decision_labels(np.array([100.0 + 100.0j, -100.0 - 100.0j]), 16)
-    corner_hi = qam.hard_decision_labels(np.array([3.0 + 3.0j]), 16)
-    corner_lo = qam.hard_decision_labels(np.array([-3.0 - 3.0j]), 16)
-    assert labels[0] == corner_hi[0]
-    assert labels[1] == corner_lo[0]
+    # Beyond the outer levels, however far and on either axis, decides the corner.
+    far = np.array([100.0 + 100.0j, -100.0 - 100.0j, 1e300 - 1e300j, -1e300 + 4.0j])
+    corners = np.array([3.0 + 3.0j, -3.0 - 3.0j, 3.0 - 3.0j, -3.0 + 3.0j])
+    assert qam.count_bit_errors(far, corners, 16) == (0, 16)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+def test_bit_counts_equal_the_xor_popcount_of_the_decided_labels(order):
+    m = int(round(np.sqrt(order)))
+    # Per axis: every level, every decision boundary (a tie, which rint
+    # rounds to the even index), points just inside and beyond the outer
+    # levels and far out, each against every sent level.
+    values = np.concatenate([np.arange(-m, m + 1, dtype=float), [-m - 0.7, m + 0.7, -1e300, 1e300, 0.999, -1.001]])
+    levels = np.arange(-(m - 1), m, 2, dtype=float)
+    rx_part, tx_part = (a.ravel() for a in np.meshgrid(values, levels, indexing="ij"))
+    shuffle = np.random.default_rng(order).permutation(rx_part.size)
+    rx = rx_part + 1j * rx_part[shuffle]
+    tx = tx_part + 1j * tx_part[shuffle]
+    # Broadcast blocks: rx of (2, 3, n) against tx of (3, n).
+    rx = np.stack([np.stack([np.roll(rx, 5 * a + b) for b in range(3)]) for a in range(2)])
+    tx = np.stack([np.roll(tx, b) for b in range(3)])
+    errors, total = qam.count_bit_errors(rx, tx, order)
+    expected = np.bitwise_count(_reference_labels(rx, order) ^ _reference_labels(np.broadcast_to(tx, rx.shape), order)).sum(axis=-1)
+    assert errors.shape == (2, 3) and total == rx.shape[-1] * qam.bits_per_symbol(order)
+    np.testing.assert_array_equal(errors, expected)
+    assert expected.min() > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)])
+def test_count_bit_errors_rejects_non_finite_symbols(bad):
+    tx = qam.constellation(16)[:4]
+    rx = tx.copy()
+    rx[2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning on the way to the error
+        with pytest.raises(ValueError, match="finite"):
+            qam.count_bit_errors(rx, tx, 16)
+        with pytest.raises(ValueError, match="finite"):
+            qam.count_bit_errors(np.stack([tx, rx]), tx, 16)
 
 
 def test_bits_per_symbol():

@@ -18,6 +18,7 @@ from farrowsync.signals import (
     ImpairmentSpec,
     OfdmSpec,
     add_awgn,
+    demodulation_plan,
     make_bandpass_noise,
     make_multisine,
     make_ofdm,
@@ -337,6 +338,25 @@ class TestGenerators:
         _, payload = make_ofdm(spec)
         with pytest.raises(ValueError):
             ofdm_demodulate(np.zeros(255, complex), payload, 0.0)
+
+    @pytest.mark.parametrize(
+        "spec", [OfdmSpec(qam_order=64, seed=5), OfdmSpec(n_fft=1000, active_subcarriers=800, qam_order=16, seed=6)], ids=["n_fft-2048", "n_fft-1000"]
+    )
+    def test_ofdm_demodulate_equals_the_division_form_byte_for_byte(self, spec):
+        model, payload = make_ofdm(spec)
+        m, start = spec.n_fft, -(spec.n_fft // 4)
+        rng = np.random.default_rng(spec.n_fft)
+        clean = model.evaluate(np.arange(start, start + m, dtype=float))
+        samples = clean + 0.05 * (rng.standard_normal((2, 3, m)) + 1j * rng.standard_normal((2, 3, m)))
+        # The division form: divide the whole spectrum by n_fft, then take the bins and rotate.
+        spectrum = np.fft.fft(samples)
+        spectrum /= m
+        expected = spectrum[..., np.mod(payload.bins, m)]
+        expected *= np.exp(-2j * np.pi * payload.bins * start / m)
+        plan = demodulation_plan(spec, start)
+        assert ofdm_demodulate(samples, payload, start).tobytes() == expected.tobytes()
+        assert ofdm_demodulate(samples, payload, start, plan).tobytes() == expected.tobytes()
+        assert ofdm_demodulate(samples[1, 2], payload, start, plan).tobytes() == expected[1, 2].tobytes()
 
 
 class TestImpairments:
