@@ -490,7 +490,7 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
     plan = demodulation_plan(spec, -lead)
 
     def bits(y: np.ndarray, snr: float, t: int, seed: int, payload):
-        errors, total, _ = qam_demod_ber(ofdm_demodulate(y, payload, -lead, plan), payload.symbols, spec.qam_order)
+        errors, total, _ = qam_demod_ber(ofdm_demodulate(y, plan), payload.symbols, spec.qam_order)
         return [(count, total) for count in errors.tolist()]
 
     def row(trial, label: str, m: int, d: float, e: float, err: float, counts: tuple):

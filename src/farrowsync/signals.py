@@ -418,44 +418,46 @@ def make_ofdm(spec: OfdmSpec) -> tuple[HarmonicSignalModel, OfdmPayload]:
     return model, payload
 
 
-def demodulation_plan(spec: OfdmSpec, start_time: float) -> tuple[np.ndarray, np.ndarray]:
-    """The FFT bin ``bins mod n_fft`` and the phase rotation ``exp(-2j*pi*bins*start_time/n_fft)`` of each subcarrier of ``spec``'s layout.
+class DemodulationPlan(NamedTuple):
+    """Where :func:`ofdm_demodulate` finds each subcarrier of one layout, in a period that starts at a given time."""
 
-    A caller that demodulates many periods of one layout at one start time
-    builds this once and hands it to every :func:`ofdm_demodulate` call.
+    n_fft: int
+    index: np.ndarray  # FFT bin of each subcarrier: bins mod n_fft
+    rotation: np.ndarray  # exp(-2j*pi*bins*start_time/n_fft), which undoes the start time's phase
+
+
+def demodulation_plan(spec: OfdmSpec, start_time: float) -> DemodulationPlan:
+    """The plan for periods of ``spec``'s layout whose first sample is at absolute time ``start_time``.
+
+    A caller that demodulates many periods at one start time builds it once.
     """
-    return _demodulation_plan(_ofdm_layouts(spec.n_fft, spec.active_subcarriers).bins, spec.n_fft, start_time)
+    m = spec.n_fft
+    bins = _ofdm_layouts(m, spec.active_subcarriers).bins
+    return DemodulationPlan(m, np.mod(bins, m), np.exp(-2j * np.pi * bins * start_time / m))
 
 
-def _demodulation_plan(bins: np.ndarray, m: int, start_time: float) -> tuple[np.ndarray, np.ndarray]:
-    return np.mod(bins, m), np.exp(-2j * np.pi * bins * start_time / m)
-
-
-def ofdm_demodulate(samples: np.ndarray, payload: OfdmPayload, start_time: float, plan: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Recover subcarrier symbols from one period of the (compensated) waveform.
+def ofdm_demodulate(samples: np.ndarray, plan: DemodulationPlan) -> np.ndarray:
+    """Recover subcarrier symbols, in the order of the payload's bins, from one period of the (compensated) waveform.
 
     ``samples`` must hold ``n_fft`` consecutive samples whose first element
-    corresponds to absolute time ``start_time`` on the reference grid.
-    Leading axes are separate waveforms with the same subcarrier layout; they
-    share one stacked FFT and one rotation vector.  ``plan``, when given, is
-    :func:`demodulation_plan` of the payload's spec at the same
-    ``start_time``, built once by the caller instead of once per call.
+    corresponds to the plan's start time on the reference grid.  Leading
+    axes are separate waveforms of the plan's layout; they share one stacked
+    FFT and the plan's rotation.
 
-    The spectrum is scaled by ``1.0 / n_fft``, which gives the bits of a
-    division by ``n_fft``: NumPy divides a complex number by a real one with
-    Smith's algorithm, which at a zero imaginary part multiplies by the
-    rounded reciprocal.  Only the active bins are taken from the spectrum
-    and scaled, and the scaling and the rotation run in place on the array
-    this call makes; ``samples`` is left as it was.
+    Only the active bins are taken from the spectrum, and they are scaled by
+    ``1.0 / n_fft``, which gives the bits of a division by ``n_fft``: NumPy
+    divides a complex number by a real one with Smith's algorithm, which at
+    a zero imaginary part multiplies by the rounded reciprocal.  The scaling
+    and the rotation run in place on the array this call makes; ``samples``
+    is left as it was.
     """
     samples = np.asarray(samples, dtype=np.complex128)
-    m = payload.n_fft
+    m = plan.n_fft
     if samples.shape[-1:] != (m,):
         raise ValueError(f"expected {m} samples, got {samples.shape[-1] if samples.ndim else 0}")
-    index, rotation = _demodulation_plan(payload.bins, m, start_time) if plan is None else plan
-    symbols = np.fft.fft(samples).take(index, axis=-1)
+    symbols = np.fft.fft(samples).take(plan.index, axis=-1)
     symbols *= 1.0 / m
-    symbols *= rotation
+    symbols *= plan.rotation
     return symbols
 
 

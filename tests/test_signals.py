@@ -330,14 +330,13 @@ class TestGenerators:
         model, payload = make_ofdm(spec)
         for start in (0, -64):
             samples = model.evaluate(np.arange(start, start + 256, dtype=float))
-            rx = ofdm_demodulate(samples, payload, start_time=start)
+            rx = ofdm_demodulate(samples, demodulation_plan(spec, start))
             np.testing.assert_allclose(rx, payload.symbols, rtol=0, atol=1e-9)
 
     def test_ofdm_demodulate_needs_one_period(self):
         spec = OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16)
-        _, payload = make_ofdm(spec)
         with pytest.raises(ValueError):
-            ofdm_demodulate(np.zeros(255, complex), payload, 0.0)
+            ofdm_demodulate(np.zeros(255, complex), demodulation_plan(spec, 0.0))
 
     @pytest.mark.parametrize(
         "spec", [OfdmSpec(qam_order=64, seed=5), OfdmSpec(n_fft=1000, active_subcarriers=800, qam_order=16, seed=6)], ids=["n_fft-2048", "n_fft-1000"]
@@ -354,9 +353,8 @@ class TestGenerators:
         expected = spectrum[..., np.mod(payload.bins, m)]
         expected *= np.exp(-2j * np.pi * payload.bins * start / m)
         plan = demodulation_plan(spec, start)
-        assert ofdm_demodulate(samples, payload, start).tobytes() == expected.tobytes()
-        assert ofdm_demodulate(samples, payload, start, plan).tobytes() == expected.tobytes()
-        assert ofdm_demodulate(samples[1, 2], payload, start, plan).tobytes() == expected[1, 2].tobytes()
+        assert ofdm_demodulate(samples, plan).tobytes() == expected.tobytes()
+        assert ofdm_demodulate(samples[1, 2], plan).tobytes() == expected[1, 2].tobytes()
 
 
 class TestImpairments:
@@ -497,21 +495,21 @@ class TestTrialAxis:
 
     def test_batched_demodulation_equals_per_waveform_calls(self):
         spec = OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=3)
-        model, payload = make_ofdm(spec)
+        model, plan = make_ofdm(spec)[0], demodulation_plan(spec, -64)
         waveforms = np.stack([model.evaluate(np.arange(-64.0, 192.0) * (1 + k * 1e-4)) for k in range(5)]).reshape(5, 1, 256)
-        rx = ofdm_demodulate(waveforms, payload, start_time=-64)
+        rx = ofdm_demodulate(waveforms, plan)
         assert rx.shape == (5, 1, 128)
         for k in range(5):
-            assert np.array_equal(rx[k, 0], ofdm_demodulate(waveforms[k, 0], payload, start_time=-64))
+            assert np.array_equal(rx[k, 0], ofdm_demodulate(waveforms[k, 0], plan))
 
     def test_demodulation_leaves_its_input_unchanged(self):
         # The scaling and rotation run in place on the call's own arrays, never on the samples.
         spec = OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=4)
-        model, payload = make_ofdm(spec)
+        model, plan = make_ofdm(spec)[0], demodulation_plan(spec, -64)
         waveforms = np.stack([model.evaluate(np.arange(-64.0, 192.0) * (1 + k * 1e-4)) for k in range(3)])
         kept = waveforms.copy()
-        rx = ofdm_demodulate(waveforms, payload, start_time=-64)
+        rx = ofdm_demodulate(waveforms, plan)
         assert np.array_equal(waveforms, kept)
         for k in range(3):
-            assert np.array_equal(rx[k], ofdm_demodulate(waveforms[k], payload, start_time=-64))
+            assert np.array_equal(rx[k], ofdm_demodulate(waveforms[k], plan))
         assert np.array_equal(waveforms, kept)
