@@ -312,7 +312,9 @@ def _iteration_rows(
         ]
         for b in np.flatnonzero(ok).tolist():
             trial = (*chunk[b], *(extra[b] for extra in extras))
-            scored = [(label, m + 1, d[b], e[b], first_degree) for label, first_degree, history, done in histories for m, (d, e) in enumerate(history[: done[b]])]
+            scored = [
+                (label, m + 1, d[b], e[b], first_degree) for label, first_degree, history, done in histories for m, (d, e) in enumerate(history[: done[b]])
+            ]
             scored += [("true", 0, truth.delta, truth.epsilon, False)] if truth else []
             scores = [None] * len(scored)
             for first_degree, outputs in ((False, u.u[b]), (True, u.u[b, :2])):
@@ -481,13 +483,12 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
     delta, epsilon = 293e-6, 293e-6
     spec = OfdmSpec(qam_order=64)
     lead = spec.n_fft // 4
+    plan = demodulation_plan(spec, -lead)  # every trial's symbol starts at -lead
 
     def draw(snr: float, t: int):
         seed = stable_seed(base_seed, "ber", snr, t, "model")
         model, payload = make_ofdm(OfdmSpec(qam_order=64, seed=seed))
         return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")), seed, payload
-
-    plan = demodulation_plan(spec, -lead)
 
     def bits(y: np.ndarray, snr: float, t: int, seed: int, payload):
         errors, total, _ = qam_demod_ber(ofdm_demodulate(y, plan), payload.symbols, spec.qam_order)
@@ -496,7 +497,8 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
     def row(trial, label: str, m: int, d: float, e: float, err: float, counts: tuple):
         return (*trial[:3], label, m, d * 1e6, e * 1e6, err, *counts)
 
-    return _iteration_rows(product(snrs, range(trials)), draw, _newton_ils(max_iterations=2), row, _true_params(delta, epsilon), spec.n_fft, lead, bits)
+    variants = _newton_ils(max_iterations=2)
+    return _iteration_rows(product(snrs, range(trials)), draw, variants, row, _true_params(delta, epsilon), spec.n_fft, lead, bits)
 
 
 APPROX_HEADER = ("target_db", "degree", "order", "measured_error_db", "method", "trials", "mean_nmse", "mean_delta_ppm", "std_delta_ppm", "mean_epsilon", "std_epsilon")

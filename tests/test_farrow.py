@@ -132,7 +132,12 @@ def test_the_delay_law_takes_the_branch_dtype_and_a_real_one_no_copy(kind, monke
     from farrowsync import farrow
 
     laws, seen = [], []
-    monkeypatch.setattr(farrow, "delay_sequence", lambda *args: laws.append(delay_sequence(*args)) or laws[-1])
+
+    def law(*args):
+        laws.append(delay_sequence(*args))
+        return laws[-1]
+
+    monkeypatch.setattr(farrow, "delay_sequence", law)
     monkeypatch.setattr(farrow, "_horner", lambda d, terms: seen.append(d))
     farrow_output(SubfilterOutputs(np.ones((3, 16), dtype=kind)), OffsetParams(np.array([1e-4, 2e-4]), np.array([0.1, -0.1])))
     assert seen[0].dtype == kind and np.array_equal(seen[0], laws[0])
