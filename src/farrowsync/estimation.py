@@ -128,12 +128,14 @@ def cascaded_accumulate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``(N-n)(N-n+1)/2`` respectively, without any multiplications.  Leading
     axes are trials, each accumulated on its own.
     """
-    c1 = v.cumsum(axis=-1)
-    c2 = c1.cumsum(axis=-1)
-    c3 = c2.cumsum(axis=-1)
-    # [()] turns the 0-d result of a single trial into a scalar, which keeps
-    # the per-batch arithmetic that follows cheap.
-    return c1[..., -1][()], c2[..., -1][()], c3[..., -1][()]
+    # Later stages accumulate in place; ``take`` copies each stage's final
+    # values (a scalar for a single trial) before the next stage overwrites them.
+    c = v.cumsum(axis=-1)
+    a1 = c.take(-1, axis=-1)
+    np.add.accumulate(c, axis=-1, out=c)
+    a2 = c.take(-1, axis=-1)
+    np.add.accumulate(c, axis=-1, out=c)
+    return a1, a2, c.take(-1, axis=-1)
 
 
 def weighted_sums(acc: tuple, n_samples: int) -> tuple:
@@ -177,8 +179,16 @@ def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetPa
         p0 -= x0
         p1 = _horner(d, (k * branches[k] for k in range(degree, 0, -1)))
         p2 = _horner(d, (k * (k - 1) * branches[k] for k in range(degree, 1, -1))) if degree >= 2 else None
-    f2 = p1 * p1 if p2 is None else p1 * p1 + p0 * p2
-    return p0 * p1, f2
+    # p0 is this call's own array and has the widest shape, so the products
+    # reuse it; IEEE sums are commutative, so these are the bits of
+    # p1 * p1 + p0 * p2.
+    if p2 is None:
+        f2 = p1 * p1
+    else:
+        f2 = p0 * p2
+        f2 += p1 * p1
+    p0 *= p1
+    return p0, f2
 
 
 def batch_cost(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0) -> float:

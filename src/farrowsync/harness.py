@@ -220,15 +220,22 @@ def _trial_windows(keys: Iterable[tuple], draw: Callable[..., tuple], bank: Coef
     ``draw(*key)`` gives one trial's ``(model, impairment, *extras)``.  Each
     chunk of at most :data:`TRIAL_CHUNK` trials yields its keys, a tuple per
     extra, the unfiltered measured streams ``x1`` (``span + N_G`` samples)
-    and the reference windows, one row per trial.
+    and the reference windows, one row per trial.  The consumer owns the
+    yielded arrays: the windower keeps no reference to them, so a chunk's
+    streams are freed as soon as the consumer drops its last use of them.
+    The reference windows are views of the chunk's whole ``x0``.
     """
-    gd = bank.group_delay
     keys = list(keys)
     for lo in range(0, len(keys), TRIAL_CHUNK):
-        chunk = keys[lo : lo + TRIAL_CHUNK]
-        models, impairments, *extras = zip(*(draw(*key) for key in chunk))
-        x0, x1 = sample_pairs(models, impairments, span + bank.order, start=-lead - gd)
-        yield chunk, extras, x1, x0[:, gd : gd + span]
+        yield _sample_chunk(keys[lo : lo + TRIAL_CHUNK], draw, bank, span, lead)
+
+
+def _sample_chunk(chunk: list[tuple], draw: Callable[..., tuple], bank: CoefficientBank, span: int, lead: int) -> tuple:
+    """One chunk of :func:`_trial_windows`, sampled in a frame that ends before the chunk is yielded."""
+    models, impairments, *extras = zip(*(draw(*key) for key in chunk))
+    gd = bank.group_delay
+    x0, x1 = sample_pairs(models, impairments, span + bank.order, start=-lead - gd)
+    return chunk, extras, x1, x0[:, gd : gd + span]
 
 
 def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
@@ -420,7 +427,12 @@ def grid_rows(
 
     chunks = []
     for _, _, x1, ref in _trial_windows(product(snrs, range(grid_points), range(grid_points), range(trials)), draw, bank, n_samples):
-        results, ok = _estimate_chunk(_filter_rows(x1.real, bank), ref.real, configs)
+        # The estimators read real parts alone: drop the complex streams
+        # before they run, and the chunk's arrays before the next is sampled.
+        u, ref = _filter_rows(x1.real, bank), np.ascontiguousarray(ref.real)
+        del x1
+        results, ok = _estimate_chunk(u, ref, configs)
+        del u, ref
         chunks.append((_finals(results), ok))
     summary, failures = _summaries(chunks, cells, configs, 1e6, 1e6)
     rows = [(snr, float(offsets[di]) * 1e6, float(offsets[ei]) * 1e6, method, kept, trials - kept, *stats) for (snr, di, ei), method, kept, stats in summary]

@@ -27,7 +27,10 @@ only the coefficients are checked for every model.  Those two caches get a
 sixteenth of the plan budget each.  A cached plan is the result of the same
 arithmetic on the same inputs as a fresh one, so the samples are bit for
 bit those of a plan built on every call.  The transform runs in place on
-one zero-padded buffer per call, and the noise is added in place.
+one zero-padded buffer per padded length and call: each row's input is
+written straight into the buffer's head, only the padding is zeroed, and
+the plans of that length reuse the buffer in turn.  The noise is added in
+place.
 
 The sampler has a leading trial axis: :func:`sample_pairs` samples one
 model under one impairment per row, and :func:`sample_pair` is its
@@ -98,26 +101,35 @@ class _ChirpZPlan:
 
     Bluestein's algorithm on ``numpy.fft`` with exactly the arithmetic of
     ``scipy.signal.CZT(n, m, w, 1+0j)``, so the output is bit for bit that
-    class's.  The chirps are computed once; every call fills one zero-padded
-    buffer and transforms it in place, and the result is a view of it.
+    class's.  The chirps are computed once.  :meth:`transform` runs in place
+    on a caller's buffer of ``nfft`` columns whose first ``n`` hold the
+    input; calling the plan copies ``x`` into a buffer of its own first.
+    Either way the result is a view of the buffer.
     """
 
     def __init__(self, n: int, m: int, w: complex) -> None:
         wk2 = w ** (np.arange(max(m, n)) ** 2 / 2.0)
-        self._n, self._m = n, m
-        self._nfft = _next_fast_len(n + m - 1)
+        self.n, self.m = n, m
+        self.nfft = _next_fast_len(n + m - 1)
         self._wk2_n = wk2[:n]
         self._wk2_m = wk2[:m]
-        self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self._nfft)
+        self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self.nfft)
         self.nbytes = sum(v.nbytes for v in (self._wk2_n, self._wk2_m, self._fwk2))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        a = np.zeros(x.shape[:-1] + (self._nfft,), dtype=np.complex128)
-        np.multiply(x, self._wk2_n, out=a[..., : self._n])
+        a = np.empty(x.shape[:-1] + (self.nfft,), dtype=np.complex128)
+        a[..., : self.n] = x
+        return self.transform(a)
+
+    def transform(self, a: np.ndarray) -> np.ndarray:
+        """Transform the input held in ``a[..., :n]``, zeroing the padding ``a[..., n:]``; ``a`` (complex, C-contiguous) is overwritten."""
+        head = a[..., : self.n]
+        np.multiply(head, self._wk2_n, out=head)
+        a[..., self.n :] = 0.0
         np.fft.fft(a, out=a)
         # Operands in this order: a complex multiply is not bitwise commutative.
         np.multiply(self._fwk2, a, out=a)
-        y = np.fft.ifft(a, out=a)[..., self._n - 1 : self._n + self._m - 1]
+        y = np.fft.ifft(a, out=a)[..., self.n - 1 : self.n + self.m - 1]
         return np.multiply(y, self._wk2_m, out=y)
 
 
@@ -262,9 +274,11 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
 
     Rows on the chirp-z path are grouped by plan and transformed by one
     stacked call per plan; the phase multiplies around it run row by row.
+    Each row's input goes straight into the head of the plan's zero-padded
+    buffer, and the plans of one padded length share one buffer per call.
     """
     out = np.empty((len(models), count), dtype=np.complex128)
-    plans: dict[tuple, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for row, (model, t0, step) in enumerate(zip(models, t0s, steps)):
         use_fast = model.has_uniform_grid and model.n_tones * count > _FAST_PATH_THRESHOLD if fast is None else fast
         if not use_fast:
@@ -272,20 +286,24 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
         elif not model.has_uniform_grid:
             raise ValueError("fast evaluation requires a uniform frequency grid")
         else:
-            plans.setdefault((model.n_tones, count, np.exp(1j * model._grid.dw * float(step))), []).append(row)
+            groups.setdefault((model.n_tones, count, np.exp(1j * model._grid.dw * float(step))), []).append(row)
+    plans = {key: _czt_plan(*key) for key in groups}
+    rows_per_length: dict[int, int] = {}
+    for key, plan in plans.items():
+        rows_per_length[plan.nfft] = max(rows_per_length.get(plan.nfft, 0), len(groups[key]))
+    buffers = {nfft: np.empty((rows, nfft), dtype=np.complex128) for nfft, rows in rows_per_length.items()}
     before: dict[tuple, np.ndarray] = {}
     after: dict[tuple, np.ndarray] = {}
-    for key, rows in plans.items():
-        n_tones = key[0]
-        x = np.empty((len(rows), n_tones), dtype=np.complex128)
+    for key, rows in groups.items():
+        plan, n_tones = plans[key], key[0]
+        a = buffers[plan.nfft][: len(rows)]
         for i, row in enumerate(rows):
             # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
             dw, t0 = models[row]._grid.dw, float(t0s[row])
             if (dw, t0, n_tones) not in before:
                 before[dw, t0, n_tones] = np.exp(1j * dw * t0 * np.arange(n_tones))
-            np.multiply(models[row].coefficients, before[dw, t0, n_tones], out=x[i])
-        spectrum = _czt_plan(*key)(x)
-        del x
+            np.multiply(models[row].coefficients, before[dw, t0, n_tones], out=a[i, :n_tones])
+        spectrum = plan.transform(a)
         for i, row in enumerate(rows):
             w0, t0, step = models[row]._grid.w0, float(t0s[row]), float(steps[row])
             if (w0, t0, step) not in after:
@@ -516,7 +534,10 @@ def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator, out: np.nda
     the real and imaginary parts.  The noisy signal goes to ``out`` (a new
     array by default; ``out=x`` adds the noise in place) and is returned.
     """
-    power = float(np.mean(np.abs(x) ** 2))
+    # The bits of np.mean(np.abs(x) ** 2), with one temporary.
+    t = np.abs(x)
+    t *= t
+    power = float(np.add.reduce(t, axis=None) / t.size)
     variance = power / 10.0 ** (snr_db / 10.0)
     out = np.array(x, dtype=np.result_type(x, np.float64)) if out is None else out
     if np.iscomplexobj(x):

@@ -275,7 +275,7 @@ def test_serialization_rejects_malformed_text():
         bank_from_text("1 2\n0 1 0\n0.5 0\n")
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(
     delta=st.floats(-4e-4, 4e-4),
     epsilon=st.floats(-0.45, 0.45),

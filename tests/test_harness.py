@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,37 @@ class TestRunExperiment:
             tracemalloc.stop()
         held = (streams + outputs) * np.dtype(np.complex128).itemsize
         assert peak < 1.6 * held, (peak, held)
+
+    @pytest.mark.parametrize("per_cell", [1, 4])
+    def test_a_grid_chunk_drops_its_complex_streams_before_estimating(self, per_cell):
+        # The desk grid at one trial per cell is one 50-trial chunk, and at
+        # four it is three chunks of 64 and one of 8.  The estimators read
+        # real parts alone, so the complex x0 and x1 are freed before they
+        # run, and a chunk's branch outputs are freed before the next chunk
+        # is sampled.  Peaks: 4.65 and 5.74 MB; 4.97 and 6.81 MB with x1
+        # kept; 8.8 MB at four per cell with the branch outputs kept.
+        harness.grid_rows(1, 42)  # designs and caches the bank, builds the plans
+        bank, rows, n = get_bank(), min(50 * per_cell, harness.TRIAL_CHUNK), 1000
+        streams = rows * 2 * (n + bank.order) * np.dtype(np.complex128).itemsize  # x0 and x1
+        outputs = rows * (bank.degree + 1) * n * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            harness.grid_rows(per_cell, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.32 * (streams + outputs), (peak, streams + outputs)
+
+    def test_the_windower_keeps_no_reference_to_a_yielded_chunk(self):
+        bank = get_bank()
+        draw = lambda t: (harness.make_multisine(seed=t), harness.ImpairmentSpec(delta=1e-4, seed=t))
+        windows = harness._trial_windows(((t,) for t in range(harness.TRIAL_CHUNK + 1)), draw, bank, 256)
+        chunk, _, x1, ref = next(windows)
+        assert len(chunk) == harness.TRIAL_CHUNK and ref.base is not None
+        streams = weakref.ref(x1), weakref.ref(ref.base)
+        del x1, ref
+        assert [stream() for stream in streams] == [None, None]
+        assert len(next(windows)[0]) == 1
 
     def test_filter_rows_holds_its_branch_outputs_once(self):
         # A chunk's branch outputs are filled into one array, so the peak is
