@@ -273,8 +273,8 @@ class TestPlanCache:
 
     def test_sampling_a_warm_grid_chunk_holds_little_beyond_its_output(self):
         # Each row's input is written into the head of the one zero-padded
-        # buffer, so beside x0, x1 and that buffer there is no (rows, tones)
-        # coefficient stack: it alone would take 1.2 MB of this bound's margin.
+        # buffer: a (rows, tones) coefficient stack beside x0, x1 and that
+        # buffer (1.2 MB here) would not fit under this bound.
         models, impairments = self._grid_chunk()
         sample_pairs(models, impairments, 1036, start=-18)
         tracemalloc.start()
@@ -542,9 +542,9 @@ class TestTrialAxis:
         models, impairments = zip(*trials)
         x0, x1 = sample_pairs(models, impairments, n_total, start=start)
         for row, (model, imp) in enumerate(trials):
-            a0, a1 = sample_pair(model, imp, n_total, start=start)
-            assert np.array_equal(x0[row], a0) and np.array_equal(x1[row], a1), row
-            assert np.array_equal(np.signbit(x1[row].view(np.float64)), np.signbit(a1.view(np.float64))), row
+            for batched, alone in zip((x0[row], x1[row]), sample_pair(model, imp, n_total, start=start)):
+                batched, alone = batched.view(np.float64), alone.view(np.float64)
+                assert np.array_equal(batched, alone) and np.array_equal(np.signbit(batched), np.signbit(alone)), row
 
     def test_batch_guards(self):
         real, cplx = make_multisine(seed=1), make_multisine(seed=1, complex_signal=True)
