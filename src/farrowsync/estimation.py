@@ -158,7 +158,7 @@ def _at_rest(u: SubfilterOutputs, params: OffsetParams) -> bool:
     return True
 
 
-def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample first and second derivatives of the cost w.r.t. the delay.
 
     Returns ``(F'_n, F''_n)`` evaluated at ``params`` over the window.  For a
@@ -174,7 +174,7 @@ def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetPa
         p1 = branches[1]
         p2 = 2 * branches[2] if degree >= 2 else None
     else:
-        d = delay_sequence(params, u.n_samples, n0)
+        d = delay_sequence(params, u.n_samples)
         p0 = _horner(d, branches[::-1])
         p0 -= x0
         p1 = _horner(d, (k * branches[k] for k in range(degree, 0, -1)))
@@ -191,38 +191,29 @@ def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetPa
     return p0, f2
 
 
-def batch_cost(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0) -> float:
+def batch_cost(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> float:
     """Value of the batch cost F at ``params`` for one trial (diagnostic; not op-counted)."""
-    r = farrow_output(u, params, n0) - x0
+    r = farrow_output(u, params) - x0
     return 0.5 * float(r @ r)
 
 
-def _index_weighted(v: np.ndarray, n0: int) -> tuple:
-    """(sum v, sum n*v, sum n^2*v) along the last axis with n starting at ``n0``, via the cascade."""
-    s0, s1, s2 = weighted_sums(cascaded_accumulate(v), v.shape[-1])
-    if n0:
-        s2 = s2 + 2.0 * n0 * s1 + n0 * n0 * s0
-        s1 = s1 + n0 * s0
-    return s0, s1, s2
+def _index_weighted(v: np.ndarray) -> tuple:
+    """(sum v, sum n*v, sum n^2*v) along the last axis, via the cascade."""
+    return weighted_sums(cascaded_accumulate(v), v.shape[-1])
 
 
-def _index_weighted_01(v: np.ndarray, n0: int) -> tuple:
+def _index_weighted_01(v: np.ndarray) -> tuple:
     """The first two sums of :func:`_index_weighted`, ``(sum v, sum n*v)``, from two accumulators only."""
     c1 = v.cumsum(axis=-1)
     a1, a2 = c1[..., -1][()], c1.cumsum(axis=-1)[..., -1][()]
-    s1 = float(v.shape[-1]) * a1 - a2
-    if n0:
-        s1 = s1 + n0 * a1
-    return a1, s1
+    return a1, float(v.shape[-1]) * a1 - a2
 
 
-def assemble_gradient_hessian(
-    u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def assemble_gradient_hessian(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient ``(2, ...)`` and Hessian ``(2, 2, ...)`` of F w.r.t. ``(delta, epsilon)`` at ``params``."""
-    f1, f2 = per_sample_derivatives(u, x0, params, n0)
-    g0, g1 = _index_weighted_01(f1, n0)
-    h0, h1, h2 = _index_weighted(f2, n0)
+    f1, f2 = per_sample_derivatives(u, x0, params)
+    g0, g1 = _index_weighted_01(f1)
+    h0, h1, h2 = _index_weighted(f2)
     gradient = np.array([g1, g0])
     hessian = np.array([[h2, h1], [h1, h0]])
     return gradient, hessian
@@ -266,15 +257,15 @@ class NewtonState:
     hessian: np.ndarray  # evaluated at the pre-step point
 
 
-def newton_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, n0: int = 0) -> NewtonState:
+def newton_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> NewtonState:
     """One exact Newton update ``w <- w - H^{-1} g`` from ``params``; a singular ``H`` gives a NaN update."""
-    gradient, hessian = assemble_gradient_hessian(u, x0, params, n0)
+    gradient, hessian = assemble_gradient_hessian(u, x0, params)
     sd, se, _ = solve_sym2x2(hessian[0, 0], hessian[0, 1], hessian[1, 1], gradient[0], gradient[1])
     new = OffsetParams(params.delta - sd, params.epsilon - se)
     return NewtonState(params=new, step=np.array([sd, se]), gradient=gradient, hessian=hessian)
 
 
-def ils_normal_matrix(u: SubfilterOutputs, n0: int = 0) -> np.ndarray:
+def ils_normal_matrix(u: SubfilterOutputs) -> np.ndarray:
     """Index-weighted normal matrix Q, shape ``(2, 2, ...)``, built from the first-degree branch.
 
     Q is fixed for the whole batch; it is invertible exactly when u_1 is
@@ -282,20 +273,18 @@ def ils_normal_matrix(u: SubfilterOutputs, n0: int = 0) -> np.ndarray:
     Cauchy-Schwarz, with equality impossible for distinct indices).
     """
     u1 = u.branches[1]
-    q0, q1, q2 = _index_weighted(u1 * u1, n0)
+    q0, q1, q2 = _index_weighted(u1 * u1)
     return np.array([[q2, q1], [q1, q0]])
 
 
-def ils_step(
-    u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, normal_matrix: np.ndarray, n0: int = 0
-) -> tuple[OffsetParams, np.ndarray, np.ndarray]:
+def ils_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, normal_matrix: np.ndarray) -> tuple[OffsetParams, np.ndarray, np.ndarray]:
     """One ILS update from ``params`` given the precomputed Q; a singular Q gives a NaN update.
 
     Returns ``(new_params, step, c)`` where ``c`` is the projected residual
     vector of the linearized problem.
     """
-    r = u.branches[0] - x0 if _at_rest(u, params) else farrow_output(u, params, n0) - x0
-    c0, c1 = _index_weighted_01(u.branches[1] * r, n0)
+    r = u.branches[0] - x0 if _at_rest(u, params) else farrow_output(u, params) - x0
+    c0, c1 = _index_weighted_01(u.branches[1] * r)
     c = np.array([c1, c0])
     sd, se, _ = solve_sym2x2(normal_matrix[0, 0], normal_matrix[0, 1], normal_matrix[1, 1], c[0], c[1])
     new = OffsetParams(params.delta - sd, params.epsilon - se)

@@ -32,8 +32,10 @@ of their own give several delay laws per stream: params of shape ``(K,)`` on
 one stream's ``(L+1, N)`` outputs give ``(K, N)``, and params of shape
 ``(B, K)`` on outputs of shape ``(B, 1, L+1, N)`` give ``(B, K, N)``.  Each
 row of a batched call is exactly the output of a one-law call, because the
-Horner passes multiply by a real delay elementwise.  The filter itself runs
-one stream at a time.
+Horner passes multiply by a real delay elementwise.  The filter takes the
+same leading trial axes on its input streams and runs each stream on its
+own, so a batch of streams is filtered in one call with the bits of
+one-stream calls.
 """
 
 from __future__ import annotations
@@ -122,19 +124,19 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
     so the output window is ``N_G`` samples shorter than the input.  All
     branches run as one matrix product of the reversed taps with the sliding
     windows of ``x1``, taken over blocks of output columns.  A complex
-    stream runs as two real passes, one per component.
+    stream runs as two real passes, one per component.  Leading axes of
+    ``x1`` are trials: ``(..., n)`` gives ``(..., L+1, n - N_G)``, each
+    stream filtered on its own straight into its slot of the one result, so
+    every trial gets the bits of a one-stream call.
     """
     x1 = np.asarray(x1)
     order = bank.order
-    if x1.ndim != 1 or x1.size <= order:
-        raise ValueError(f"need more than N_G = {order} input samples, got {x1.size}")
-    n_out = x1.size - order
-    if np.iscomplexobj(x1):
-        u = np.empty((bank.degree + 1, n_out), dtype=np.complex128)
-        passes = [(u.real, x1.real), (u.imag, x1.imag)]
-    else:
-        u = np.empty((bank.degree + 1, n_out), dtype=np.float64)
-        passes = [(u, x1)]
+    n_out = (x1.shape[-1] if x1.ndim else 0) - order
+    if n_out <= 0:
+        raise ValueError(f"need more than N_G = {order} input samples per stream, got {n_out + order}")
+    rows = x1.reshape(-1, x1.shape[-1])
+    u = np.empty((len(rows), bank.degree + 1, n_out), dtype=np.complex128 if np.iscomplexobj(x1) else np.float64)
+    passes = [(u.real, rows.real), (u.imag, rows.imag)] if np.iscomplexobj(x1) else [(u, rows)]
     reversed_taps = bank.taps[:, ::-1]
     # A non-finite input sample gives non-finite outputs quietly, as a
     # convolution would; the estimator rejects them.
@@ -142,13 +144,14 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
         for out, part in passes:
             for start in range(0, n_out, _FILTER_BLOCK):
                 stop = min(start + _FILTER_BLOCK, n_out)
-                # Row j of the window matrix is x1[start + j : stop + j], so
-                # column n is x1[n : n + N_G + 1].  The contiguous copy makes
-                # a strided component and a contiguous stream run the same
-                # product.
-                windows = as_strided(part[start:], (order + 1, stop - start), part.strides * 2, writeable=False)
-                out[:, start:stop] = reversed_taps @ np.ascontiguousarray(windows)
-    return SubfilterOutputs(u)
+                for b in range(len(rows)):
+                    # Row j of stream b's window matrix is x1[b, start + j : stop + j],
+                    # so column n is x1[b, n : n + N_G + 1].  The contiguous copy
+                    # makes a strided component and a contiguous stream run the
+                    # same product.
+                    windows = as_strided(part[b, start:], (order + 1, stop - start), part.strides[-1:] * 2, writeable=False)
+                    out[b, :, start:stop] = reversed_taps @ np.ascontiguousarray(windows)
+    return SubfilterOutputs(u.reshape(x1.shape[:-1] + u.shape[1:]))
 
 
 def delay_sequence(params, n_samples: int, n0: int = 0) -> np.ndarray:
@@ -160,11 +163,11 @@ def delay_sequence(params, n_samples: int, n0: int = 0) -> np.ndarray:
     return n * np.asarray(params.delta)[..., None] + np.asarray(params.epsilon)[..., None]
 
 
-def delay_out_of_range(params, n_samples: int, n0: int = 0) -> bool:
-    """True when any ``|d(n)|`` over the window exceeds :data:`DESIGN_DELAY_LIMIT`."""
+def delay_out_of_range(params, n_samples: int) -> bool:
+    """True when any ``|d(n)|`` over the window ``n = 0..n_samples-1`` exceeds :data:`DESIGN_DELAY_LIMIT`."""
     if n_samples <= 0:
         return False
-    return bool(max(abs(float(n) * params.delta + params.epsilon) for n in (n0, n0 + n_samples - 1)) > DESIGN_DELAY_LIMIT)
+    return bool(max(abs(float(n) * params.delta + params.epsilon) for n in (0, n_samples - 1)) > DESIGN_DELAY_LIMIT)
 
 
 def _horner(d: np.ndarray, terms) -> np.ndarray:

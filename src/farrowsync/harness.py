@@ -9,18 +9,19 @@ byte-identical CSV files.
 A campaign is a ``*_rows`` function whose keyword-only parameters are its
 config keys, desk-scale values as defaults; :data:`CAMPAIGNS` adds the rest.
 A trial whose update system is singular is dropped whole and counted once.
-A trial filters its measured stream once: every estimator and the scoring
-take those branch outputs, or a slice of them.  The per-trial campaigns
-(``example1``, ``table3``, ``impaired`` and ``ber``) compensate and score in
-one loop, :func:`_iteration_rows`: one Horner pass and one ``nmse`` call per
-kept trial and bank, plus ``ber``'s bit counts.  Every Monte-Carlo campaign
-runs its trials, across cells, in chunks of at most :data:`TRIAL_CHUNK`: a
-campaign states its trial keys and how to draw one trial, and
-:func:`_trial_windows` samples each chunk with one :func:`sample_pairs` call
-and cuts its reference windows; the campaign filters the measured streams
-once and :func:`estimate_batch` estimates them.  The chunk size changes no
-output byte.  ``single`` (one traced realization) and ``opcounts`` (the
-instrumented :func:`estimate`) run outside that path.
+Every Monte-Carlo campaign states its trial keys, how to draw one trial and
+a ``work`` function, and :func:`_run_chunks` runs them: in chunks of at most
+:data:`TRIAL_CHUNK` trials across cells, it samples a chunk with one
+:func:`sample_pairs` call, filters its measured streams with one
+:func:`compute_subfilter_outputs` call, hands ``work`` the branch outputs
+and reference windows, and alone frees the chunk's arrays.  So a trial's
+measured stream is filtered once.  ``grid``, ``approx_sweep`` and ``nsweep``
+estimate from the real components and reduce with :func:`_summaries`; the
+per-trial campaigns (``example1``, ``table3``, ``impaired`` and ``ber``)
+compensate and score the complex stream in :func:`_iteration_rows`, with
+one Horner pass and one ``nmse`` call per kept trial and bank.  The chunk
+size changes no output byte.  ``single`` (one traced realization) and
+``opcounts`` (the instrumented :func:`estimate`) run outside the runner.
 
 Signal generation places the time origin in the middle of the filter run-up:
 arrays start at sample index ``-N_G/2`` so that window sample ``n`` of the
@@ -206,36 +207,39 @@ def _mean_std(samples: np.ndarray, *scales: float) -> np.ndarray:
     return stats.reshape(stats.shape[:-2] + (2 * len(scales),))
 
 
-def _filter_rows(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
-    """Branch outputs of every stream (row) of ``x1``, filled one row at a time into an array with a leading trial axis."""
-    u = np.empty((len(x1), bank.degree + 1, x1.shape[-1] - bank.order), dtype=np.result_type(x1, np.float64))
-    for row, out in zip(x1, u):
-        out[...] = compute_subfilter_outputs(row, bank).u
-    return SubfilterOutputs(u)
+def _run_chunks(keys: Iterable[tuple], draw: Callable, bank: CoefficientBank, span: int, work: Callable, lead: int = 0, real: bool = False) -> list:
+    """``work(chunk, extras, u, ref)`` of each chunk of at most :data:`TRIAL_CHUNK` trials of ``keys``, in key order.
 
-
-def _trial_windows(keys: Iterable[tuple], draw: Callable[..., tuple], bank: CoefficientBank, span: int, lead: int = 0) -> Iterable[tuple]:
-    """Sample the trials of ``keys`` over ``span`` samples from sample ``-lead``, one :func:`sample_pairs` call per chunk.
-
-    ``draw(*key)`` gives one trial's ``(model, impairment, *extras)``.  Each
-    chunk of at most :data:`TRIAL_CHUNK` trials yields its keys, a tuple per
-    extra, the unfiltered measured streams ``x1`` (``span + N_G`` samples)
-    and the reference windows, one row per trial.  The consumer owns the
-    yielded arrays: the windower keeps no reference to them, so a chunk's
-    streams are freed as soon as the consumer drops its last use of them.
-    The reference windows are views of the chunk's whole ``x0``.
+    ``draw(*key)`` gives one trial's ``(model, impairment, *extras)``.  A
+    chunk is sampled over ``span`` samples from sample ``-lead`` with one
+    :func:`sample_pairs` call, and its measured streams are filtered with
+    one :func:`compute_subfilter_outputs` call.  ``work`` gets the chunk's
+    keys, a tuple per extra, the branch outputs ``u`` and the reference
+    windows ``ref``, one row per trial.  With ``real`` both hold the real
+    components alone and ``ref`` is its own array; otherwise ``ref`` is a
+    view of the chunk's whole ``x0``.
     """
     keys = list(keys)
-    for lo in range(0, len(keys), TRIAL_CHUNK):
-        yield _sample_chunk(keys[lo : lo + TRIAL_CHUNK], draw, bank, span, lead)
+    return [_sample_chunk(keys[lo : lo + TRIAL_CHUNK], draw, bank, span, work, lead, real) for lo in range(0, len(keys), TRIAL_CHUNK)]
 
 
-def _sample_chunk(chunk: list[tuple], draw: Callable[..., tuple], bank: CoefficientBank, span: int, lead: int) -> tuple:
-    """One chunk of :func:`_trial_windows`, sampled in a frame that ends before the chunk is yielded."""
+def _sample_chunk(chunk: list[tuple], draw: Callable, bank: CoefficientBank, span: int, work: Callable, lead: int, real: bool):
+    """One chunk of :func:`_run_chunks`, in a frame that ends with it.
+
+    The models and ``x0`` are dropped before the filter runs (unless ``ref``
+    is a view of ``x0``) and ``x1`` before ``work`` runs; the branch outputs
+    and ``ref`` go when this frame ends, before the next chunk is sampled.
+    """
     models, impairments, *extras = zip(*(draw(*key) for key in chunk))
     gd = bank.group_delay
     x0, x1 = sample_pairs(models, impairments, span + bank.order, start=-lead - gd)
-    return chunk, extras, x1, x0[:, gd : gd + span]
+    ref = x0[:, gd : gd + span]
+    if real:
+        ref, x1 = ref.real.copy(), x1.real
+    del models, impairments, x0
+    u = compute_subfilter_outputs(x1, bank)
+    del x1
+    return work(chunk, extras, u, ref)
 
 
 def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
@@ -244,9 +248,10 @@ def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) ->
     return results, ~np.logical_or.reduce([result.singular for result in results])
 
 
-def _finals(results: list[BatchEstimate]) -> np.ndarray:
-    """Each config's final ``(delta, epsilon)`` per trial, shape ``(configs, 2, trials)``."""
-    return np.array([(result.params.delta, result.params.epsilon) for result in results])
+def _finals(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[np.ndarray, np.ndarray]:
+    """Each config's final ``(delta, epsilon)`` per trial, shape ``(configs, 2, trials)``, and the mask of the kept trials."""
+    results, ok = _estimate_chunk(u, ref, configs)
+    return np.array([(result.params.delta, result.params.epsilon) for result in results]), ok
 
 
 def _summaries(chunks: list[tuple], groups: list, configs: _Variants, *scales: float) -> tuple[list[tuple], int]:
@@ -306,17 +311,14 @@ def _iteration_rows(
     """
     n = 1024
     window = slice(lead, lead + n)
-    bank = get_bank()
-    rows: list[tuple] = []
-    failures = 0
-    for chunk, extras, x1, ref in _trial_windows(keys, draw, bank, span, lead):
-        u = _filter_rows(x1, bank)
+
+    def work(chunk, extras, u, ref):
         results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., window]), ref[:, window].real, variants)
-        failures += int(np.count_nonzero(~ok))
         histories = [
             (label, config.method == "simplified", [(p.delta.tolist(), p.epsilon.tolist()) for p in result.history], result.iterations.tolist())
             for (label, config), result in zip(variants, results)
         ]
+        rows: list[tuple] = []
         for b in np.flatnonzero(ok).tolist():
             trial = (*chunk[b], *(extra[b] for extra in extras))
             scored = [
@@ -332,7 +334,10 @@ def _iteration_rows(
                     for i, err, more in zip(batch, nmse(y[:, window], ref[b, window]).tolist(), columns(y, *trial)):
                         scores[i] = (err, more)
             rows += [row(trial, label, iteration, d, e, err, more) for (label, iteration, d, e, _), (err, more) in zip(scored, scores)]
-    return rows, failures
+        return rows, int(np.count_nonzero(~ok))
+
+    chunks = _run_chunks(keys, draw, get_bank(), span, work, lead)
+    return [row for rows, _ in chunks for row in rows], sum(failures for _, failures in chunks)
 
 
 #: Real test signal of each signal kind from its seed.  Each generator is looked up by name at call time, so a rebound module name is seen.
@@ -416,7 +421,6 @@ def grid_rows(
     deviation of both estimates.  The trials of all cells run in chunks of
     :data:`TRIAL_CHUNK`, so one chunk can span several cells.
     """
-    bank = get_bank()
     configs = _newton_ils(max_iterations=1)
     offsets = np.linspace(-span_ppm, span_ppm, grid_points) * 1e-6
     cells = list(product(snrs, range(grid_points), range(grid_points)))
@@ -425,15 +429,10 @@ def grid_rows(
         model = make_ofdm(OfdmSpec(qam_order=16, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "model")))[0]
         return model, ImpairmentSpec(delta=float(offsets[di]), epsilon=float(offsets[ei]), snr_db=snr, seed=stable_seed(base_seed, "grid", snr, di, ei, t, "noise"))
 
-    chunks = []
-    for _, _, x1, ref in _trial_windows(product(snrs, range(grid_points), range(grid_points), range(trials)), draw, bank, n_samples):
-        # The estimators read real parts alone: drop the complex streams
-        # before they run, and the chunk's arrays before the next is sampled.
-        u, ref = _filter_rows(x1.real, bank), np.ascontiguousarray(ref.real)
-        del x1
-        results, ok = _estimate_chunk(u, ref, configs)
-        del u, ref
-        chunks.append((_finals(results), ok))
+    def work(_, __, u, ref):
+        return _finals(u, ref, configs)
+
+    chunks = _run_chunks(product(snrs, range(grid_points), range(grid_points), range(trials)), draw, get_bank(), n_samples, work, real=True)
     summary, failures = _summaries(chunks, cells, configs, 1e6, 1e6)
     rows = [(snr, float(offsets[di]) * 1e6, float(offsets[ei]) * 1e6, method, kept, trials - kept, *stats) for (snr, di, ei), method, kept, stats in summary]
     return rows, failures
@@ -530,18 +529,17 @@ def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     def draw(t: int):
         return models[t], ImpairmentSpec(delta=200e-6, epsilon=0.01)
 
+    def work(_, __, u, ref):
+        finals, ok = _finals(u, ref, configs)
+        # Both configs' delay laws, shape (trials, configs), in one Horner pass.
+        scores = nmse(farrow_output(SubfilterOutputs(u.u[:, None]), OffsetParams(*finals.transpose(1, 2, 0))), ref[:, None])
+        return np.concatenate([scores.T[:, None], finals], axis=1), ok
+
     rows: list[tuple] = []
     failures = 0
     for target_db, degree, order in ERROR_FRONTIER:
         bank = get_bank(degree, order)
-        chunks = []
-        for _, _, x1, ref in _trial_windows(product(range(trials)), draw, bank, 1024):
-            u = _filter_rows(x1, bank)
-            results, ok = _estimate_chunk(u, ref, configs)
-            # Both configs' delay laws, shape (trials, configs), in one Horner pass.
-            finals = _finals(results)
-            scores = nmse(farrow_output(SubfilterOutputs(u.u[:, None]), OffsetParams(*finals.transpose(1, 2, 0))), ref[:, None])
-            chunks.append((np.concatenate([scores.T[:, None], finals], axis=1), ok))
+        chunks = _run_chunks(product(range(trials)), draw, bank, 1024, work, real=True)
         summary, dropped = _summaries(chunks, [(target_db, degree, order, measure_error(bank).error_db)], configs, 1.0, 1e6, 1.0)
         failures += dropped
         # The mean NMSE (its spread is not reported), then both offsets' mean and spread.
@@ -568,8 +566,12 @@ def nsweep_rows(
     Each chunk of signals is estimated at every length before the next is
     drawn, so only one chunk's branch outputs are held at a time.
     """
-    bank = get_bank()
     configs = _newton_ils(max_iterations=2)
+
+    def work(_, __, u, ref):
+        finals, oks = zip(*(_finals(SubfilterOutputs(u.u[..., :n]), ref[:, :n], configs) for n in lengths))
+        return np.stack(finals, axis=2), np.array(oks)
+
     rows: list[tuple] = []
     failures = 0
     for set_index, (delta, epsilon) in enumerate([(200e-6, 0.03), (100e-6, 300e-6)]):
@@ -580,11 +582,7 @@ def nsweep_rows(
                 noise_seed = stable_seed(base_seed, "nsweep", set_index, snr, t, "noise")
                 return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=None if np.isinf(snr) else snr, seed=noise_seed)
 
-            chunks = []
-            for _, _, x1, ref in _trial_windows(product(range(trials)), draw, bank, max(lengths)):
-                u = _filter_rows(x1, bank)
-                per_length, oks = zip(*(_estimate_chunk(SubfilterOutputs(u.u[..., :n]), ref[:, :n], configs) for n in lengths))
-                chunks.append((np.stack([_finals(results) for results in per_length], axis=2), np.array(oks)))
+            chunks = _run_chunks(product(range(trials)), draw, get_bank(), max(lengths), work, real=True)
             summary, dropped = _summaries(chunks, lengths, configs, 1e6, 1.0)
             failures += dropped
             rows += [(set_index, delta * 1e6, epsilon, snr, n, method, kept, *stats) for n, method, kept, stats in summary]

@@ -65,13 +65,6 @@ class TestAccumulators:
         for got, want in [(s0, np.sum(v)), (s1, np.sum(n * v)), (s2, np.sum(n * n * v))]:
             assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
-    def test_window_origin_shift(self):
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal(50)
-        n = np.arange(50, dtype=np.float64) - 18.0
-        s0, s1, s2 = _index_weighted(v, n0=-18)
-        np.testing.assert_allclose([s0, s1, s2], [np.sum(v), np.sum(n * v), np.sum(n * n * v)], rtol=1e-11)
-
 
 class TestDerivatives:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
@@ -129,7 +122,7 @@ class TestSolver:
         x_a, x_b, singular = solve_sym2x2(*entries, 0.5, 0.5)
         assert singular and np.isnan(x_a) and np.isnan(x_b)
         h_a, h_b, h_c = entries
-        monkeypatch.setattr(estimation, "ils_normal_matrix", lambda u, n0=0: np.array([[h_a, h_b], [h_b, h_c]]))
+        monkeypatch.setattr(estimation, "ils_normal_matrix", lambda u: np.array([[h_a, h_b], [h_b, h_c]]))
         _, u, x0 = _random_batch(2, seed=30)
         with pytest.raises(SingularSystemError, match="not finite"):
             estimate_from_outputs(u, x0, EstimatorConfig(method="ils"))
@@ -239,8 +232,8 @@ class TestFirstDegreeEquivalence:
         _, u, x0 = _random_batch(4, seed=18)
         params = estimate_from_outputs(u, x0, EstimatorConfig(method="simplified")).params
         q = ils_normal_matrix(u)
-        want = np.linalg.solve(q, np.array([_index_weighted(u.u[1] * (u.u[0] - x0), 0)[1],
-                                            _index_weighted(u.u[1] * (u.u[0] - x0), 0)[0]]))
+        want = np.linalg.solve(q, np.array([_index_weighted(u.u[1] * (u.u[0] - x0))[1],
+                                            _index_weighted(u.u[1] * (u.u[0] - x0))[0]]))
         np.testing.assert_allclose([params.delta, params.epsilon], -want, rtol=1e-10)
 
 
@@ -558,10 +551,10 @@ def _same_bits(got, want) -> bool:
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _reference_terms(u, x0, params, n0=0):
+def _reference_terms(u, x0, params):
     """Newton's per-sample terms (P0, P1, P2) from out-of-place Horner passes over the delay sequence."""
     degree, branches = u.degree, u.branches
-    d = delay_sequence(params, u.n_samples, n0)
+    d = delay_sequence(params, u.n_samples)
     p0 = branches[degree].copy()
     for k in range(degree - 1, -1, -1):
         p0 = p0 * d + branches[k]
@@ -580,51 +573,50 @@ def _reference_terms(u, x0, params, n0=0):
 class TestAtRestAndInPlace:
     """Every step equals out-of-place Horner passes over an explicit delay sequence, bit for bit, at rest and off it."""
 
-    # (delta, epsilon, n0) per trial of a batch of three; a one-trial call takes the first.
+    # (delta, epsilon) per trial of a batch of three; a one-trial call takes the first.
     POINTS = {
-        "rest": ([0.0] * 3, [0.0] * 3, 0),
-        "signed_zero_rest": ([-0.0] * 3, [-0.0, 0.0, -0.0], 0),
-        "off_rest": ([3e-4, -2e-4, 0.0], [-0.2, 0.0, 0.31], 0),
-        "off_rest_shifted": ([3e-4, -2e-4, 0.0], [-0.2, 0.0, 0.31], 11),
+        "rest": ([0.0] * 3, [0.0] * 3),
+        "signed_zero_rest": ([-0.0] * 3, [-0.0, 0.0, -0.0]),
+        "off_rest": ([3e-4, -2e-4, 0.0], [-0.2, 0.0, 0.31]),
     }
 
     @staticmethod
     def _case(degree, batch, point):
         rng = np.random.default_rng(degree)
-        deltas, epsilons, n0 = TestAtRestAndInPlace.POINTS[point]
+        deltas, epsilons = TestAtRestAndInPlace.POINTS[point]
         shape = (3,) if batch else ()
         u = SubfilterOutputs(rng.standard_normal(shape + (degree + 1, 97)))
         x0 = rng.standard_normal(shape + (97,))
         params = OffsetParams(np.array(deltas), np.array(epsilons)) if batch else OffsetParams(deltas[0], epsilons[0])
-        return u, x0, params, n0
+        return u, x0, params
 
     @pytest.mark.parametrize("point", sorted(POINTS))
     @pytest.mark.parametrize("batch", [False, True], ids=["one_trial", "batch"])
     @pytest.mark.parametrize("degree", range(1, 8))
     def test_steps_match_out_of_place_horner(self, degree, batch, point):
-        u, x0, params, n0 = self._case(degree, batch, point)
+        u, x0, params = self._case(degree, batch, point)
         before = u.u.copy()
-        p0, p1, p2 = _reference_terms(u, x0, params, n0)
+        p0, p1, p2 = _reference_terms(u, x0, params)
         f1, f2 = p0 * p1, p1 * p1 if p2 is None else p1 * p1 + p0 * p2
 
-        got = per_sample_derivatives(u, x0, params, n0)
+        got = per_sample_derivatives(u, x0, params)
         assert _same_bits(got[0], f1) and _same_bits(got[1], f2)
         assert _same_bits(u.u, before)
 
-        g0, g1, _ = _index_weighted(f1, n0)
-        h0, h1, h2 = _index_weighted(f2, n0)
+        g0, g1, _ = _index_weighted(f1)
+        h0, h1, h2 = _index_weighted(f2)
         sd, se, _ = solve_sym2x2(h2, h1, h0, g1, g0)
-        state = newton_step(u, x0, params, n0)
+        state = newton_step(u, x0, params)
         assert _same_bits(state.gradient, np.array([g1, g0]))
         assert _same_bits(state.hessian, np.array([[h2, h1], [h1, h0]]))
         assert _same_bits(state.step, np.array([sd, se]))
         assert _same_bits(state.params.delta, params.delta - sd) and _same_bits(state.params.epsilon, params.epsilon - se)
         assert _same_bits(u.u, before)
 
-        q = ils_normal_matrix(u, n0)
-        c0, c1, _ = _index_weighted(u.branches[1] * p0, n0)
+        q = ils_normal_matrix(u)
+        c0, c1, _ = _index_weighted(u.branches[1] * p0)
         sd, se, _ = solve_sym2x2(q[0, 0], q[0, 1], q[1, 1], c1, c0)
-        new, step, c = ils_step(u, x0, params, q, n0)
+        new, step, c = ils_step(u, x0, params, q)
         assert _same_bits(c, np.array([c1, c0]))
         assert _same_bits(step, np.array([sd, se]))
         assert _same_bits(new.delta, params.delta - sd) and _same_bits(new.epsilon, params.epsilon - se)
@@ -633,17 +625,16 @@ class TestAtRestAndInPlace:
     @pytest.mark.parametrize("degree", [1, 3])
     def test_a_rest_point_with_its_own_law_axis_broadcasts_as_horner_does(self, degree):
         # Zero offsets of shape (2,) on one trial's outputs are two delay laws, not a rest point of that trial.
-        u, x0, _, _ = self._case(degree, False, "rest")
+        u, x0, _ = self._case(degree, False, "rest")
         params = OffsetParams(np.zeros(2), np.zeros(2))
         p0, p1, p2 = _reference_terms(u, x0, params)
         f1, f2 = per_sample_derivatives(u, x0, params)
         assert f1.shape == (2, u.n_samples)
         assert _same_bits(f1, p0 * p1) and _same_bits(f2, p1 * p1 if p2 is None else p1 * p1 + p0 * p2)
 
-    @pytest.mark.parametrize("n0", [0, -18, 7])
     @pytest.mark.parametrize("shape", [(50,), (4, 50)], ids=["one_trial", "batch"])
-    def test_two_accumulators_give_the_first_two_cascade_sums(self, shape, n0):
-        v = np.random.default_rng(abs(n0)).standard_normal(shape)
-        s0, s1 = _index_weighted_01(v, n0)
-        want0, want1, _ = _index_weighted(v, n0)
+    def test_two_accumulators_give_the_first_two_cascade_sums(self, shape):
+        v = np.random.default_rng(0).standard_normal(shape)
+        s0, s1 = _index_weighted_01(v)
+        want0, want1, _ = _index_weighted(v)
         assert _same_bits(s0, want0) and _same_bits(s1, want1)

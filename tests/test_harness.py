@@ -275,17 +275,17 @@ class TestRunExperiment:
         ids=["example1", "table3", "grid", "impaired", "ber", "approx_sweep", "nsweep"],
     )
     def test_the_measured_stream_is_filtered_once_per_trial(self, name, raw, filtered, tmp_path, monkeypatch):
-        calls = []
+        streams = []
         real_filter = harness.compute_subfilter_outputs
 
         def counting(x1, bank):
-            calls.append(len(x1))
+            streams.append(int(np.prod(np.shape(x1)[:-1])))  # the rows of a batch, or 1
             return real_filter(x1, bank)
 
         monkeypatch.setattr(harness, "compute_subfilter_outputs", counting)
         monkeypatch.setattr(estimation, "compute_subfilter_outputs", counting)
         assert run(name, raw, out_dir=tmp_path).failures == 0
-        assert len(calls) == filtered
+        assert sum(streams) == filtered
 
     @pytest.mark.parametrize(
         "name,raw,scored",
@@ -417,29 +417,32 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < 1.32 * (streams + outputs), (peak, streams + outputs)
 
-    def test_the_windower_keeps_no_reference_to_a_yielded_chunk(self):
-        bank = get_bank()
-        draw = lambda t: (harness.make_multisine(seed=t), harness.ImpairmentSpec(delta=1e-4, seed=t))
-        windows = harness._trial_windows(((t,) for t in range(harness.TRIAL_CHUNK + 1)), draw, bank, 256)
-        chunk, _, x1, ref = next(windows)
-        assert len(chunk) == harness.TRIAL_CHUNK and ref.base is not None
-        streams = weakref.ref(x1), weakref.ref(ref.base)
-        del x1, ref
-        assert [stream() for stream in streams] == [None, None]
-        assert len(next(windows)[0]) == 1
+    @pytest.mark.parametrize("real", [False, True], ids=["as_sampled", "real_parts"])
+    @pytest.mark.parametrize("signal", ["multisine", "ofdm"])
+    def test_the_runner_frees_the_streams_before_work_and_the_chunk_before_the_next(self, signal, real, monkeypatch):
+        sampled, held = [], []
+        real_sampler = harness.sample_pairs
 
-    def test_filter_rows_holds_its_branch_outputs_once(self):
-        # A chunk's branch outputs are filled into one array, so the peak is
-        # the result plus one stream's filter work, not the result twice.
-        bank = get_bank()
-        x1 = np.random.default_rng(6).standard_normal((64, 2048 + bank.order))
-        tracemalloc.start()
-        try:
-            u = harness._filter_rows(x1, bank)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * u.u.nbytes, (peak, u.u.nbytes)
+        def sampler(*args, **kwargs):
+            assert [alive() for alive in held] == [None] * len(held)  # the last chunk's arrays are gone
+            x0, x1 = real_sampler(*args, **kwargs)
+            sampled[:] = weakref.ref(x0), weakref.ref(x1)
+            return x0, x1
+
+        def work(chunk, extras, u, ref):
+            x0, x1 = sampled
+            assert x1() is None
+            assert x0() is None if real else ref.base is x0()  # a complex campaign's windows are views of x0
+            assert np.iscomplexobj(u.u) == (signal == "ofdm" and not real)
+            held[:] = weakref.ref(u.u), weakref.ref(ref), x0
+            return len(chunk), extras
+
+        model = {"multisine": harness.make_multisine, "ofdm": lambda seed: harness.make_ofdm(OfdmSpec(qam_order=16, seed=seed))[0]}[signal]
+        draw = lambda t: (model(seed=t), harness.ImpairmentSpec(delta=1e-4, seed=t), t)
+        monkeypatch.setattr(harness, "sample_pairs", sampler)
+        chunks = harness._run_chunks(((t,) for t in range(harness.TRIAL_CHUNK + 1)), draw, get_bank(), 256, work, real=real)
+        assert chunks == [(harness.TRIAL_CHUNK, [tuple(range(harness.TRIAL_CHUNK))]), (1, [(harness.TRIAL_CHUNK,)])]
+        assert [alive() for alive in held] == [None] * 3
 
     @pytest.mark.parametrize(
         "name,key,value",
