@@ -28,7 +28,8 @@ from farrowsync.harness import (
     write_csv,
 )
 from farrowsync.cli import main
-from farrowsync.signals import OfdmSpec
+from farrowsync.farrow import compute_subfilter_outputs
+from farrowsync.signals import OfdmSpec, sample_pair
 
 
 def read_rows(path):
@@ -443,6 +444,27 @@ class TestRunExperiment:
         chunks = harness._run_chunks(((t,) for t in range(harness.TRIAL_CHUNK + 1)), draw, get_bank(), 256, work, real=real)
         assert chunks == [(harness.TRIAL_CHUNK, [tuple(range(harness.TRIAL_CHUNK))]), (1, [(harness.TRIAL_CHUNK,)])]
         assert [alive() for alive in held] == [None] * 3
+
+    @pytest.mark.parametrize("lead", [0, 11])
+    @pytest.mark.parametrize("real", [False, True], ids=["as_sampled", "real_parts"])
+    @pytest.mark.parametrize("signal", ["multisine", "ofdm"])
+    def test_each_row_of_a_chunk_is_its_trial_sampled_and_filtered_alone(self, signal, real, lead, monkeypatch):
+        bank, span = get_bank(), 96
+        model = {"multisine": harness.make_multisine, "ofdm": lambda seed: harness.make_ofdm(OfdmSpec(qam_order=16, seed=seed))[0]}[signal]
+        draw = lambda t: (model(seed=t), harness.ImpairmentSpec(delta=1e-4 * (t - 2), epsilon=0.1 * t, snr_db=30.0, seed=t))
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", 2)
+        chunks = harness._run_chunks(((t,) for t in range(5)), draw, bank, span, lambda chunk, extras, u, ref: (chunk, u.u, ref), lead, real)
+        assert [chunk for chunk, _, _ in chunks] == [[(0,), (1,)], [(2,), (3,)], [(4,)]]
+        gd = bank.group_delay
+        for chunk, u, ref in chunks:
+            for row, (t,) in enumerate(chunk):
+                x0, x1 = sample_pair(*draw(t), span + bank.order, start=-lead - gd)
+                want_ref = x0[gd : gd + span]
+                if real:
+                    want_ref, x1 = want_ref.real, x1.real
+                want_u = compute_subfilter_outputs(x1, bank).u
+                assert ref[row].dtype == want_ref.dtype and ref[row].tobytes() == want_ref.tobytes(), t
+                assert u[row].dtype == want_u.dtype and u[row].tobytes() == want_u.tobytes(), t
 
     @pytest.mark.parametrize(
         "name,key,value",
