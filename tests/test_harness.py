@@ -280,13 +280,15 @@ class TestRunExperiment:
         real_filter = harness.compute_subfilter_outputs
 
         def counting(x1, bank):
-            streams.append(int(np.prod(np.shape(x1)[:-1])))  # the rows of a batch, or 1
+            # One stream per call: a traced run counts the filter's work per call.
+            assert np.ndim(x1) == 1
+            streams.append(x1)
             return real_filter(x1, bank)
 
         monkeypatch.setattr(harness, "compute_subfilter_outputs", counting)
         monkeypatch.setattr(estimation, "compute_subfilter_outputs", counting)
         assert run(name, raw, out_dir=tmp_path).failures == 0
-        assert sum(streams) == filtered
+        assert len(streams) == filtered
 
     @pytest.mark.parametrize(
         "name,raw,scored",
@@ -418,10 +420,12 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < 1.32 * (streams + outputs), (peak, streams + outputs)
 
+    @pytest.mark.parametrize("lead", [0, 11])
     @pytest.mark.parametrize("real", [False, True], ids=["as_sampled", "real_parts"])
     @pytest.mark.parametrize("signal", ["multisine", "ofdm"])
-    def test_the_runner_frees_the_streams_before_work_and_the_chunk_before_the_next(self, signal, real, monkeypatch):
-        sampled, held = [], []
+    def test_the_runner_frees_the_streams_before_work_and_the_chunk_before_the_next(self, signal, real, lead, monkeypatch):
+        bank, span, sampled, held = get_bank(), 96, [], []
+        gd = bank.group_delay
         real_sampler = harness.sample_pairs
 
         def sampler(*args, **kwargs):
@@ -434,37 +438,24 @@ class TestRunExperiment:
             x0, x1 = sampled
             assert x1() is None
             assert x0() is None if real else ref.base is x0()  # a complex campaign's windows are views of x0
-            assert np.iscomplexobj(u.u) == (signal == "ofdm" and not real)
-            held[:] = weakref.ref(u.u), weakref.ref(ref), x0
-            return len(chunk), extras
-
-        model = {"multisine": harness.make_multisine, "ofdm": lambda seed: harness.make_ofdm(OfdmSpec(qam_order=16, seed=seed))[0]}[signal]
-        draw = lambda t: (model(seed=t), harness.ImpairmentSpec(delta=1e-4, seed=t), t)
-        monkeypatch.setattr(harness, "sample_pairs", sampler)
-        chunks = harness._run_chunks(((t,) for t in range(harness.TRIAL_CHUNK + 1)), draw, get_bank(), 256, work, real=real)
-        assert chunks == [(harness.TRIAL_CHUNK, [tuple(range(harness.TRIAL_CHUNK))]), (1, [(harness.TRIAL_CHUNK,)])]
-        assert [alive() for alive in held] == [None] * 3
-
-    @pytest.mark.parametrize("lead", [0, 11])
-    @pytest.mark.parametrize("real", [False, True], ids=["as_sampled", "real_parts"])
-    @pytest.mark.parametrize("signal", ["multisine", "ofdm"])
-    def test_each_row_of_a_chunk_is_its_trial_sampled_and_filtered_alone(self, signal, real, lead, monkeypatch):
-        bank, span = get_bank(), 96
-        model = {"multisine": harness.make_multisine, "ofdm": lambda seed: harness.make_ofdm(OfdmSpec(qam_order=16, seed=seed))[0]}[signal]
-        draw = lambda t: (model(seed=t), harness.ImpairmentSpec(delta=1e-4 * (t - 2), epsilon=0.1 * t, snr_db=30.0, seed=t))
-        monkeypatch.setattr(harness, "TRIAL_CHUNK", 2)
-        chunks = harness._run_chunks(((t,) for t in range(5)), draw, bank, span, lambda chunk, extras, u, ref: (chunk, u.u, ref), lead, real)
-        assert [chunk for chunk, _, _ in chunks] == [[(0,), (1,)], [(2,), (3,)], [(4,)]]
-        gd = bank.group_delay
-        for chunk, u, ref in chunks:
-            for row, (t,) in enumerate(chunk):
-                x0, x1 = sample_pair(*draw(t), span + bank.order, start=-lead - gd)
-                want_ref = x0[gd : gd + span]
+            for row, (t,) in enumerate(chunk):  # each row is its trial sampled from -lead and filtered alone
+                want_x0, want_x1 = sample_pair(*draw(t)[:2], span + bank.order, start=-lead - gd)
+                want_ref = want_x0[gd : gd + span]
                 if real:
-                    want_ref, x1 = want_ref.real, x1.real
-                want_u = compute_subfilter_outputs(x1, bank).u
+                    want_ref, want_x1 = want_ref.real, want_x1.real
+                want_u = compute_subfilter_outputs(want_x1, bank).u
                 assert ref[row].dtype == want_ref.dtype and ref[row].tobytes() == want_ref.tobytes(), t
-                assert u[row].dtype == want_u.dtype and u[row].tobytes() == want_u.tobytes(), t
+                assert u.u[row].dtype == want_u.dtype and u.u[row].tobytes() == want_u.tobytes(), t
+            held[:] = weakref.ref(u.u), weakref.ref(ref), x0
+            return chunk, extras
+
+        model = {"multisine": harness.make_multisine, "ofdm": lambda seed: harness.make_ofdm(OfdmSpec(qam_order=16, seed=seed))[0]}[signal]
+        draw = lambda t: (model(seed=t), harness.ImpairmentSpec(delta=1e-4 * (t - 1), epsilon=0.1 * t, snr_db=30.0, seed=t), t)
+        monkeypatch.setattr(harness, "sample_pairs", sampler)
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", 2)
+        chunks = harness._run_chunks(((t,) for t in range(3)), draw, bank, span, work, lead, real)
+        assert chunks == [([(0,), (1,)], [(0, 1)]), ([(2,)], [(2,)])]
+        assert [alive() for alive in held] == [None] * 3
 
     @pytest.mark.parametrize(
         "name,key,value",
