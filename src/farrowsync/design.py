@@ -205,7 +205,8 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:
 def _normalized_responses(bank: CoefficientBank, omega: np.ndarray) -> np.ndarray:
     """Branch responses with the bulk delay removed, shape ``(L+1, len(omega))``."""
     offsets = np.arange(bank.order + 1) - bank.group_delay
-    return bank.taps @ np.exp(-1j * np.outer(offsets, omega))
+    phase = np.multiply(-1j, np.outer(offsets, omega))
+    return bank.taps @ np.exp(phase, out=phase)
 
 
 def measure_error(
@@ -231,9 +232,19 @@ def measure_error(
     delay = np.linspace(-d_max, d_max, n_delay)
     responses = _normalized_responses(bank, omega)
     powers = delay[:, None] ** np.arange(bank.degree + 1)  # (n_delay, L+1)
-    achieved = powers @ responses  # (n_delay, n_freq)
-    target = np.exp(-1j * np.outer(delay, omega))
-    error = np.abs(achieved - target)
+    # A band of about 16 delays at a time, in two complex buffers that every
+    # band reuses; each element takes the operations it takes on the whole
+    # grid.  Every band holds at least two delays: a one-delay product runs a
+    # matrix-vector kernel, whose sums can round differently.
+    bands = -(-n_delay // 16)
+    edges = [n_delay * i // bands for i in range(bands + 1)]
+    achieved, target = np.empty((2, -(-n_delay // bands), n_freq), complex)
+    error = np.empty((n_delay, n_freq))
+    for lo, hi in zip(edges, edges[1:]):
+        a, t, e = achieved[: hi - lo], target[: hi - lo], error[lo:hi]
+        np.matmul(powers[lo:hi], responses, out=a)
+        np.exp(np.multiply(-1j, np.multiply(delay[lo:hi, None], omega, out=e), out=t), out=t)
+        np.abs(np.subtract(a, t, out=a), out=e)
     flat = int(np.argmax(error))
     di, wi = np.unravel_index(flat, error.shape)
     max_error = float(error[di, wi])

@@ -35,22 +35,25 @@ residual is u_0 - x0.  They are the bits a Horner pass gives at d = +-0,
 since p*(+-0) + u_k = u_k for every non-zero u_k.  Later iterations run
 the compensator's Horner pass, one array per polynomial.
 
-Index-weighted sums ``sum n^p * v(n)`` are never formed with explicit
-products; each is obtained from plain running-sum cascades (one addition per
-sample) combined with a handful of fixed multiplications at the end of the
-batch:
+Index-weighted sums ``sum n^p * v(n)`` come from the final values of a
+three-accumulator cascade, combined with a handful of fixed multiplications
+at the end of the batch:
 
     A1 = sum v,  A2 = sum (N-n)*v,  A3 = sum (N-n)(N-n+1)/2 * v
     sum n*v   = N*A1 - A2
     sum n^2*v = N^2*A1 - (2N+1)*A2 + 2*A3
 
-The gradient and the ILS right-hand side read only the first two sums and
-run only the first two accumulators.
+The reference datapath runs the cascade, one addition per stage and sample.
+This code forms each A as one product with exact integer weights, built once
+per window length, and one pairwise ``np.add.reduce`` along the contiguous
+last axis.  That is faster than running sums, and its rounding error grows
+like log2(N) rather than N.  The gradient and the ILS right-hand side read
+only the first two sums and form only the first two.
 
 Every step takes leading trial axes: branch outputs ``(..., L+1, N)``,
 references ``(..., N)`` and offsets of the batch shape, accumulated along the
 last axis, with 2-vectors and 2x2 matrices carrying their component axes
-first.  The Horner passes, running sums and closed-form solves are real
+first.  The Horner passes, weighted row sums and closed-form solves are real
 elementwise or per-row operations, so a batch gives every trial exactly the
 bits of a one-trial call.  :func:`estimate_batch` runs a batch and flags a
 trial whose 2x2 system is singular instead of raising;
@@ -120,22 +123,36 @@ class OpCounts:
         )
 
 
-def cascaded_accumulate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the three-accumulator cascade along the last axis of ``v`` (one addition per stage and sample).
+@lru_cache(maxsize=8)
+def _cascade_weights(n_samples: int) -> np.ndarray:
+    """Read-only ``(2, N)`` integer weights ``N-n`` and ``(N-n)(N-n+1)/2`` of the second and third cascade stages."""
+    k = np.arange(n_samples, 0, -1, dtype=np.float64)
+    weights = np.stack([k, k * (k + 1.0) * 0.5])
+    weights.flags.writeable = False
+    return weights
 
-    Stage 1 sums ``v``; each later stage sums the running output of the one
-    before, so the final values weight ``v[n]`` by 1, ``N-n`` and
-    ``(N-n)(N-n+1)/2`` respectively, without any multiplications.  Leading
-    axes are trials, each accumulated on its own.
+
+def _cascade_outputs(v: np.ndarray, stages: int) -> tuple:
+    """The final values of the first ``stages`` cascade stages along the last axis of ``v``; see :func:`cascaded_accumulate`."""
+    weights = _cascade_weights(v.shape[-1])
+    return (np.add.reduce(v, axis=-1),) + tuple(np.add.reduce(v * w, axis=-1) for w in weights[: stages - 1])
+
+
+def cascaded_accumulate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The final values ``(a1, a2, a3)`` of the three-accumulator cascade along the last axis of ``v``.
+
+    A cascade sums ``v`` in its first stage and, in each later stage, the
+    running output of the stage before, so its final values weight ``v[n]``
+    by 1, ``N-n`` and ``(N-n)(N-n+1)/2``.  They are formed here without
+    running the cascade: each is a product with those exact integer weights,
+    built once per window length, and one pairwise sum, so
+    the rounding error grows like ``log2(N)`` rather than ``N`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 4.2).
+    The weights are exact while ``(N-n)(N-n+1)/2 <= 2**53``, that is for
+    ``N`` up to about ``2**26``.  Leading axes are trials; each row is summed
+    on its own, so a batch gives every trial the bits of a one-trial call.
     """
-    # Later stages accumulate in place; ``take`` copies each stage's final
-    # values (a scalar for a single trial) before the next stage overwrites them.
-    c = v.cumsum(axis=-1)
-    a1 = c.take(-1, axis=-1)
-    np.add.accumulate(c, axis=-1, out=c)
-    a2 = c.take(-1, axis=-1)
-    np.add.accumulate(c, axis=-1, out=c)
-    return a1, a2, c.take(-1, axis=-1)
+    return _cascade_outputs(v, 3)
 
 
 def weighted_sums(acc: tuple, n_samples: int) -> tuple:
@@ -198,14 +215,13 @@ def batch_cost(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> flo
 
 
 def _index_weighted(v: np.ndarray) -> tuple:
-    """(sum v, sum n*v, sum n^2*v) along the last axis, via the cascade."""
+    """(sum v, sum n*v, sum n^2*v) along the last axis, from the cascade outputs."""
     return weighted_sums(cascaded_accumulate(v), v.shape[-1])
 
 
 def _index_weighted_01(v: np.ndarray) -> tuple:
-    """The first two sums of :func:`_index_weighted`, ``(sum v, sum n*v)``, from two accumulators only."""
-    c1 = v.cumsum(axis=-1)
-    a1, a2 = c1[..., -1][()], c1.cumsum(axis=-1)[..., -1][()]
+    """The first two sums of :func:`_index_weighted`, ``(sum v, sum n*v)``, from the first two cascade outputs only."""
+    a1, a2 = _cascade_outputs(v, 2)
     return a1, float(v.shape[-1]) * a1 - a2
 
 

@@ -243,9 +243,22 @@ def _sample_chunk(chunk: list[tuple], draw: Callable, bank: CoefficientBank, spa
     return work(chunk, extras, SubfilterOutputs(u), ref)
 
 
+def _simplified_from(ils: BatchEstimate) -> BatchEstimate:
+    """The simplified estimate an ILS run holds: its first iteration, the bits of a simplified run."""
+    done = np.minimum(ils.iterations, 1)
+    return BatchEstimate(ils.history[:1], ils.rhs[:1], done, done == 1, done == 0)
+
+
 def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
-    """Each config's estimates for a batch of trials, and the mask of trials that no config flagged singular."""
-    results = [estimate_batch(u, ref, config) for _, config in configs]
+    """Each config's estimates for a batch of trials, and the mask of trials that no config flagged singular.
+
+    A ``simplified`` config that follows a joint ILS config is read from that
+    run's first iteration rather than estimated again.
+    """
+    results: list[BatchEstimate] = []
+    for _, config in configs:
+        ils = [result for (_, c), result in zip(configs, results) if c.method == "ils" and not c.sfo_only]
+        results.append(_simplified_from(ils[0]) if config.method == "simplified" and ils else estimate_batch(u, ref, config))
     return results, ~np.logical_or.reduce([result.singular for result in results])
 
 

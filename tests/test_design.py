@@ -182,3 +182,24 @@ def test_frontier_banks_keep_their_measured_error():
     assert sorted(FULL_GRID_ERROR_DB) == sorted((degree, order) for _, degree, order in ERROR_FRONTIER)
     for (degree, order), want in FULL_GRID_ERROR_DB.items():
         assert abs(measure_error(get_bank(degree, order)).error_db - want) <= 1e-6, (degree, order)
+
+
+def _whole_grid_error(bank, omega_c, d_max, n_freq, n_delay):
+    """Reference: the error grid formed in one piece, ``(n_delay, n_freq)``."""
+    omega = np.linspace(0.0, omega_c, n_freq)
+    delay = np.linspace(-d_max, d_max, n_delay)
+    offsets = np.arange(bank.order + 1) - bank.group_delay
+    responses = bank.taps @ np.exp(-1j * np.outer(offsets, omega))
+    achieved = (delay[:, None] ** np.arange(bank.degree + 1)) @ responses
+    error = np.abs(achieved - np.exp(-1j * np.outer(delay, omega)))
+    di, wi = np.unravel_index(int(np.argmax(error)), error.shape)
+    return float(error[di, wi]), float(omega[wi]), float(delay[di])
+
+
+@pytest.mark.parametrize("n_delay", [2, 3, 17, 33, 129])
+@pytest.mark.parametrize("degree,order", [(1, 8), (4, 36), (7, 30)])
+def test_measured_error_has_the_bits_of_the_whole_grid(degree, order, n_delay):
+    bank = design_bank(DesignSpec(degree=degree, order=order))
+    for omega_c, d_max, n_freq in ((0.9 * np.pi, 0.5, 64 * order), (0.5 * np.pi, 0.3, 1001)):
+        report = measure_error(bank, omega_c=omega_c, d_max=d_max, n_freq=n_freq, n_delay=n_delay)
+        assert (report.max_error, report.worst_omega, report.worst_delay) == _whole_grid_error(bank, omega_c, d_max, n_freq, n_delay)

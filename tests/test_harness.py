@@ -28,7 +28,8 @@ from farrowsync.harness import (
     write_csv,
 )
 from farrowsync.cli import main
-from farrowsync.farrow import compute_subfilter_outputs
+from farrowsync.estimation import EstimatorConfig, estimate_batch
+from farrowsync.farrow import SubfilterOutputs, compute_subfilter_outputs
 from farrowsync.signals import OfdmSpec, sample_pair
 
 
@@ -261,6 +262,38 @@ class TestRunExperiment:
             outcome = run(name, raw, out_dir=tmp_path / name)
             assert read_rows(outcome.files[0])[1] == [], name
             assert outcome.failures == count, name
+
+    @pytest.mark.parametrize("singular_row", [None, 1], ids=["healthy", "one_singular"])
+    def test_a_simplified_estimate_read_from_ils_has_the_bits_of_its_own_run(self, singular_row):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((3, 3, 200))
+        ref = u[:, 0] + 0.05 * rng.standard_normal((3, 200))
+        if singular_row is not None:
+            u[singular_row, 1:] = 0.0  # u_1 identically zero: Q is singular
+        simplified = EstimatorConfig(method="simplified")
+        (_, got), _ = harness._estimate_chunk(SubfilterOutputs(u), ref, [("ils", EstimatorConfig(method="ils")), ("simplified", simplified)])
+        want = estimate_batch(SubfilterOutputs(u), ref, simplified)
+        assert len(got.history) == len(got.rhs) == 1
+        for g, w in [(got.history[0].delta, want.history[0].delta), (got.history[0].epsilon, want.history[0].epsilon), (got.rhs[0], want.rhs[0])]:
+            assert g.tobytes() == w.tobytes()
+        for name in ("iterations", "converged", "singular"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+        assert got.singular.tolist() == [row == singular_row for row in range(3)]
+
+    def test_impaired_estimates_with_newton_and_ils_only(self, tmp_path, monkeypatch):
+        methods = []
+        real_batch = harness.estimate_batch
+
+        def recording(u, ref, config):
+            methods.append(config.method)
+            return real_batch(u, ref, config)
+
+        monkeypatch.setattr(harness, "estimate_batch", recording)
+        run("impaired", {"trials": "2"}, out_dir=tmp_path)
+        assert methods == ["newton", "ils"]
+        _, rows = read_rows(tmp_path / "impaired.csv")
+        first = {(r[0], r[2]): r[4:6] for r in rows if r[3] == "1"}
+        assert all(first[trial, "simplified"] == first[trial, "ils"] for trial in ("0", "1"))
 
     @pytest.mark.parametrize(
         "name,raw,filtered",
@@ -542,17 +575,17 @@ GOLDEN_RUNS = [
 ]
 
 GOLDEN_SHA256 = {
-    "0_example1/example1.csv": "6d9c5d3b3bbf6903482fc26d778891b4809f52d1a42738198cccd7f5777f373d",
-    "1_table3/table3.csv": "c929bb14152f1aa03bb8fa3f20b3f06be0c230d4183a15a7bea617926b543205",
-    "2_grid/grid.csv": "76531200751a6196d3e5c352f6ad71e91bdda5112de80796ff0a9799bcc83b42",
-    "3_impaired/impaired.csv": "a8d02a9521854a749acdf781efeb01b4f09b3b010f1328a11f6bd62ab7079dfe",
-    "4_ber/ber.csv": "89b425184a64d9bc761a92abb968309edeb14ddd198061cff0c6879c871bdb57",
-    "5_approx_sweep/approx_sweep.csv": "5909d2f5a3eba5a036f068a8c615abeef6a6bdadc647c2d901586cb1a3a2421b",
-    "6_nsweep/nsweep.csv": "354de47903e46842a321c6e2d328936ef500b2e592f4973a3a0862f9d84a0b5f",
+    "0_example1/example1.csv": "f3d2ad671c550669f3fe53bf3abd86c6650f5dd854083fe2b42affb44f272b89",
+    "1_table3/table3.csv": "35d971e6abf0446e7679c0d7a72cd1c2968aacf8fc444de04fea0942c580c838",
+    "2_grid/grid.csv": "81e3d485370e4e704b4db23b77fa6e401411f39fc05658613666d7904889b876",
+    "3_impaired/impaired.csv": "ab8e46e3f5327b2a953a569ae2f49ce860d2d0833fea0148ada4aa2fcd446d58",
+    "4_ber/ber.csv": "8cd97e969cf379f8139bb9c6a8f1521462cd2e812e29c25b5be6bdf13d2e254a",
+    "5_approx_sweep/approx_sweep.csv": "4620f43af65313ea03dde24e1df8767ba799ee62dc3b0fa398c21eb94c1091d9",
+    "6_nsweep/nsweep.csv": "3c639b237653dc70b9a07ed67f862a75c60da85b542cf4bafbed45678ef8237a",
     "7_opcounts/opcounts.csv": "8f63f195c21dfd794fdc23e59eba00e48cbd23bb196545ce789bcb4d9990d2af",
     "8_single/signals.csv": "9180930086911b544febc7a5cf1ba21d232c2dc77b07a55c5139f114907cac54",
-    "8_single/single.csv": "59944f9e84f640dbf97da15c969e70e238cc237edbfdd654bd9366365fafabb9",
-    "9_single/single.csv": "fde726f1a7a75159e0627c1aaa443718e19066baa7b44b492edc8f60be52f78a",
+    "8_single/single.csv": "01fd77f2f916fa68e014e5aa57043dabb3a3ab7f4d977e99c530999774fe8f22",
+    "9_single/single.csv": "b63eb994d99020e8e7bc3d7e0224980f381c8c2315280b13d9f272a91924a7ed",
     "design/bank_L2_NG8.txt": "264c2aa23375b8542adf9b42342482e9b6368ad5ce1597425463b7eeb0c43a12",
     "design/design_report.csv": "11224d52ef4cacf85e2974292798ed0db675fed5844cd435a493d04b8d9b8ac6",
     "design/measure.csv": "11224d52ef4cacf85e2974292798ed0db675fed5844cd435a493d04b8d9b8ac6",
