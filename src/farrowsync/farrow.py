@@ -45,7 +45,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 #: Largest per-sample delay magnitude the banks are designed for.
 DESIGN_DELAY_LIMIT = 0.5
@@ -123,34 +122,36 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
     ``u[k][n] = sum_i g_k[i] * x1[n + N_G - i]`` for ``n = 0..len(x1)-N_G-1``,
     so the output window is ``N_G`` samples shorter than the input.  All
     branches run as one matrix product of the reversed taps with the sliding
-    windows of ``x1``, taken over blocks of output columns.  A complex
-    stream runs as two real passes, one per component.  Leading axes of
-    ``x1`` are trials: ``(..., n)`` gives ``(..., L+1, n - N_G)``, each
-    stream filtered on its own straight into its slot of the one result, so
-    every trial gets the bits of a one-stream call.
+    windows of ``x1``, taken over blocks of output columns, and each product
+    is written straight into its slot of the result.  A complex stream runs
+    as two real passes, one per component.  Leading axes of ``x1`` are
+    trials: ``(..., n)`` gives ``(..., L+1, n - N_G)``, each stream filtered
+    on its own, so every trial gets the bits of a one-stream call.
     """
     x1 = np.asarray(x1)
     order = bank.order
     n_out = (x1.shape[-1] if x1.ndim else 0) - order
     if n_out <= 0:
         raise ValueError(f"need more than N_G = {order} input samples per stream, got {n_out + order}")
-    rows = x1.reshape(-1, x1.shape[-1])
-    u = np.empty((len(rows), bank.degree + 1, n_out), dtype=np.complex128 if np.iscomplexobj(x1) else np.float64)
-    passes = [(u.real, rows.real), (u.imag, rows.imag)] if np.iscomplexobj(x1) else [(u, rows)]
+    # Contiguous streams of u's dtype (strided ones, such as the real parts of
+    # complex streams, are copied), so that each window matrix is a view.
+    rows = np.ascontiguousarray(x1.reshape(-1, x1.shape[-1]), dtype=np.complex128 if np.iscomplexobj(x1) else np.float64)
+    u = np.empty((len(rows), bank.degree + 1, n_out), dtype=rows.dtype)
+    passes = [(u.real, 0), (u.imag, 8)] if np.iscomplexobj(x1) else [(u, 0)]
+    step = rows.itemsize
     reversed_taps = bank.taps[:, ::-1]
     # A non-finite input sample gives non-finite outputs quietly, as a
     # convolution would; the estimator rejects them.
     with np.errstate(invalid="ignore", over="ignore"):
-        for out, part in passes:
+        for out, offset in passes:
             for start in range(0, n_out, _FILTER_BLOCK):
                 stop = min(start + _FILTER_BLOCK, n_out)
                 for b in range(len(rows)):
-                    # Row j of stream b's window matrix is x1[b, start + j : stop + j],
-                    # so column n is x1[b, n : n + N_G + 1].  The contiguous copy
-                    # makes a strided component and a contiguous stream run the
-                    # same product.
-                    windows = as_strided(part[b, start:], (order + 1, stop - start), part.strides[-1:] * 2, writeable=False)
-                    out[b, :, start:stop] = reversed_taps @ np.ascontiguousarray(windows)
+                    # Row j of stream b's window matrix holds the component's samples
+                    # start + j .. stop + j - 1, so column n holds n .. n + N_G.  The
+                    # product of a contiguous copy runs faster than that of the view.
+                    windows = np.ndarray((order + 1, stop - start), np.float64, rows[b], offset + start * step, (step, step))
+                    np.matmul(reversed_taps, np.ascontiguousarray(windows), out=out[b, :, start:stop])
     return SubfilterOutputs(u.reshape(x1.shape[:-1] + u.shape[1:]))
 
 

@@ -16,7 +16,8 @@ a ``work`` function, and :func:`_run_chunks` runs them: in chunks of at most
 :func:`compute_subfilter_outputs` call, hands ``work`` the branch outputs
 and reference windows, and alone frees the chunk's arrays.  So a trial's
 measured stream is filtered once.  ``grid``, ``approx_sweep`` and ``nsweep``
-estimate from the real components and reduce with :func:`_summaries`; the
+sample the real components alone, estimate from them and reduce with
+:func:`_summaries`; the
 per-trial campaigns (``example1``, ``table3``, ``impaired`` and ``ber``)
 compensate and score the complex stream in :func:`_iteration_rows`, with
 one Horner pass and one ``nmse`` call per kept trial and bank.  The chunk
@@ -214,9 +215,10 @@ def _run_chunks(keys: Iterable[tuple], draw: Callable, bank: CoefficientBank, sp
     chunk is sampled over ``span`` samples from sample ``-lead`` with one
     :func:`sample_pairs` call, and each measured stream is filtered alone.
     ``work`` gets the chunk's keys, a tuple per extra, the branch outputs
-    ``u`` and the reference windows ``ref``, one row per trial.  With
-    ``real`` both hold the real components alone and ``ref`` is its own
-    array; otherwise ``ref`` is a view of the chunk's whole ``x0``.
+    ``u`` and the reference windows ``ref``, a view of the chunk's whole
+    ``x0``, one row per trial.  With ``real`` the chunk is sampled real
+    (``sample_pairs(..., real=True)``), so both hold the real components
+    alone.
     """
     keys = list(keys)
     return [_sample_chunk(keys[lo : lo + TRIAL_CHUNK], draw, bank, span, work, lead, real) for lo in range(0, len(keys), TRIAL_CHUNK)]
@@ -225,18 +227,16 @@ def _run_chunks(keys: Iterable[tuple], draw: Callable, bank: CoefficientBank, sp
 def _sample_chunk(chunk: list[tuple], draw: Callable, bank: CoefficientBank, span: int, work: Callable, lead: int, real: bool):
     """One chunk of :func:`_run_chunks`, in a frame that ends with it.
 
-    The models and ``x0`` go before the filter runs (unless ``ref`` views
-    ``x0``), ``x1`` before ``work`` runs, and the rest with this frame.
+    The models go before the filter runs, ``x1`` before ``work`` runs, and
+    the rest, among it the ``x0`` that ``ref`` views, with this frame.
     """
     models, impairments, *extras = zip(*(draw(*key) for key in chunk))
     gd = bank.group_delay
-    x0, x1 = sample_pairs(models, impairments, span + bank.order, start=-lead - gd)
+    x0, x1 = sample_pairs(models, impairments, span + bank.order, start=-lead - gd, real=real)
     ref = x0[:, gd : gd + span]
-    if real:
-        ref, x1 = ref.real.copy(), x1.real
     del models, impairments, x0
     # One stream per filter call: perfbench's span tracer counts work per call.
-    u = np.empty((len(x1), bank.degree + 1, span), dtype=np.result_type(x1, np.float64))
+    u = np.empty((len(x1), bank.degree + 1, span), dtype=x1.dtype)
     for b in range(len(x1)):
         u[b] = compute_subfilter_outputs(x1[b], bank).u
     del x1
@@ -516,7 +516,7 @@ def ber_rows(trials: int, base_seed: int, *, snrs: Iterable[float] = (30.0,)) ->
         return model, ImpairmentSpec(delta=delta, epsilon=epsilon, snr_db=snr, seed=stable_seed(base_seed, "ber", snr, t, "noise")), seed, payload
 
     def bits(y: np.ndarray, snr: float, t: int, seed: int, payload):
-        errors, total, _ = qam_demod_ber(ofdm_demodulate(y, plan), payload.symbols, spec.qam_order)
+        errors, total, _ = qam_demod_ber(ofdm_demodulate(y, plan), payload.levels, spec.qam_order)
         return [(count, total) for count in errors.tolist()]
 
     def row(trial, label: str, m: int, d: float, e: float, err: float, counts: tuple):

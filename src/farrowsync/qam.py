@@ -88,6 +88,17 @@ def _decide(symbols: np.ndarray, m: int) -> np.ndarray:
     return index.astype(np.intp)
 
 
+@lru_cache(maxsize=None)
+def _label_levels(order: int) -> np.ndarray:
+    """``table[label]``: the in-phase and quadrature level indices of the symbol with that label, shape ``(order, 2)``.
+
+    Taking a block's labels from it and flattening gives the interleaved
+    levels that :func:`_decide` finds for the block's symbols.  Built on
+    first use, like :func:`constellation`.
+    """
+    return _decide(constellation(order), _check_order(order)).reshape(order, 2)
+
+
 def _bit_distance(m: int) -> np.ndarray:
     """``table[i * m + j]``: the number of bits in which the per-axis Gray labels of levels ``i`` and ``j`` differ."""
     gray = _gray_encode(np.arange(m))
@@ -103,9 +114,11 @@ def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int)
 
     The last axis is one block of symbols and leading axes of ``rx_symbols``
     are separate blocks; ``tx_symbols`` broadcasts against them, so one sent
-    block scored against several received ones is decided once.  Returns
-    ``(bit_errors, total_bits)`` per block; a non-finite symbol is a
-    ``ValueError``.
+    block scored against several received ones is decided once.  An integer
+    ``tx_symbols`` holds the sent symbols' level indices instead, in-phase
+    and quadrature interleaved along the last axis (as ``OfdmPayload.levels``),
+    and is not decided at all.  Returns ``(bit_errors, total_bits)`` per
+    block; a non-finite symbol is a ``ValueError``.
 
     A symbol's label holds the in-phase Gray bits above the quadrature ones,
     so the popcount of the XOR of two labels is the sum of the per-axis
@@ -115,11 +128,10 @@ def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int)
     """
     rx_symbols = np.asarray(rx_symbols)
     tx_symbols = np.asarray(tx_symbols)
-    if np.broadcast_shapes(rx_symbols.shape, tx_symbols.shape) != rx_symbols.shape:
-        raise ValueError(f"tx symbols of shape {tx_symbols.shape} do not broadcast against rx symbols of shape {rx_symbols.shape}")
     m = _check_order(order)
     pairs = _decide(rx_symbols, m) * m
-    pairs += _decide(tx_symbols, m)
+    # In place, so a tx that does not broadcast against rx is a ValueError.
+    pairs += tx_symbols if tx_symbols.dtype.kind == "i" else _decide(tx_symbols, m)
     errors = _BIT_DISTANCE[m].take(pairs).sum(axis=-1)
     total = rx_symbols.shape[-1] * bits_per_symbol(order)
     return errors, total

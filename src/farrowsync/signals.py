@@ -21,10 +21,10 @@ A chirp-z plan depends only on ``(n_tones, count, w)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
 sampling rate, so plans are kept in a module-level cache bounded by the
 bytes of their arrays (:data:`_CZT_PLAN_CACHE_BYTES`) and shared across
-trials and models.  The frequency grid of a model is checked once per
-distinct grid (by its bytes), and OFDM models share one read-only layout;
-only the coefficients are checked for every model.  Those two caches get a
-sixteenth of the plan budget each.  A cached plan is the result of the same
+trials and models.  OFDM models share one read-only layout, which carries
+its frequency grid already checked, so an OFDM model checks only its
+coefficients; every other model checks its grid as it is built.  The
+layout cache gets a sixteenth of the plan budget.  A cached plan is the result of the same
 arithmetic on the same inputs as a fresh one, so the samples are bit for
 bit those of a plan built on every call.  The transform runs in place on
 one zero-padded buffer per padded length and call: each row's input is
@@ -43,6 +43,16 @@ broadcast across rows can differ from the one-row product in the last bit
 transform, the carrier rotation and the noise run row by row on contiguous
 rows.  Every Monte-Carlo campaign samples its trials through it, capped at
 ``harness.TRIAL_CHUNK`` rows a batch, which bounds the memory a batch holds.
+
+With ``real=True`` the sampler returns the real components alone, each row
+bit for bit the real part of that row in a complex call, for campaigns that
+estimate from one real component.  The noise is drawn in the order of a
+complex call: each trial's generator gives x0 its in-phase and then its
+quadrature block, and x1 its in-phase block, which goes straight into the
+real output.  x1's quadrature block, the last draw, is not drawn at all.
+x0's is drawn although nothing reads it: the ziggurat sampler takes a
+varying number of random bits, so skipping it would shift x1's noise.  The
+SNR is still measured against the complex power of each channel.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -78,9 +88,8 @@ _DIRECT_CHUNK = 4096
 # Bytes of plan arrays the chirp-z cache may hold.  A desk campaign needs at
 # most 30 plans at once (approx_sweep: 15 window lengths times 2 sampling
 # rates) of about 0.1 MiB each; one (512, 2**20) plan alone holds 32 MiB.
-# The grid-check and OFDM-layout caches get a sixteenth of it each, so the
-# three together hold at most 72 MiB of arrays and grid bytes beyond the
-# entry each built last, which always stays.
+# The OFDM-layout cache gets a sixteenth of it, so the two together hold at
+# most 68 MiB of arrays beyond the entry each built last, which always stays.
 _CZT_PLAN_CACHE_BYTES = 64 << 20
 
 
@@ -180,17 +189,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _Grid(NamedTuple):
-    """Facts of a validated frequency grid; ``nbytes`` is what its cache key holds."""
+    """Facts of a validated frequency grid."""
 
     uniform: bool
     w0: float
     dw: float
-    nbytes: int
 
 
-def _check_grid(omega_bytes: bytes) -> _Grid:
-    """Validate the tone frequencies held in ``omega_bytes`` (float64) and describe their grid."""
-    omegas = np.frombuffer(omega_bytes)
+def _check_grid(omegas: np.ndarray) -> _Grid:
+    """Validate the tone frequencies ``omegas`` (float64) and describe their grid."""
     if not np.all(np.isfinite(omegas)):
         raise ValueError("model parameters must be finite")
     if np.max(np.abs(omegas)) > MAX_OMEGA + 1e-12:
@@ -199,12 +206,11 @@ def _check_grid(omega_bytes: bytes) -> _Grid:
     if np.any(steps <= 0):
         raise ValueError("omegas must be strictly increasing")
     uniform = omegas.size < 3 or bool(np.all(np.abs(steps - steps[0]) <= 1e-12))
-    return _Grid(uniform, float(omegas[0]), float(steps[0]) if steps.size else 0.0, len(omega_bytes))
+    return _Grid(uniform, float(omegas[0]), float(steps[0]) if steps.size else 0.0)
 
 
-# Chirp-z plans by ``(n, m, w)``; the check of each distinct frequency grid by its bytes.
+# Chirp-z plans by ``(n, m, w)``.
 _czt_plan = _ByteLRU(_ChirpZPlan)
-_grids = _ByteLRU(_check_grid, share=1 / 16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +220,7 @@ class HarmonicSignalModel:
     coefficients: np.ndarray  # complex tone coefficients c_k
     omegas: np.ndarray
     is_complex: bool = False
+    _grid: _Grid | None = None  # the check of ``omegas``, when a layout already holds it
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
@@ -224,8 +231,7 @@ class HarmonicSignalModel:
             raise ValueError("model must contain at least one tone")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("model parameters must be finite")
-        # One check per distinct grid: a campaign's models share a few.
-        object.__setattr__(self, "_grid", _grids(omegas.tobytes()))
+        object.__setattr__(self, "_grid", self._grid or _check_grid(omegas))
         for name, arr in (("coefficients", coeffs), ("omegas", omegas)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -394,11 +400,13 @@ class OfdmPayload:
     symbols: np.ndarray  # complex QAM symbols, aligned with bins
     qam_order: int
     n_fft: int
+    levels: np.ndarray  # per-axis level index of each symbol, in-phase and quadrature interleaved (see qam.count_bit_errors)
 
 
 class _OfdmLayout(NamedTuple):
     bins: np.ndarray  # signed subcarrier indices without DC, ascending
     omegas: np.ndarray  # tone frequencies of the model grid, DC included
+    grid: _Grid  # the check of omegas, which every model of the layout takes
 
     @property
     def nbytes(self) -> int:
@@ -409,7 +417,8 @@ def _ofdm_layout(n_fft: int, active_subcarriers: int) -> _OfdmLayout:
     """The read-only subcarrier layout that every OFDM model of these sizes shares."""
     half = active_subcarriers // 2
     bins = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
-    return _OfdmLayout(_read_only(bins), _read_only(2.0 * np.pi * np.arange(-half, half + 1) / n_fft))
+    omegas = _read_only(2.0 * np.pi * np.arange(-half, half + 1) / n_fft)
+    return _OfdmLayout(_read_only(bins), omegas, _check_grid(omegas))
 
 
 _ofdm_layouts = _ByteLRU(_ofdm_layout, share=1 / 16)
@@ -421,19 +430,22 @@ def make_ofdm(spec: OfdmSpec) -> tuple[HarmonicSignalModel, OfdmPayload]:
     Subcarriers ``k = -A/2..A/2`` excluding DC carry random QAM symbols; the
     DC bin is kept in the model with zero amplitude so the frequency grid
     stays uniform for the fast evaluation path.  Models and payloads of one
-    layout share its read-only ``omegas`` and ``bins``.
+    layout share its read-only ``omegas``, ``bins`` and checked grid.  The
+    payload's level indices are read from the drawn labels, not decided
+    from the symbols.
     """
     from . import qam
 
     rng = np.random.default_rng(spec.seed)
     layout = _ofdm_layouts(spec.n_fft, spec.active_subcarriers)
     half = spec.active_subcarriers // 2
-    symbols = qam.random_symbols(spec.qam_order, layout.bins.size, rng)
+    labels = rng.integers(0, spec.qam_order, size=layout.bins.size)  # the draw of qam.random_symbols
+    symbols = qam.constellation(spec.qam_order)[labels]
     coeffs = np.zeros(layout.omegas.size, dtype=np.complex128)
     coeffs[:half], coeffs[half + 1 :] = symbols[:half], symbols[half:]
-    model = HarmonicSignalModel(coefficients=coeffs, omegas=layout.omegas, is_complex=True)
-    payload = OfdmPayload(bins=layout.bins, symbols=symbols, qam_order=spec.qam_order, n_fft=spec.n_fft)
-    return model, payload
+    model = HarmonicSignalModel(coefficients=coeffs, omegas=layout.omegas, is_complex=True, _grid=layout.grid)
+    levels = qam._label_levels(spec.qam_order).take(labels, axis=0).ravel()
+    return model, OfdmPayload(bins=layout.bins, symbols=symbols, qam_order=spec.qam_order, n_fft=spec.n_fft, levels=levels)
 
 
 class DemodulationPlan(NamedTuple):
@@ -531,8 +543,11 @@ def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator, out: np.nda
     """Add white Gaussian noise at ``snr_db`` relative to the measured power of ``x``.
 
     Complex inputs get circular noise with the variance split evenly between
-    the real and imaginary parts.  The noisy signal goes to ``out`` (a new
-    array by default; ``out=x`` adds the noise in place) and is returned.
+    the real and imaginary parts, drawn in that order.  The noisy signal
+    goes to ``out`` (a new array by default; ``out=x`` adds the noise in
+    place) and is returned.  A real ``out`` of a complex ``x`` holds the
+    real part of ``x`` and takes the real part's noise alone; the imaginary
+    part's is not drawn.
     """
     # The bits of np.mean(np.abs(x) ** 2), with one temporary.
     t = np.abs(x)
@@ -540,12 +555,10 @@ def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator, out: np.nda
     power = float(np.add.reduce(t, axis=None) / t.size)
     variance = power / 10.0 ** (snr_db / 10.0)
     out = np.array(x, dtype=np.result_type(x, np.float64)) if out is None else out
-    if np.iscomplexobj(x):
-        scale = np.sqrt(variance / 2.0)
-        out.real += rng.normal(0.0, scale, out.size)
+    scale = np.sqrt(variance / 2.0 if np.iscomplexobj(x) else variance)
+    out.real += rng.normal(0.0, scale, out.size)
+    if np.iscomplexobj(out):
         out.imag += rng.normal(0.0, scale, out.size)
-    else:
-        out += rng.normal(0.0, np.sqrt(variance), out.size)
     return out
 
 
@@ -554,12 +567,16 @@ def sample_pairs(
     impairments: Sequence[ImpairmentSpec],
     n_total: int,
     start: int = 0,
+    real: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample a batch of trials: row ``b`` of ``x0`` and ``x1`` is ``models[b]`` under ``impairments[b]``.
 
     Both outputs have shape ``(len(models), n_total)``, and each row is bit
     for bit what :func:`sample_pair` gives for that model and impairment.
-    The models must be all real or all complex.
+    The models must be all real or all complex.  With ``real``, complex
+    models give the real components alone, each bit for bit the real part
+    of the complex call's row; the noise is drawn in the complex call's
+    order, up to x1's imaginary part, which is not drawn.
     """
     if n_total <= 0:
         raise ValueError("n_total must be positive")
@@ -576,18 +593,25 @@ def sample_pairs(
     x1 = _tone_sums(models, [t0 * (1.0 + imp.delta) + imp.epsilon for imp in impairments], steps, n_total, None)
     if not is_complex:
         x0, x1 = np.ascontiguousarray(x0.real), np.ascontiguousarray(x1.real)
+    # With ``real``, x1's noise goes to its real rows alone, so its imaginary
+    # part's, the last draw, is not drawn.  x0's is, since x1's follows it.
+    y1 = np.empty(x1.shape) if real and is_complex else x1
     n = np.arange(n_total, dtype=np.float64) + t0
     for row, imp in enumerate(impairments):
         if imp.cfo_fraction != 0.0 or imp.phase_offset != 0.0:
             omega_cfo = 2.0 * np.pi * imp.cfo_fraction / imp.n_fft if imp.cfo_fraction else 0.0
             t1 = n * (1.0 + imp.delta) + imp.epsilon
-            x0[row] = x0[row] * np.exp(1j * (omega_cfo * n + imp.phase_offset))
-            x1[row] = x1[row] * np.exp(1j * (omega_cfo * t1 + imp.phase_offset))
+            x0[row] *= np.exp(1j * (omega_cfo * n + imp.phase_offset))
+            x1[row] *= np.exp(1j * (omega_cfo * t1 + imp.phase_offset))
+        if y1 is not x1:
+            y1[row] = x1[row].real
         if imp.snr_db is not None:
             rng = np.random.default_rng(imp.seed)
             add_awgn(x0[row], imp.snr_db, rng, out=x0[row])
-            add_awgn(x1[row], imp.snr_db, rng, out=x1[row])
-    return x0, x1
+            add_awgn(x1[row], imp.snr_db, rng, out=y1[row])
+    if y1 is not x1:
+        x0 = np.ascontiguousarray(x0.real)
+    return x0, y1
 
 
 def sample_pair(

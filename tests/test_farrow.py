@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farrowsync.design import ERROR_FRONTIER, DesignSpec, design_bank, measure_error
 from farrowsync.estimation import OffsetParams
 from farrowsync.farrow import (
+    _FILTER_BLOCK,
     CoefficientBank,
     SubfilterOutputs,
     bank_from_text,
@@ -230,6 +232,50 @@ def test_a_batch_of_streams_gives_every_row_the_bits_of_a_one_stream_call(canoni
         one = compute_subfilter_outputs(x[trial], canonical_bank).u
         assert one.shape == shape
         assert u[trial].dtype == one.dtype and u[trial].tobytes() == one.tobytes(), trial
+
+
+def _strided_subfilter_outputs(x1, bank):
+    """The branch filter as it was first written: ``as_strided`` windows of each component, a contiguous copy, and ``@``."""
+    x1 = np.asarray(x1)
+    order, n_out = bank.order, x1.shape[-1] - bank.order
+    rows = x1.reshape(-1, x1.shape[-1])
+    u = np.empty((len(rows), bank.degree + 1, n_out), dtype=np.complex128 if np.iscomplexobj(x1) else np.float64)
+    passes = [(u.real, rows.real), (u.imag, rows.imag)] if np.iscomplexobj(x1) else [(u, rows)]
+    for out, part in passes:
+        for start in range(0, n_out, 4096):
+            stop = min(start + 4096, n_out)
+            for b in range(len(rows)):
+                windows = as_strided(part[b, start:], (order + 1, stop - start), part.strides[-1:] * 2, writeable=False)
+                out[b, :, start:stop] = bank.taps[:, ::-1] @ np.ascontiguousarray(windows)
+    return u.reshape(x1.shape[:-1] + u.shape[1:])
+
+
+def _random_bank(degree, order, seed):
+    taps = np.random.default_rng(seed).standard_normal((degree + 1, order + 1))
+    taps[0] = 0.0
+    taps[0, order // 2] = 1.0
+    return CoefficientBank(taps)
+
+
+@pytest.mark.parametrize("kind", ["real", "real_part_view", "complex", "batch", "strided_batch", "long_real", "long_complex"])
+def test_branch_outputs_have_the_bits_of_the_strided_window_product(canonical_bank, kind):
+    assert _FILTER_BLOCK == 4096
+    for bank in (_random_bank(1, 2, 1), canonical_bank, _random_bank(7, 62, 2)):
+        n = 1036 if not kind.startswith("long") else _FILTER_BLOCK + bank.order + 300
+        rng = np.random.default_rng(n + bank.order)
+        z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        x = {
+            "real": np.ascontiguousarray(z[0].real),
+            "real_part_view": z[0].real,
+            "complex": z[0],
+            "batch": np.ascontiguousarray(z.real),
+            "strided_batch": z.real,
+            "long_real": np.ascontiguousarray(z[1].real),
+            "long_complex": z[1],
+        }[kind]
+        got, want = compute_subfilter_outputs(x, bank).u, _strided_subfilter_outputs(x, bank)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (bank.degree, bank.order)
 
 
 def test_branch_filter_memory_does_not_grow_with_the_window_matrix(canonical_bank):

@@ -437,10 +437,11 @@ class TestRunExperiment:
     def test_a_grid_chunk_drops_its_complex_streams_before_estimating(self, per_cell):
         # The desk grid at one trial per cell is one 50-trial chunk, and at
         # four it is three chunks of 64 and one of 8.  The estimators read
-        # real parts alone, so the complex x0 and x1 are freed before they
-        # run, and a chunk's branch outputs are freed before the next chunk
-        # is sampled.  Peaks: 4.65 and 5.74 MB; 4.97 and 6.81 MB with x1
-        # kept; 8.8 MB at four per cell with the branch outputs kept.
+        # real parts alone, so the sampler returns real rows and frees the
+        # complex x0 and x1, the real x1 is freed before they run, and a
+        # chunk's branch outputs are freed before the next chunk is sampled.
+        # Peaks: 4.65 and 5.73 MB; 4.97 and 6.81 MB with x1 kept; 8.8 MB at
+        # four per cell with the branch outputs kept.
         harness.grid_rows(1, 42)  # designs and caches the bank, builds the plans
         bank, rows, n = get_bank(), min(50 * per_cell, harness.TRIAL_CHUNK), 1000
         streams = rows * 2 * (n + bank.order) * np.dtype(np.complex128).itemsize  # x0 and x1
@@ -470,7 +471,7 @@ class TestRunExperiment:
         def work(chunk, extras, u, ref):
             x0, x1 = sampled
             assert x1() is None
-            assert x0() is None if real else ref.base is x0()  # a complex campaign's windows are views of x0
+            assert ref.base is x0()  # the windows are views of x0, real or complex as sampled
             for row, (t,) in enumerate(chunk):  # each row is its trial sampled from -lead and filtered alone
                 want_x0, want_x1 = sample_pair(*draw(t)[:2], span + bank.order, start=-lead - gd)
                 want_ref = want_x0[gd : gd + span]
@@ -489,6 +490,22 @@ class TestRunExperiment:
         chunks = harness._run_chunks(((t,) for t in range(3)), draw, bank, span, work, lead, real)
         assert chunks == [([(0,), (1,)], [(0, 1)]), ([(2,)], [(2,)])]
         assert [alive() for alive in held] == [None] * 3
+
+    def test_the_grid_samples_real_components_and_the_per_trial_campaigns_complex_streams(self, monkeypatch):
+        asked, sampler = [], harness.sample_pairs
+        monkeypatch.setattr(harness, "sample_pairs", lambda *args, **kwargs: asked.append(kwargs.get("real", False)) or sampler(*args, **kwargs))
+        harness.grid_rows(1, 42)
+        assert asked == [True]
+        per_trial = [
+            lambda: harness.example1_rows(2, 42),
+            lambda: harness.table3_rows(1, 42, signals=("multisine",), snrs=(30.0,)),
+            lambda: harness.impaired_rows(2, 42),
+            lambda: harness.ber_rows(2, 42),
+        ]
+        for campaign in per_trial:
+            asked.clear()
+            campaign()
+            assert asked == [False]
 
     @pytest.mark.parametrize(
         "name,key,value",

@@ -148,3 +148,17 @@ def test_constellation_is_built_once_and_read_only():
     assert not points.flags.writeable
     with pytest.raises(ValueError):
         points[0] = 0.0
+
+
+@pytest.mark.parametrize("order", [16, 64])
+def test_bit_counts_against_sent_levels_equal_those_against_sent_symbols(order):
+    rng = np.random.default_rng(order)
+    labels = rng.integers(0, order, 300)
+    tx = qam.constellation(order)[labels]
+    rx = tx + rng.normal(0.0, 0.9, (4, 300)) + 1j * rng.normal(0.0, 0.9, (4, 300))
+    levels = qam._label_levels(order).take(labels, 0).ravel()
+    errors, total = qam.count_bit_errors(rx, levels, order)
+    assert np.array_equal(errors, qam.count_bit_errors(rx, tx, order)[0]) and errors.min() > 0
+    assert total == 300 * qam.bits_per_symbol(order)
+    with pytest.raises(ValueError):
+        qam.count_bit_errors(rx, levels[:-2], order)

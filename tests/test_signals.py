@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import CZT, czt
 
-from farrowsync import signals
+from farrowsync import qam, signals
 from farrowsync.harness import Options, run_experiment
 from farrowsync.signals import (
     _ChirpZPlan,
     _czt_plan,
-    _grids,
+    _ofdm_layouts,
     _next_fast_len,
     HarmonicSignalModel,
     ImpairmentSpec,
@@ -110,12 +110,9 @@ class TestHarmonicModel:
         [([0.1, np.nan], "finite"), ([-np.inf, 0.2], "finite"), ([0.5, 0.95 * np.pi], "0.9"), ([0.5, 0.5], "increasing"), ([0.3, 0.2, 0.4], "increasing")],
     )
     def test_a_bad_grid_raises_on_every_attempt(self, omegas, message):
-        # Grid checks are cached by the grid's bytes; a failed check is not.
-        cached = _grids.cache_info().currsize
         for _ in range(3):
             with pytest.raises(ValueError, match=message):
                 HarmonicSignalModel(np.ones(len(omegas)), np.array(omegas))
-        assert _grids.cache_info().currsize == cached
 
     def test_coefficients_are_checked_for_every_model_on_a_known_grid(self):
         omegas = np.array([0.1, 0.2, 0.3])
@@ -138,7 +135,6 @@ class TestHarmonicModel:
     )
     def test_uniform_grid_test_is_unchanged(self, omegas, uniform):
         omegas = np.asarray(omegas, dtype=np.float64)
-        # The second attempt reads the cached check.
         for _ in range(2):
             model = HarmonicSignalModel(np.ones(omegas.size), omegas)
             assert model.has_uniform_grid is uniform
@@ -259,17 +255,18 @@ class TestPlanCache:
         ]
         return models, impairments
 
-    def test_grid_checks_stay_within_their_share_of_the_budget(self, monkeypatch):
-        # A 64-tone grid holds 512 bytes; the grid cache gets a sixteenth of the budget.
-        monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", 16 * 3 * 512)
-        _grids.cache_clear()
-        for k in range(20):
-            make_multisine(bandwidth=0.5 + 0.01 * k, seed=k)
-            info = _grids.cache_info()
-            assert info.nbytes <= 3 * 512 and info.currsize <= 3
-        assert (info.hits, info.misses) == (0, 20)
-        make_multisine(bandwidth=0.5 + 0.01 * 19, seed=99)
-        assert _grids.cache_info().hits == 1
+    def test_ofdm_models_run_no_grid_check_after_their_layouts_first(self, monkeypatch):
+        checks = []
+        check = signals._check_grid
+        monkeypatch.setattr(signals, "_check_grid", lambda omegas: checks.append(omegas.size) or check(omegas))
+        _ofdm_layouts.cache_clear()
+        models = [make_ofdm(OfdmSpec(qam_order=16, seed=k))[0] for k in range(50)]
+        assert checks == [1537]
+        assert all(model._grid is models[0]._grid for model in models)
+        assert models[0]._grid == check(models[0].omegas)
+        # Other models check their grid as they are built.
+        make_multisine(seed=1)
+        assert checks == [1537, 64]
 
     def test_sampling_a_warm_grid_chunk_holds_little_beyond_its_output(self):
         # Each row's input is written into the head of the one zero-padded
@@ -324,6 +321,13 @@ class TestGenerators:
         dc = payload.bins.size // 2
         np.testing.assert_array_equal(np.delete(model.coefficients, dc), payload.symbols)
         assert model.coefficients[dc] == 0.0
+
+    @pytest.mark.parametrize("qam_order", [16, 64])
+    def test_ofdm_payload_levels_are_those_decided_from_its_symbols(self, qam_order):
+        payload = make_ofdm(OfdmSpec(qam_order=qam_order, seed=qam_order))[1]
+        assert np.unique(payload.symbols).size == qam_order  # every label is drawn
+        decided = qam._decide(payload.symbols, int(np.sqrt(qam_order)))
+        assert payload.levels.dtype == decided.dtype and np.array_equal(payload.levels, decided)
 
     def test_ofdm_models_share_one_read_only_layout(self):
         (a, pa), (b, pb) = make_ofdm(OfdmSpec(qam_order=16, seed=2)), make_ofdm(OfdmSpec(qam_order=64, seed=3))
@@ -448,6 +452,11 @@ class TestImpairments:
             y = x.copy()
             assert add_awgn(y, 10.0, np.random.default_rng(4), out=y) is y
             assert np.array_equal(fresh, y) and not np.array_equal(fresh, x)
+            # A real one holding the real part takes the real part's noise alone.
+            real, rng = np.ascontiguousarray(x.real), np.random.default_rng(4)
+            add_awgn(x, 10.0, rng, out=real)
+            assert real.tobytes() == np.ascontiguousarray(fresh.real).tobytes()
+            assert rng.standard_normal() == np.random.default_rng(4).standard_normal(64 + 1)[-1]
 
     def test_infinite_snr_is_noiseless(self):
         model = _toy_model(True)
@@ -545,6 +554,38 @@ class TestTrialAxis:
             for batched, alone in zip((x0[row], x1[row]), sample_pair(model, imp, n_total, start=start)):
                 batched, alone = batched.view(np.float64), alone.view(np.float64)
                 assert np.array_equal(batched, alone) and np.array_equal(np.signbit(batched), np.signbit(alone)), row
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).tobytes()
+
+    def test_real_sampling_gives_the_real_part_of_every_row_of_the_complex_call(self):
+        models = [make_ofdm(OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=k))[0] for k in range(3)]
+        models += [make_ofdm(OfdmSpec(qam_order=64, seed=k))[0] for k in range(3)] + [make_multisine(seed=9, complex_signal=True)]
+        carrier = {"cfo_fraction": 0.05, "n_fft": 2048}
+        extras = [{}, carrier, {"phase_offset": 0.7}, {**carrier, "phase_offset": -2.1}, {}, {}, carrier]
+        snrs = [None, np.inf, 5.0, 40.0, 5.0, None, 40.0]
+        impairments = [
+            ImpairmentSpec(delta=d, epsilon=e, snr_db=snr, seed=k, **extra)
+            for k, (d, e, snr, extra) in enumerate(zip([3e-4, 3e-4, -2e-4, 0.0, 1e-4, -2e-4, 3e-4], [-0.2, 0.1, 0.0, 0.3, 0.05, 0.0, -0.2], snrs, extras))
+        ]
+        x0, x1 = sample_pairs(models, impairments, 700, start=-18)
+        r0, r1 = sample_pairs(models, impairments, 700, start=-18, real=True)
+        for got in (r0, r1):
+            assert got.dtype == np.float64 and got.shape == (len(models), 700) and got.flags.c_contiguous
+        for row in range(len(models)):
+            assert self._bits(r0[row]) == self._bits(x0[row].real) and self._bits(r1[row]) == self._bits(x1[row].real), row
+        # A one-row batch, noisy and noiseless.
+        for model, imp in zip(models[3:5], impairments[3:5]):
+            a0, a1 = sample_pair(model, imp, 700, start=-18)
+            b0, b1 = sample_pairs([model], [imp], 700, start=-18, real=True)
+            assert self._bits(b0[0]) == self._bits(a0.real) and self._bits(b1[0]) == self._bits(a1.real)
+
+    def test_real_sampling_of_real_models_is_the_real_call(self):
+        models = [make_multisine(seed=k) for k in range(2)] + [make_bandpass_noise(seed=k) for k in range(2)]
+        impairments = [ImpairmentSpec(delta=1e-4 * k, epsilon=0.1, snr_db=snr, seed=k) for k, snr in enumerate([None, np.inf, 5.0, 40.0])]
+        for got, want in zip(sample_pairs(models, impairments, 300, real=True), sample_pairs(models, impairments, 300)):
+            assert got.dtype == want.dtype == np.float64 and self._bits(got) == self._bits(want)
 
     def test_batch_guards(self):
         real, cplx = make_multisine(seed=1), make_multisine(seed=1, complex_signal=True)

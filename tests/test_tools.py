@@ -16,6 +16,7 @@ def _load(name):
 
 
 csv_deviation = _load("csv_deviation")
+stage_times = _load("stage_times")
 
 
 def _write(path, text):
@@ -41,3 +42,25 @@ def test_main_reports_every_file_and_flags_a_missing_one(tmp_path, capsys):
     rows = {tuple(line.split()[:2]): float(line.split()[2]) for line in out.splitlines() if line.startswith("run/grid.csv")}
     assert rows[("run/grid.csv", "snr")] == 0.0
     assert rows[("run/grid.csv", "v")] == pytest.approx(5e-11)
+
+
+def test_stage_times_prints_every_stage_of_a_warm_call_and_restores_the_originals(capsys):
+    from farrowsync import harness, signals
+
+    originals = (harness.sample_pairs, signals.sample_pairs, signals._tone_sums, harness.write_csv)
+    assert stage_times.main(["ber", "trials=1", "--calls", "1", "--seed", "3"]) == 0
+    assert (harness.sample_pairs, signals.sample_pairs, signals._tone_sums, harness.write_csv) == originals
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ber trials=1: 1 warm calls")
+    calls = {line.split()[0]: float(line.split()[1]) for line in lines[2:-1]}
+    assert list(calls) == [name for _, name in stage_times.STAGES] and lines[-1].startswith("rest")
+    # One trial: one model, one sampled chunk, one filter call, one estimate per method and one scored block.
+    assert calls["make_ofdm"] == calls["sample_pairs"] == calls["compute_subfilter_outputs"] == calls["qam_demod_ber"] == 1
+    assert calls["_tone_sums"] == calls["add_awgn"] == calls["estimate_batch"] == 2
+
+
+@pytest.mark.parametrize("argv", [["no_such_campaign"], ["grid", "trials"], ["grid", "--calls", "0"]])
+def test_stage_times_rejects_bad_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        stage_times.main(argv)
+    assert exit_info.value.code == 2 and "usage:" in capsys.readouterr().err
