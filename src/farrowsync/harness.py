@@ -75,12 +75,27 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def format_field(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+class _FieldFormatters(dict):
+    """Each field type's formatter, chosen on its first field.
+
+    A bool is written as 0 or 1, a float or float subclass (``np.float64``)
+    with 17 significant digits (``"%.17g" % v`` gives the characters of
+    ``format(v, ".17g")``), and anything else by ``str``.
+    """
+
+    def __missing__(self, kind: type) -> Callable[[object], str]:
+        is_bool, is_float = issubclass(kind, bool), issubclass(kind, float)
+        fmt = self[kind] = "%.17g".__mod__ if is_float else (lambda v: str(int(v))) if is_bool else str
+        return fmt
+
+
+_FIELD_FORMATTERS = _FieldFormatters()
+
+
+def format_fields(row: Iterable) -> list[str]:
+    """The CSV text of each value of ``row``, by the formatter of its type."""
+    formatters = _FIELD_FORMATTERS
+    return [formatters[type(v)](v) for v in row]
 
 
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -88,8 +103,7 @@ def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> No
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([format_field(v) for v in row])
+        writer.writerows(map(format_fields, rows))
 
 
 @lru_cache(maxsize=None)

@@ -117,8 +117,9 @@ def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int)
     block scored against several received ones is decided once.  An integer
     ``tx_symbols`` holds the sent symbols' level indices instead, in-phase
     and quadrature interleaved along the last axis (as ``OfdmPayload.levels``),
-    and is not decided at all.  Returns ``(bit_errors, total_bits)`` per
-    block; a non-finite symbol is a ``ValueError``.
+    and is not decided at all; a level outside ``[0, sqrt(order))`` is a
+    ``ValueError``, as is a non-finite symbol.  Returns
+    ``(bit_errors, total_bits)`` per block.
 
     A symbol's label holds the in-phase Gray bits above the quadrature ones,
     so the popcount of the XOR of two labels is the sum of the per-axis
@@ -130,8 +131,14 @@ def count_bit_errors(rx_symbols: np.ndarray, tx_symbols: np.ndarray, order: int)
     tx_symbols = np.asarray(tx_symbols)
     m = _check_order(order)
     pairs = _decide(rx_symbols, m) * m
+    if tx_symbols.dtype.kind == "i":
+        # A level outside [0, m) would index another pair's table entry.
+        if tx_symbols.size and (tx_symbols.min() < 0 or tx_symbols.max() >= m):
+            raise ValueError(f"sent level indices must lie in [0, {m})")
+    else:
+        tx_symbols = _decide(tx_symbols, m)
     # In place, so a tx that does not broadcast against rx is a ValueError.
-    pairs += tx_symbols if tx_symbols.dtype.kind == "i" else _decide(tx_symbols, m)
+    pairs += tx_symbols
     errors = _BIT_DISTANCE[m].take(pairs).sum(axis=-1)
     total = rx_symbols.shape[-1] * bits_per_symbol(order)
     return errors, total

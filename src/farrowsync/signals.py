@@ -23,20 +23,25 @@ sampling rate, so plans are kept in a module-level cache bounded by the
 bytes of their arrays (:data:`_CZT_PLAN_CACHE_BYTES`) and shared across
 trials and models.  OFDM models share one read-only layout, which carries
 its frequency grid already checked, so an OFDM model checks only its
-coefficients; every other model checks its grid as it is built.  The
-layout cache gets a sixteenth of the plan budget.  A cached plan is the result of the same
-arithmetic on the same inputs as a fresh one, so the samples are bit for
-bit those of a plan built on every call.  The transform runs in place on
-one zero-padded buffer per padded length and call: each row's input is
-written straight into the buffer's head, only the padding is zeroed, and
-the plans of that length reuse the buffer in turn.  The noise is added in
-place.
+coefficients; every other model checks its grid as it is built.  The phase
+vectors that multiply a row before and after the transform depend only on
+the grid's spacing or first tone, the row's start time and step, and the
+sizes, which a campaign's offset grid fixes, so they are cached too, by the
+exact bits of those inputs.  Plans, layouts and phase vectors share the
+plan budget: the plan cache may fill all of it, the layout cache a
+sixteenth, and the input and the output phase caches a thirty-second each.
+A cached plan or vector is the result of the same arithmetic on the same
+inputs as a fresh one, so the samples are bit for bit those of one built on
+every call.  The transform runs in place on one zero-padded buffer per
+padded length and call: each row's input is written straight into the
+buffer's head, only the padding is zeroed, and the plans of that length
+reuse the buffer in turn.  The noise is added in place.
 
 The sampler has a leading trial axis: :func:`sample_pairs` samples one
 model under one impairment per row, and :func:`sample_pair` is its
 one-trial case.  Rows whose models share a chirp-z plan go through one
-stacked transform, and the phase vectors a row needs are computed once per
-distinct start time and step.  Stacked FFTs and real elementwise operations
+stacked transform, and rows with one start time and step read one cached
+pair of phase vectors.  Stacked FFTs and real elementwise operations
 give every row exactly the bits of a one-row call, but a complex multiply
 broadcast across rows can differ from the one-row product in the last bit
 (about 1e-13 was seen on x0), so the phase multiplies before and after the
@@ -72,6 +77,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
@@ -88,8 +94,10 @@ _DIRECT_CHUNK = 4096
 # Bytes of plan arrays the chirp-z cache may hold.  A desk campaign needs at
 # most 30 plans at once (approx_sweep: 15 window lengths times 2 sampling
 # rates) of about 0.1 MiB each; one (512, 2**20) plan alone holds 32 MiB.
-# The OFDM-layout cache gets a sixteenth of it, so the two together hold at
-# most 68 MiB of arrays beyond the entry each built last, which always stays.
+# The OFDM-layout cache gets a sixteenth of it and each phase-vector cache a
+# thirty-second (2 MiB: a desk grid's 25 + 25 vectors take 0.6 + 0.4 MiB), so
+# the four together hold at most 72 MiB of arrays beyond the entry each built
+# last, which always stays.
 _CZT_PLAN_CACHE_BYTES = 64 << 20
 
 
@@ -212,6 +220,28 @@ def _check_grid(omegas: np.ndarray) -> _Grid:
 # Chirp-z plans by ``(n, m, w)``.
 _czt_plan = _ByteLRU(_ChirpZPlan)
 
+# The phase vectors around a chirp-z transform are keyed by the bytes of their
+# float inputs: a dict takes -0.0 and 0.0 for one key, yet the two can give
+# vectors that differ in the sign of a zero (an output phase at a negative
+# step, for one).
+_TWO_FLOATS, _THREE_FLOATS = struct.Struct("2d"), struct.Struct("3d")
+
+
+def _input_phase(floats: bytes, n: int) -> np.ndarray:
+    """``exp(1j*dw*t0*arange(n))`` for ``(dw, t0)`` packed in ``floats``: it moves a row's start time into its coefficients."""
+    dw, t0 = _TWO_FLOATS.unpack(floats)
+    return _read_only(np.exp(1j * dw * t0 * np.arange(n)))
+
+
+def _output_phase(floats: bytes, count: int) -> np.ndarray:
+    """``exp(1j*w0*(t0 + step*arange(count)))`` for ``(w0, t0, step)`` packed in ``floats``: it moves a transform to the grid's first tone."""
+    w0, t0, step = _THREE_FLOATS.unpack(floats)
+    return _read_only(np.exp(1j * w0 * (t0 + step * np.arange(count))))
+
+
+_input_phases = _ByteLRU(_input_phase, share=1 / 32)
+_output_phases = _ByteLRU(_output_phase, share=1 / 32)
+
 
 @dataclass(frozen=True, eq=False)
 class HarmonicSignalModel:
@@ -298,23 +328,17 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
     for key, plan in plans.items():
         rows_per_length[plan.nfft] = max(rows_per_length.get(plan.nfft, 0), len(groups[key]))
     buffers = {nfft: np.empty((rows, nfft), dtype=np.complex128) for nfft, rows in rows_per_length.items()}
-    before: dict[tuple, np.ndarray] = {}
-    after: dict[tuple, np.ndarray] = {}
     for key, rows in groups.items():
         plan, n_tones = plans[key], key[0]
         a = buffers[plan.nfft][: len(rows)]
         for i, row in enumerate(rows):
             # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
-            dw, t0 = models[row]._grid.dw, float(t0s[row])
-            if (dw, t0, n_tones) not in before:
-                before[dw, t0, n_tones] = np.exp(1j * dw * t0 * np.arange(n_tones))
-            np.multiply(models[row].coefficients, before[dw, t0, n_tones], out=a[i, :n_tones])
+            phases = _input_phases(_TWO_FLOATS.pack(models[row]._grid.dw, t0s[row]), n_tones)
+            np.multiply(models[row].coefficients, phases, out=a[i, :n_tones])
         spectrum = plan.transform(a)
         for i, row in enumerate(rows):
-            w0, t0, step = models[row]._grid.w0, float(t0s[row]), float(steps[row])
-            if (w0, t0, step) not in after:
-                after[w0, t0, step] = np.exp(1j * w0 * (t0 + step * np.arange(count)))
-            np.multiply(spectrum[i], after[w0, t0, step], out=out[row])
+            phases = _output_phases(_THREE_FLOATS.pack(models[row]._grid.w0, t0s[row], steps[row]), count)
+            np.multiply(spectrum[i], phases, out=out[row])
     return out
 
 

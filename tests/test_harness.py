@@ -18,7 +18,7 @@ from farrowsync.harness import (
     ConfigError,
     Options,
     _true_params,
-    format_field,
+    format_fields,
     get_bank,
     load_config,
     run_design,
@@ -64,16 +64,20 @@ class TestSeeding:
 
 class TestCsv:
     def test_format_field_types(self):
-        assert format_field(True) == "1"
-        assert format_field(False) == "0"
-        assert format_field(3) == "3"
-        assert format_field("newton") == "newton"
-        assert float(format_field(0.1)) == 0.1
+        assert format_fields([True, False, 3, "newton"]) == ["1", "0", "3", "newton"]
+        assert float(format_fields([0.1])[0]) == 0.1
+
+    def test_format_field_formats_numpy_scalars_as_the_python_kinds_they_subclass(self):
+        # np.float64 is a float subclass and keeps 17 significant digits, where str() would give "0.1".
+        assert format_fields([np.float64(0.1), 0.1]) == ["0.10000000000000001"] * 2
+        assert format_fields([np.int64(-7), np.int64(1), True]) == ["-7", "1", "1"]
+        values = [*np.random.default_rng(1).standard_normal(200) * 10.0 ** np.arange(-100, 100), 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        expected = [format(float(value), ".17g") for value in values]
+        assert format_fields(map(np.float64, values)) == format_fields(map(float, values)) == expected
 
     def test_floats_round_trip(self):
-        rng = np.random.default_rng(0)
-        for value in rng.standard_normal(50):
-            assert float(format_field(float(value))) == float(value)
+        values = np.random.default_rng(0).standard_normal(50).tolist()
+        assert [float(text) for text in format_fields(values)] == values
 
     def test_write_csv_creates_parents_and_formats(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "out.csv"

@@ -115,6 +115,15 @@ def test_count_bit_errors_exact():
     assert qam.count_bit_errors(tx, tx, 16) == (0, 16)
 
 
+def test_count_bit_errors_rejects_sent_levels_outside_the_axis():
+    # 16-QAM has levels 0..3 per axis; a level of 4 or -1 would index another pair's table entry.
+    rx = np.array([-3.0 - 3.0j])  # levels (0, 0)
+    assert qam.count_bit_errors(rx, np.array([0, 0]), 16) == (0, 4)
+    for levels in ((4, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="level"):
+            qam.count_bit_errors(rx, np.array(levels), 16)
+
+
 def test_count_bit_errors_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         qam.count_bit_errors(np.zeros(3, complex), np.zeros(4, complex), 16)

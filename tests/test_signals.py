@@ -141,14 +141,40 @@ class TestHarmonicModel:
             assert model._grid.w0 == omegas[0] and model._grid.dw == (omegas[1] - omegas[0] if omegas.size > 1 else 0.0)
 
 
-def _uncached_fast_path(model, t0, step, count):
-    """The fast path with a chirp-z plan built on every call."""
+def _fresh_phases(model, t0, step, count):
+    """The phase vectors before and after the transform, built on every call."""
     w0 = float(model.omegas[0])
     dw = float(model.omegas[1] - model.omegas[0])
-    x = model.coefficients * np.exp(1j * dw * t0 * np.arange(model.n_tones))
-    spectrum = czt(x, m=count, w=np.exp(1j * dw * step), a=1.0 + 0.0j)
-    result = spectrum * np.exp(1j * w0 * (t0 + step * np.arange(count)))
+    return np.exp(1j * dw * t0 * np.arange(model.n_tones)), np.exp(1j * w0 * (t0 + step * np.arange(count)))
+
+
+def _uncached_fast_path(model, t0, step, count):
+    """The fast path with a chirp-z plan and phase vectors built on every call."""
+    before, after = _fresh_phases(model, t0, step, count)
+    dw = float(model.omegas[1] - model.omegas[0])
+    spectrum = czt(model.coefficients * before, m=count, w=np.exp(1j * dw * step), a=1.0 + 0.0j)
+    result = spectrum * after
     return result if model.is_complex else result.real
+
+
+def _assert_fast_path_is_fresh(model, cases):
+    """Each case's samples, and the phase vectors the caches give it, carry the bits of ones built afresh."""
+    for t0, step, count in cases:
+        assert model.evaluate_affine(t0, step, count, fast=True).tobytes() == _uncached_fast_path(model, t0, step, count).tobytes()
+        before = signals._input_phases(signals._TWO_FLOATS.pack(model._grid.dw, t0), model.n_tones)
+        after = signals._output_phases(signals._THREE_FLOATS.pack(model._grid.w0, t0, step), count)
+        assert [before.tobytes(), after.tobytes()] == [v.tobytes() for v in _fresh_phases(model, t0, step, count)], (t0, step)
+
+
+_PHASE_CACHES = (signals._input_phases, signals._output_phases)
+
+# 0.0 and -0.0 are one dict key, but at a negative step the output phases of
+# a model whose first tone is negative differ in the sign of a zero.
+_SIGNED_ZERO_CASES = [(0.0, 1.0, 300), (-0.0, 1.0, 300), (0.0, -1.0, 300), (-0.0, -1.0, 300)]
+
+
+def _small_ofdm_model():
+    return make_ofdm(OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=2))[0]
 
 
 class TestPlanCache:
@@ -177,17 +203,18 @@ class TestPlanCache:
     @pytest.mark.parametrize("is_complex", [False, True])
     def test_cached_fast_path_is_bit_identical_to_a_fresh_plan(self, is_complex):
         model = make_multisine(seed=5, complex_signal=is_complex)
-        cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257)]
-        for t0, step, count in cases:
-            assert np.array_equal(model.evaluate_affine(t0, step, count, fast=True), _uncached_fast_path(model, t0, step, count))
-        # Fill the cache with plans of other models, sizes and steps, then
-        # check that the original cases still come out bit-identical.
-        other, _ = make_ofdm(OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=2))
+        cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257), *_SIGNED_ZERO_CASES]
+        other = _small_ofdm_model()
+        assert _fresh_phases(other, 0.0, -1.0, 300)[1].tobytes() != _fresh_phases(other, -0.0, -1.0, 300)[1].tobytes()
+        _assert_fast_path_is_fresh(model, cases)
+        _assert_fast_path_is_fresh(other, _SIGNED_ZERO_CASES)
+        # Fill the caches with plans and phases of other models, sizes and
+        # steps, then check that the original cases still come out bit-identical.
         for k in range(5):
             other.evaluate_affine(-7.0, 1.0 + k * 1e-4, 300, fast=True)
             make_bandpass_noise(seed=k).evaluate_affine(0.0, 1.0 - k * 1e-4, 400, fast=True)
-        for t0, step, count in cases:
-            assert np.array_equal(model.evaluate_affine(t0, step, count, fast=True), _uncached_fast_path(model, t0, step, count))
+        _assert_fast_path_is_fresh(model, cases)
+        _assert_fast_path_is_fresh(other, _SIGNED_ZERO_CASES)
 
     def test_desk_grid_builds_one_plan_per_sampling_rate(self, tmp_path, monkeypatch):
         grid_points = 5  # the desk default
@@ -200,6 +227,35 @@ class TestPlanCache:
         # One stacked transform per plan: x0 of all 25 cells, then x1 per delta.
         assert len(transforms) <= 1 + grid_points
         assert sum(shape[0] for shape in transforms) == 2 * grid_points**2
+
+    def test_desk_grid_fills_the_phase_caches_once(self, tmp_path):
+        # 25 offset cells: x1 takes one start time and step per cell, and x0's
+        # start time and step are those of the cell with no offset.
+        for cache in _PHASE_CACHES:
+            cache.cache_clear()
+        run_experiment("grid", Options({"trials": "1"}, "grid"), 42, False, tmp_path / "a")
+        first = [cache.cache_info() for cache in _PHASE_CACHES]
+        assert [(info.misses, info.currsize) for info in first] == [(25, 25), (25, 25)]
+        run_experiment("grid", Options({"trials": "1"}, "grid"), 43, False, tmp_path / "b")
+        second = [cache.cache_info() for cache in _PHASE_CACHES]
+        assert [info.misses for info in second] == [25, 25]
+        # Both channels of the 50 trials: 100 rows, and 100 vectors of each kind read.
+        assert [info.hits - before.hits for info, before in zip(second, first)] == [100, 100]
+        for cache in _PHASE_CACHES:
+            assert all(not vector.flags.writeable for vector in cache._values.values())
+            with pytest.raises(ValueError):
+                next(iter(cache._values.values()))[0] = 0.0
+
+    def test_phase_caches_stay_within_their_share(self, monkeypatch):
+        model = make_bandpass_noise(seed=4)
+        budget = 64 * 600 * 16  # a thirty-second holds two 9600-byte output phases (600 samples) or two 8192-byte input phases (512 tones)
+        monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", budget)
+        for cache in _PHASE_CACHES:
+            cache.cache_clear()
+        for k in range(80):
+            model.evaluate_affine(k * 0.25, 1.0, 600, fast=True)
+            assert [cache.cache_info().nbytes <= budget / 32 for cache in _PHASE_CACHES] == [True, True]
+        assert [cache.cache_info()[:3] for cache in _PHASE_CACHES] == [(0, 80, 2), (0, 80, 2)]
 
     def test_coefficients_are_read_only(self):
         coeffs = make_multisine(seed=3).coefficients
@@ -223,14 +279,20 @@ class TestPlanCache:
     def test_eviction_keeps_results_bit_identical(self, monkeypatch):
         model = make_multisine(seed=5, complex_signal=True)
         cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257)]
-        # Below one plan's size: each new plan evicts the one before and stays alone.
+        # Below one entry's size: each new plan or phase vector evicts the one before and stays alone.
         monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", 1)
-        _czt_plan.cache_clear()
+        for cache in (_czt_plan, *_PHASE_CACHES):
+            cache.cache_clear()
         for _ in range(2):
             for t0, step, count in cases:
                 assert np.array_equal(model.evaluate_affine(t0, step, count, fast=True), _uncached_fast_path(model, t0, step, count))
                 assert _czt_plan.cache_info().currsize == 1
+                assert [cache.cache_info().currsize for cache in _PHASE_CACHES] == [1, 1]
         assert _czt_plan.cache_info().hits == 0
+        # The first two cases share their start time, so only the second finds its input phases.
+        assert [cache.cache_info().hits for cache in _PHASE_CACHES] == [2, 0]
+        _assert_fast_path_is_fresh(model, _SIGNED_ZERO_CASES)
+        _assert_fast_path_is_fresh(_small_ofdm_model(), _SIGNED_ZERO_CASES)
 
     def test_plan_call_keeps_its_input_and_stacked_rows_match_one_row_calls(self):
         rng = np.random.default_rng(8)

@@ -52,11 +52,18 @@ def test_stage_times_prints_every_stage_of_a_warm_call_and_restores_the_original
     assert (harness.sample_pairs, signals.sample_pairs, signals._tone_sums, harness.write_csv) == originals
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("ber trials=1: 1 warm calls")
-    calls = {line.split()[0]: float(line.split()[1]) for line in lines[2:-1]}
-    assert list(calls) == [name for _, name in stage_times.STAGES] and lines[-1].startswith("rest")
+    rest = 2 + len(stage_times.STAGES)
+    calls = {line.split()[0]: float(line.split()[1]) for line in lines[2:rest]}
+    assert list(calls) == [name for _, name in stage_times.STAGES] and lines[rest].startswith("rest")
     # One trial: one model, one sampled chunk, one filter call, one estimate per method and one scored block.
     assert calls["make_ofdm"] == calls["sample_pairs"] == calls["compute_subfilter_outputs"] == calls["qam_demod_ber"] == 1
     assert calls["_tone_sums"] == calls["add_awgn"] == calls["estimate_batch"] == 2
+    # The warm call misses no cache: the untimed call built every plan, layout, phase vector and weight table.
+    assert lines[rest + 1].split() == ["cache", "hits", "misses", "entries", "bytes"]
+    caches = {line.split()[0]: line.split()[1:] for line in lines[rest + 2 :]}
+    assert list(caches) == [name for _, name in stage_times.CACHES]
+    assert all(int(hits) > 0 and misses == "0" and int(entries) > 0 for hits, misses, entries, _ in caches.values())
+    assert caches["_cascade_weights"][3] == "-" and int(caches["_czt_plan"][3]) > 0
 
 
 @pytest.mark.parametrize("argv", [["no_such_campaign"], ["grid", "trials"], ["grid", "--calls", "0"]])

@@ -10,8 +10,11 @@ below is timed, under every name the package binds it to.  For each stage
 it prints the calls, the milliseconds and the share of one campaign call,
 first with the stages it calls (``sample_pairs`` holds ``_tone_sums`` and
 ``add_awgn``) and then without them; ``rest`` is the time of a call that no
-stage holds.  It needs the standard library and NumPy, and ``src/`` next to
-this file (or the package installed).
+stage holds.  Then, for each cache of :data:`CACHES`, it prints the hits and
+misses of the timed calls and the entries and bytes it holds after them (an
+``lru_cache`` does not count bytes); a warm call should miss nothing.  It
+needs the standard library and NumPy, and ``src/`` next to this file (or the
+package installed).
 """
 
 from __future__ import annotations
@@ -40,6 +43,16 @@ STAGES = (
     ("metrics", "qam_demod_ber"),
     ("metrics", "nmse"),
     ("harness", "write_csv"),
+)
+
+
+#: (module, name) of every cache whose counts are printed after the stages.
+CACHES = (
+    ("signals", "_czt_plan"),
+    ("signals", "_ofdm_layouts"),
+    ("signals", "_input_phases"),
+    ("signals", "_output_phases"),
+    ("estimation", "_cascade_weights"),
 )
 
 
@@ -89,8 +102,17 @@ def installed(clock: StageClock):
             setattr(module, name, original)
 
 
-def run(campaign: str, options: dict[str, str], calls: int, seed: int) -> tuple[StageClock, float]:
-    """The stage clock of ``calls`` warm calls of ``campaign``, and their wall time in seconds."""
+def cache_infos() -> dict[str, tuple]:
+    """``cache_info()`` of every cache of :data:`CACHES`, by name."""
+    return {name: getattr(sys.modules[f"farrowsync.{module}"], name).cache_info() for module, name in CACHES}
+
+
+def run(campaign: str, options: dict[str, str], calls: int, seed: int) -> tuple[StageClock, float, dict[str, tuple]]:
+    """The stage clock of ``calls`` warm calls of ``campaign``, their wall time in seconds, and each cache's ``(hits, misses, entries, bytes)`` over them.
+
+    Hits and misses are those of the timed calls; entries and bytes are held
+    after them, and bytes are ``None`` for an ``lru_cache``.
+    """
     with tempfile.TemporaryDirectory() as out:
 
         def call(base_seed: int) -> None:
@@ -98,12 +120,17 @@ def run(campaign: str, options: dict[str, str], calls: int, seed: int) -> tuple[
 
         call(seed)
         clock = StageClock()
+        before = cache_infos()
         with installed(clock):
             start = time.perf_counter()
             for k in range(calls):
                 call(seed + k)
             wall = time.perf_counter() - start
-    return clock, wall
+    caches = {
+        name: (info.hits - before[name].hits, info.misses - before[name].misses, info.currsize, getattr(info, "nbytes", None))
+        for name, info in cache_infos().items()
+    }
+    return clock, wall, caches
 
 
 def main(argv: list[str]) -> int:
@@ -115,7 +142,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.calls < 1 or not all("=" in option for option in args.options):
         parser.error("--calls must be positive and every option must be key=value")
-    clock, wall = run(args.campaign, dict(option.split("=", 1) for option in args.options), args.calls, args.seed)
+    clock, wall, caches = run(args.campaign, dict(option.split("=", 1) for option in args.options), args.calls, args.seed)
     per_call = wall / args.calls
     print(f"{' '.join([args.campaign, *args.options])}: {args.calls} warm calls, {per_call * 1e3:.2f} ms a call")
     print(f"{'stage':<28} {'calls':>7} {'ms':>8} {'share':>7} {'self ms':>8} {'share':>7}")
@@ -124,6 +151,9 @@ def main(argv: list[str]) -> int:
         print(f"{name:<28} {row[0] / args.calls:>7.1f} {row[1] / args.calls:>8.2f} {row[2]:>7.1%} {row[3] / args.calls:>8.2f} {row[4]:>7.1%}")
     rest = wall - sum(clock.own.values())
     print(f"{'rest':<28} {'':>7} {'':>8} {'':>7} {rest / args.calls * 1e3:>8.2f} {rest / wall:>7.1%}")
+    print(f"{'cache':<28} {'hits':>7} {'misses':>7} {'entries':>8} {'bytes':>10}")
+    for name, (hits, misses, entries, nbytes) in caches.items():
+        print(f"{name:<28} {hits:>7} {misses:>7} {entries:>8} {'-' if nbytes is None else nbytes:>10}")
     return 0
 
 
