@@ -27,7 +27,6 @@ from .estimation import (
 )
 from .farrow import (
     CoefficientBank,
-    SubfilterOutputs,
     compute_subfilter_outputs,
     farrow_output,
     load_bank,
@@ -62,7 +61,6 @@ __all__ = [
     "OffsetParams",
     "OpCounts",
     "SingularSystemError",
-    "SubfilterOutputs",
     "add_awgn",
     "compute_subfilter_outputs",
     "count_operations",

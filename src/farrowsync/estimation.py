@@ -48,18 +48,21 @@ This code forms each A as one product with exact integer weights, built once
 per window length, and one pairwise ``np.add.reduce`` along the contiguous
 last axis.  That is faster than running sums, and its rounding error grows
 like log2(N) rather than N.  The gradient and the ILS right-hand side read
-only the first two sums and form only the first two.
+only the first two sums and run only the first two stages.
 
-Every step takes leading trial axes: branch outputs ``(..., L+1, N)``,
-references ``(..., N)`` and offsets of the batch shape, accumulated along the
-last axis, with 2-vectors and 2x2 matrices carrying their component axes
-first.  The Horner passes, weighted row sums and closed-form solves are real
-elementwise or per-row operations, so a batch gives every trial exactly the
-bits of a one-trial call.  :func:`estimate_batch` runs a batch and flags a
-trial whose 2x2 system is singular instead of raising;
-:func:`estimate_from_outputs` is its one-trial case and raises
-:class:`SingularSystemError` from that flag.  Every Monte-Carlo campaign
-hands it at most ``harness.TRIAL_CHUNK`` trials at a time.
+Every step takes the plain array ``u`` of branch outputs that
+:func:`compute_subfilter_outputs` returns and reads branch ``k`` as the view
+``u[..., k, :]``.  It takes leading trial axes: branch outputs
+``(..., L+1, N)``, references ``(..., N)`` and offsets of the batch shape,
+accumulated along the last axis, with 2-vectors and 2x2 matrices carrying
+their component axes first.  The Horner passes, weighted row sums and
+closed-form solves are real elementwise or per-row operations, so a batch
+gives every trial exactly the bits of a one-trial call.
+:func:`estimate_batch` runs a batch and flags a trial whose 2x2 system is
+singular instead of raising; :func:`estimate_from_outputs` is its one-trial
+case and raises :class:`SingularSystemError` from that flag.  Every
+Monte-Carlo campaign hands it at most ``harness.TRIAL_CHUNK`` trials at a
+time.
 
 Operation counters account for a fixed-point reference datapath, not for the
 numpy arithmetic executed here: multiplies by compile-time constants count as
@@ -84,7 +87,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .farrow import CoefficientBank, SubfilterOutputs, _horner, compute_subfilter_outputs, delay_out_of_range, delay_sequence, farrow_output
+from .farrow import CoefficientBank, _horner, compute_subfilter_outputs, delay_out_of_range, delay_sequence, farrow_output
 
 _METHODS = ("newton", "ils", "simplified")
 
@@ -132,14 +135,8 @@ def _cascade_weights(n_samples: int) -> np.ndarray:
     return weights
 
 
-def _cascade_outputs(v: np.ndarray, stages: int) -> tuple:
-    """The final values of the first ``stages`` cascade stages along the last axis of ``v``; see :func:`cascaded_accumulate`."""
-    weights = _cascade_weights(v.shape[-1])
-    return (np.add.reduce(v, axis=-1),) + tuple(np.add.reduce(v * w, axis=-1) for w in weights[: stages - 1])
-
-
-def cascaded_accumulate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The final values ``(a1, a2, a3)`` of the three-accumulator cascade along the last axis of ``v``.
+def cascaded_accumulate(v: np.ndarray, stages: int = 3) -> tuple:
+    """The final values ``(a1, a2, a3)`` of the three-accumulator cascade along the last axis of ``v``, or of its first ``stages``.
 
     A cascade sums ``v`` in its first stage and, in each later stage, the
     running output of the stage before, so its final values weight ``v[n]``
@@ -152,22 +149,23 @@ def cascaded_accumulate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``N`` up to about ``2**26``.  Leading axes are trials; each row is summed
     on its own, so a batch gives every trial the bits of a one-trial call.
     """
-    return _cascade_outputs(v, 3)
+    weights = _cascade_weights(v.shape[-1])
+    return (np.add.reduce(v, axis=-1),) + tuple(np.add.reduce(v * w, axis=-1) for w in weights[: stages - 1])
 
 
 def weighted_sums(acc: tuple, n_samples: int) -> tuple:
-    """Recover ``(sum v, sum n*v, sum n^2*v)`` from the cascade outputs ``(a1, a2, a3)``."""
+    """Recover ``(sum v, sum n*v, sum n^2*v)`` from the cascade outputs ``(a1, a2, a3)``, or the first two sums from ``(a1, a2)``."""
     n = float(n_samples)
-    a1, a2, a3 = acc
-    s0 = a1
-    s1 = n * a1 - a2
-    s2 = n * n * a1 - (2.0 * n + 1.0) * a2 + 2.0 * a3
-    return s0, s1, s2
+    a1, a2 = acc[:2]
+    sums = (a1, n * a1 - a2)
+    if len(acc) == 3:
+        sums += (n * n * a1 - (2.0 * n + 1.0) * a2 + 2.0 * acc[2],)
+    return sums
 
 
-def _at_rest(u: SubfilterOutputs, params: OffsetParams) -> bool:
+def _at_rest(u: np.ndarray, params: OffsetParams) -> bool:
     """True when every delay of ``params`` is zero and the point adds no trial axis to those of ``u``."""
-    batch = u.u.shape[:-2]
+    batch = u.shape[:-2]
     for v in (params.delta, params.epsilon):
         v = np.asarray(v)
         if v.any() or v.shape not in ((), batch):
@@ -175,15 +173,15 @@ def _at_rest(u: SubfilterOutputs, params: OffsetParams) -> bool:
     return True
 
 
-def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> tuple[np.ndarray, np.ndarray]:
+def per_sample_derivatives(u: np.ndarray, x0: np.ndarray, params: OffsetParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample first and second derivatives of the cost w.r.t. the delay.
 
     Returns ``(F'_n, F''_n)`` evaluated at ``params`` over the window.  For a
     first-degree bank the second derivative collapses to ``u_1**2``.  At
     rest each Horner pass reduces to its constant term.
     """
-    degree = u.degree
-    branches = u.branches
+    degree = u.shape[-2] - 1
+    branches = [u[..., k, :] for k in range(degree + 1)]
     if _at_rest(u, params):
         # p * (+-0) + u_k == u_k for every non-zero u_k, so these are the
         # bits of the Horner passes at d == 0.
@@ -191,7 +189,7 @@ def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetPa
         p1 = branches[1]
         p2 = 2 * branches[2] if degree >= 2 else None
     else:
-        d = delay_sequence(params, u.n_samples)
+        d = delay_sequence(params, u.shape[-1])
         p0 = _horner(d, branches[::-1])
         p0 -= x0
         p1 = _horner(d, (k * branches[k] for k in range(degree, 0, -1)))
@@ -208,27 +206,21 @@ def per_sample_derivatives(u: SubfilterOutputs, x0: np.ndarray, params: OffsetPa
     return p0, f2
 
 
-def batch_cost(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> float:
+def batch_cost(u: np.ndarray, x0: np.ndarray, params: OffsetParams) -> float:
     """Value of the batch cost F at ``params`` for one trial (diagnostic; not op-counted)."""
     r = farrow_output(u, params) - x0
     return 0.5 * float(r @ r)
 
 
-def _index_weighted(v: np.ndarray) -> tuple:
-    """(sum v, sum n*v, sum n^2*v) along the last axis, from the cascade outputs."""
-    return weighted_sums(cascaded_accumulate(v), v.shape[-1])
+def _index_weighted(v: np.ndarray, stages: int = 3) -> tuple:
+    """(sum v, sum n*v, sum n^2*v) along the last axis, from the cascade outputs; the first two from two stages alone."""
+    return weighted_sums(cascaded_accumulate(v, stages), v.shape[-1])
 
 
-def _index_weighted_01(v: np.ndarray) -> tuple:
-    """The first two sums of :func:`_index_weighted`, ``(sum v, sum n*v)``, from the first two cascade outputs only."""
-    a1, a2 = _cascade_outputs(v, 2)
-    return a1, float(v.shape[-1]) * a1 - a2
-
-
-def assemble_gradient_hessian(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> tuple[np.ndarray, np.ndarray]:
+def assemble_gradient_hessian(u: np.ndarray, x0: np.ndarray, params: OffsetParams) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient ``(2, ...)`` and Hessian ``(2, 2, ...)`` of F w.r.t. ``(delta, epsilon)`` at ``params``."""
     f1, f2 = per_sample_derivatives(u, x0, params)
-    g0, g1 = _index_weighted_01(f1)
+    g0, g1 = _index_weighted(f1, 2)
     h0, h1, h2 = _index_weighted(f2)
     gradient = np.array([g1, g0])
     hessian = np.array([[h2, h1], [h1, h0]])
@@ -273,7 +265,7 @@ class NewtonState:
     hessian: np.ndarray  # evaluated at the pre-step point
 
 
-def newton_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> NewtonState:
+def newton_step(u: np.ndarray, x0: np.ndarray, params: OffsetParams) -> NewtonState:
     """One exact Newton update ``w <- w - H^{-1} g`` from ``params``; a singular ``H`` gives a NaN update."""
     gradient, hessian = assemble_gradient_hessian(u, x0, params)
     sd, se, _ = solve_sym2x2(hessian[0, 0], hessian[0, 1], hessian[1, 1], gradient[0], gradient[1])
@@ -281,26 +273,26 @@ def newton_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams) -> Ne
     return NewtonState(params=new, step=np.array([sd, se]), gradient=gradient, hessian=hessian)
 
 
-def ils_normal_matrix(u: SubfilterOutputs) -> np.ndarray:
+def ils_normal_matrix(u: np.ndarray) -> np.ndarray:
     """Index-weighted normal matrix Q, shape ``(2, 2, ...)``, built from the first-degree branch.
 
     Q is fixed for the whole batch; it is invertible exactly when u_1 is
     nonzero at two or more window positions (then det Q > 0 by
     Cauchy-Schwarz, with equality impossible for distinct indices).
     """
-    u1 = u.branches[1]
+    u1 = u[..., 1, :]
     q0, q1, q2 = _index_weighted(u1 * u1)
     return np.array([[q2, q1], [q1, q0]])
 
 
-def ils_step(u: SubfilterOutputs, x0: np.ndarray, params: OffsetParams, normal_matrix: np.ndarray) -> tuple[OffsetParams, np.ndarray, np.ndarray]:
+def ils_step(u: np.ndarray, x0: np.ndarray, params: OffsetParams, normal_matrix: np.ndarray) -> tuple[OffsetParams, np.ndarray, np.ndarray]:
     """One ILS update from ``params`` given the precomputed Q; a singular Q gives a NaN update.
 
     Returns ``(new_params, step, c)`` where ``c`` is the projected residual
     vector of the linearized problem.
     """
-    r = u.branches[0] - x0 if _at_rest(u, params) else farrow_output(u, params) - x0
-    c0, c1 = _index_weighted_01(u.branches[1] * r)
+    r = u[..., 0, :] - x0 if _at_rest(u, params) else farrow_output(u, params) - x0
+    c0, c1 = _index_weighted(u[..., 1, :] * r, 2)
     c = np.array([c1, c0])
     sd, se, _ = solve_sym2x2(normal_matrix[0, 0], normal_matrix[0, 1], normal_matrix[1, 1], c[0], c[1])
     new = OffsetParams(params.delta - sd, params.epsilon - se)
@@ -435,7 +427,7 @@ class BatchEstimate:
         return self.history[-1]
 
 
-def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig) -> BatchEstimate:
+def estimate_batch(u: np.ndarray, ref: np.ndarray, config: EstimatorConfig) -> BatchEstimate:
     """Estimate the offsets of a batch of measured streams from their branch outputs, all from rest.
 
     ``u`` has shape ``(..., L+1, N)`` and ``ref`` shape ``(..., N)``; every
@@ -448,14 +440,14 @@ def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig
     The inputs must be real, longer than 2 samples and finite.
     """
     ref = np.asarray(ref)
-    if np.iscomplexobj(u.u) or np.iscomplexobj(ref):
+    if np.iscomplexobj(u) or np.iscomplexobj(ref):
         raise TypeError("estimation operates on one real component")
-    n = u.n_samples
-    if u.u.ndim < 2 or ref.shape != u.u.shape[:-2] + (n,):
-        raise ValueError(f"reference of shape {ref.shape} does not match branch outputs of shape {u.u.shape}")
+    n = u.shape[-1]
+    if u.ndim < 2 or ref.shape != u.shape[:-2] + (n,):
+        raise ValueError(f"reference of shape {ref.shape} does not match branch outputs of shape {u.shape}")
     if n <= 2:
         raise ValueError(f"need more than 2 window samples, got {n}")
-    if not (np.isfinite(u.u).all() and np.isfinite(ref).all()):
+    if not (np.isfinite(u).all() and np.isfinite(ref).all()):
         raise ValueError("inputs hold non-finite samples inside the estimation window")
     ref = ref.astype(np.float64, copy=False)
     shape = ref.shape[:-1]
@@ -463,7 +455,10 @@ def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig
     history: list[OffsetParams] = []
     rhs: list[np.ndarray] = []
     normal_matrix: np.ndarray | None = None
-    active: np.ndarray | None = None  # per-trial state, made when the first trial stops
+    # Per-trial state, made when the first trial stops.  Until then each
+    # iteration takes its new point whole: masks made up front and an
+    # ``np.where`` per iteration cost about 25-30 us a one-trial estimate.
+    active: np.ndarray | None = None
     # Huge finite inputs overflow to a non-finite update, which is flagged below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for m in range(1, (1 if config.method == "simplified" else config.max_iterations) + 1):
@@ -509,7 +504,7 @@ def estimate_batch(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig
     return BatchEstimate(tuple(history), tuple(rhs), iterations, converged, singular)
 
 
-def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: EstimatorConfig) -> EstimationResult:
+def estimate_from_outputs(u: np.ndarray, ref: np.ndarray, config: EstimatorConfig) -> EstimationResult:
     """Estimate the offsets of one measured stream from its branch outputs, from a standing start.
 
     The window is every sample ``u`` covers, and window sample ``n`` compares
@@ -518,20 +513,20 @@ def estimate_from_outputs(u: SubfilterOutputs, ref: np.ndarray, config: Estimato
     This is the one-trial case of :func:`estimate_batch`; a trial it flags
     singular raises :class:`SingularSystemError`.
     """
-    if u.u.ndim != 2:
-        raise ValueError(f"one trial takes branch outputs of shape (L+1, N), got {u.u.shape}; use estimate_batch")
+    if u.ndim != 2:
+        raise ValueError(f"one trial takes branch outputs of shape (L+1, N), got {u.shape}; use estimate_batch")
     batch = estimate_batch(u, ref, config)
     done = int(batch.iterations)
     if batch.singular:
         raise SingularSystemError(f"the update of iteration {done + 1} is not finite: the 2x2 system is singular or not finite")
-    n = u.n_samples
+    n = u.shape[-1]
     records = []
     for m in range(done):
         params = OffsetParams(float(batch.history[m].delta), float(batch.history[m].epsilon))
         if config.sfo_only:
             rhs_norm, ops = abs(float(batch.rhs[m])), OpCounts()
         else:
-            rhs_norm, ops = math.hypot(*batch.rhs[m].tolist()), _iteration_ops(config.method, u.degree, n, m == 0)
+            rhs_norm, ops = math.hypot(*batch.rhs[m].tolist()), _iteration_ops(config.method, u.shape[-2] - 1, n, m == 0)
         records.append(
             IterationRecord(
                 iteration=m + 1,

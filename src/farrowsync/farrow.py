@@ -25,7 +25,8 @@ the same order as ``y = y * d + u_k``, so only one output-sized array is
 made per call.  That one pass also gives the estimator its delay derivatives
 (see :mod:`farrowsync.estimation`), so both run the same operations.
 
-Branch outputs may carry leading trial axes, ``(..., L+1, N)``, with one
+The branch outputs are a plain array ``u`` of shape ``(..., L+1, N)``, and
+branch ``k`` is the view ``u[..., k, :]``.  Leading axes are trials, with one
 stream's outputs per leading index; offsets holding arrays of that batch
 shape then give one delay law per trial.  Offset arrays with a trailing axis
 of their own give several delay laws per stream: params of shape ``(K,)`` on
@@ -41,7 +42,6 @@ one-stream calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -93,40 +93,18 @@ class CoefficientBank:
         return self.taps.shape[1] // 2
 
 
-@dataclass(frozen=True, eq=False)
-class SubfilterOutputs:
-    """Steady-state branch filter outputs, shape ``(..., L+1, N)``; complex for a complex stream.
-
-    Leading axes, if any, are the trial axes of a batch.
-    """
-
-    u: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return self.u.shape[-2] - 1
-
-    @cached_property
-    def branches(self) -> tuple[np.ndarray, ...]:
-        """View of each branch ``u[..., k, :]``, built once."""
-        return tuple(self.u[..., k, :] for k in range(self.u.shape[-2]))
-
-    @property
-    def n_samples(self) -> int:
-        return self.u.shape[-1]
-
-
-def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> SubfilterOutputs:
+def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> np.ndarray:
     """Run the measured stream through every branch filter (steady state only).
 
     ``u[k][n] = sum_i g_k[i] * x1[n + N_G - i]`` for ``n = 0..len(x1)-N_G-1``,
     so the output window is ``N_G`` samples shorter than the input.  All
     branches run as one matrix product of the reversed taps with the sliding
     windows of ``x1``, taken over blocks of output columns, and each product
-    is written straight into its slot of the result.  A complex stream runs
-    as two real passes, one per component.  Leading axes of ``x1`` are
-    trials: ``(..., n)`` gives ``(..., L+1, n - N_G)``, each stream filtered
-    on its own, so every trial gets the bits of a one-stream call.
+    is written straight into its slot of the result, a float64 array.  A
+    complex stream runs as two real passes, one per component, into a
+    complex128 one.  Leading axes of ``x1`` are trials: ``(..., n)`` gives
+    ``(..., L+1, n - N_G)``, each stream filtered on its own, so every trial
+    gets the bits of a one-stream call.
     """
     x1 = np.asarray(x1)
     order = bank.order
@@ -152,7 +130,7 @@ def compute_subfilter_outputs(x1: np.ndarray, bank: CoefficientBank) -> Subfilte
                     # product of a contiguous copy runs faster than that of the view.
                     windows = np.ndarray((order + 1, stop - start), np.float64, rows[b], offset + start * step, (step, step))
                     np.matmul(reversed_taps, np.ascontiguousarray(windows), out=out[b, :, start:stop])
-    return SubfilterOutputs(u.reshape(x1.shape[:-1] + u.shape[1:]))
+    return u.reshape(x1.shape[:-1] + u.shape[1:])
 
 
 def delay_sequence(params, n_samples: int, n0: int = 0) -> np.ndarray:
@@ -191,15 +169,15 @@ def _horner(d: np.ndarray, terms) -> np.ndarray:
     return y
 
 
-def farrow_output(u: SubfilterOutputs, params, n0: int = 0) -> np.ndarray:
+def farrow_output(u: np.ndarray, params, n0: int = 0) -> np.ndarray:
     """Combine branch outputs into the compensated stream via Horner's rule, in place on one result array.
 
     On complex branch outputs the delay law is cast to complex once, to the
     ``(d, 0)`` that the multiply would otherwise make in its buffer on every
     Horner step, so the bits are the same; a real stream takes no copy.
     """
-    d = delay_sequence(params, u.n_samples, n0)
-    return _horner(d.astype(u.u.dtype, copy=False), u.branches[::-1])
+    d = delay_sequence(params, u.shape[-1], n0)
+    return _horner(d.astype(u.dtype, copy=False), (u[..., k, :] for k in range(u.shape[-2] - 1, -1, -1)))
 
 
 # ── Serialization ─────────────────────────────────────────────────────────────

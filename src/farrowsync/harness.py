@@ -48,7 +48,7 @@ import numpy as np
 
 from .design import DesignError, DesignSpec, ERROR_FRONTIER, design_bank, measure_error
 from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, batch_cost, count_operations, estimate, estimate_batch, estimate_from_outputs
-from .farrow import CoefficientBank, SubfilterOutputs, compute_subfilter_outputs, delay_out_of_range, farrow_output, load_bank, save_bank
+from .farrow import CoefficientBank, compute_subfilter_outputs, delay_out_of_range, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
 from .signals import MAX_SNR_DB, ImpairmentSpec, OfdmSpec, demodulation_plan, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs, valid_snr_db
 
@@ -252,9 +252,9 @@ def _sample_chunk(chunk: list[tuple], draw: Callable, bank: CoefficientBank, spa
     # One stream per filter call: perfbench's span tracer counts work per call.
     u = np.empty((len(x1), bank.degree + 1, span), dtype=x1.dtype)
     for b in range(len(x1)):
-        u[b] = compute_subfilter_outputs(x1[b], bank).u
+        u[b] = compute_subfilter_outputs(x1[b], bank)
     del x1
-    return work(chunk, extras, SubfilterOutputs(u), ref)
+    return work(chunk, extras, u, ref)
 
 
 def _simplified_from(ils: BatchEstimate) -> BatchEstimate:
@@ -263,7 +263,7 @@ def _simplified_from(ils: BatchEstimate) -> BatchEstimate:
     return BatchEstimate(ils.history[:1], ils.rhs[:1], done, done == 1, done == 0)
 
 
-def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
+def _estimate_chunk(u: np.ndarray, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
     """Each config's estimates for a batch of trials, and the mask of trials that no config flagged singular.
 
     A ``simplified`` config that follows a joint ILS config is read from that
@@ -276,7 +276,7 @@ def _estimate_chunk(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) ->
     return results, ~np.logical_or.reduce([result.singular for result in results])
 
 
-def _finals(u: SubfilterOutputs, ref: np.ndarray, configs: _Variants) -> tuple[np.ndarray, np.ndarray]:
+def _finals(u: np.ndarray, ref: np.ndarray, configs: _Variants) -> tuple[np.ndarray, np.ndarray]:
     """Each config's final ``(delta, epsilon)`` per trial, shape ``(configs, 2, trials)``, and the mask of the kept trials."""
     results, ok = _estimate_chunk(u, ref, configs)
     return np.array([(result.params.delta, result.params.epsilon) for result in results]), ok
@@ -341,7 +341,7 @@ def _iteration_rows(
     window = slice(lead, lead + n)
 
     def work(chunk, extras, u, ref):
-        results, ok = _estimate_chunk(SubfilterOutputs(u.u.real[..., window]), ref[:, window].real, variants)
+        results, ok = _estimate_chunk(u.real[..., window], ref[:, window].real, variants)
         histories = [
             (label, config.method == "simplified", [(p.delta.tolist(), p.epsilon.tolist()) for p in result.history], result.iterations.tolist())
             for (label, config), result in zip(variants, results)
@@ -354,11 +354,11 @@ def _iteration_rows(
             ]
             scored += [("true", 0, truth.delta, truth.epsilon, False)] if truth else []
             scores = [None] * len(scored)
-            for first_degree, outputs in ((False, u.u[b]), (True, u.u[b, :2])):
+            for first_degree, outputs in ((False, u[b]), (True, u[b, :2])):
                 batch = [i for i, entry in enumerate(scored) if entry[4] == first_degree]
                 if batch:
                     params = OffsetParams(np.array([scored[i][2] for i in batch]), np.array([scored[i][3] for i in batch]))
-                    y = farrow_output(SubfilterOutputs(outputs), params, n0=-lead)
+                    y = farrow_output(outputs, params, n0=-lead)
                     for i, err, more in zip(batch, nmse(y[:, window], ref[b, window]).tolist(), columns(y, *trial)):
                         scores[i] = (err, more)
             rows += [row(trial, label, iteration, d, e, err, more) for (label, iteration, d, e, _), (err, more) in zip(scored, scores)]
@@ -560,7 +560,7 @@ def approx_sweep_rows(trials: int, base_seed: int) -> tuple[list[tuple], int]:
     def work(_, __, u, ref):
         finals, ok = _finals(u, ref, configs)
         # Both configs' delay laws, shape (trials, configs), in one Horner pass.
-        scores = nmse(farrow_output(SubfilterOutputs(u.u[:, None]), OffsetParams(*finals.transpose(1, 2, 0))), ref[:, None])
+        scores = nmse(farrow_output(u[:, None], OffsetParams(*finals.transpose(1, 2, 0))), ref[:, None])
         return np.concatenate([scores.T[:, None], finals], axis=1), ok
 
     rows: list[tuple] = []
@@ -597,7 +597,7 @@ def nsweep_rows(
     configs = _newton_ils(max_iterations=2)
 
     def work(_, __, u, ref):
-        finals, oks = zip(*(_finals(SubfilterOutputs(u.u[..., :n]), ref[:, :n], configs) for n in lengths))
+        finals, oks = zip(*(_finals(u[..., :n], ref[:, :n], configs) for n in lengths))
         return np.stack(finals, axis=2), np.array(oks)
 
     rows: list[tuple] = []

@@ -422,8 +422,6 @@ class OfdmPayload:
 
     bins: np.ndarray  # signed subcarrier indices, ascending
     symbols: np.ndarray  # complex QAM symbols, aligned with bins
-    qam_order: int
-    n_fft: int
     levels: np.ndarray  # per-axis level index of each symbol, in-phase and quadrature interleaved (see qam.count_bit_errors)
 
 
@@ -469,7 +467,7 @@ def make_ofdm(spec: OfdmSpec) -> tuple[HarmonicSignalModel, OfdmPayload]:
     coeffs[:half], coeffs[half + 1 :] = symbols[:half], symbols[half:]
     model = HarmonicSignalModel(coefficients=coeffs, omegas=layout.omegas, is_complex=True, _grid=layout.grid)
     levels = qam._label_levels(spec.qam_order).take(labels, axis=0).ravel()
-    return model, OfdmPayload(bins=layout.bins, symbols=symbols, qam_order=spec.qam_order, n_fft=spec.n_fft, levels=levels)
+    return model, OfdmPayload(bins=layout.bins, symbols=symbols, levels=levels)
 
 
 class DemodulationPlan(NamedTuple):

@@ -31,7 +31,7 @@ from farrowsync.estimation import (
     newton_step,
     weighted_sums,
 )
-from farrowsync.farrow import SubfilterOutputs, compute_subfilter_outputs
+from farrowsync.farrow import compute_subfilter_outputs
 from farrowsync.harness import (
     Options,
     approx_sweep_rows,
@@ -95,7 +95,7 @@ def random_batch(degree: int, seed: int, n: int = 160):
     rng = np.random.default_rng(seed)
     bank = bank_of(degree)
     u = compute_subfilter_outputs(rng.standard_normal(n + bank.order), bank)
-    x0 = rng.standard_normal(u.n_samples)
+    x0 = rng.standard_normal(u.shape[-1])
     return u, x0
 
 
@@ -171,7 +171,7 @@ def test_criterion_04_normal_matrix_determinant_sign():
             mask = np.zeros(n, bool)
             mask[keep] = True
             u1 = np.where(mask, u1, 0.0)
-        q = ils_normal_matrix(SubfilterOutputs(np.stack([np.zeros(n), u1])))
+        q = ils_normal_matrix(np.stack([np.zeros(n), u1]))
         assert q[0, 0] * q[1, 1] - q[0, 1] ** 2 > 0.0
     # Dyadic amplitudes keep every accumulator sum exact, so the degenerate
     # determinant is exactly zero rather than merely small.
@@ -182,7 +182,7 @@ def test_criterion_04_normal_matrix_determinant_sign():
         if rng.random() < 0.8:
             amp = float(rng.choice([1.0, 1.5])) * 2.0 ** int(rng.integers(-8, 9))
             u1[int(rng.integers(0, n))] = amp * float(rng.choice([-1.0, 1.0]))
-        q = ils_normal_matrix(SubfilterOutputs(np.stack([np.zeros(n), u1])))
+        q = ils_normal_matrix(np.stack([np.zeros(n), u1]))
         assert q[0, 0] * q[1, 1] - q[0, 1] ** 2 == 0.0
 
 

@@ -30,8 +30,8 @@ from farrowsync.estimation import (
     solve_sym2x2,
     weighted_sums,
 )
-from farrowsync.estimation import _index_weighted, _index_weighted_01
-from farrowsync.farrow import SubfilterOutputs, compute_subfilter_outputs, delay_sequence, farrow_output
+from farrowsync.estimation import _index_weighted
+from farrowsync.farrow import compute_subfilter_outputs, delay_sequence, farrow_output
 from farrowsync.metrics import nmse
 from farrowsync.signals import ImpairmentSpec, make_bandpass_noise, make_multisine, sample_pair, sample_pairs
 
@@ -48,7 +48,7 @@ def _random_batch(degree, n=160, seed=0):
     rng = np.random.default_rng(seed)
     bank = small_bank(degree)
     u = compute_subfilter_outputs(rng.standard_normal(n + bank.order), bank)
-    x0 = rng.standard_normal(u.n_samples)
+    x0 = rng.standard_normal(u.shape[-1])
     return bank, u, x0
 
 
@@ -130,7 +130,7 @@ class TestDerivatives:
     def test_first_degree_second_derivative_is_u1_squared(self):
         _, u, x0 = _random_batch(1, seed=3)
         _, f2 = per_sample_derivatives(u, x0, OffsetParams(1e-4, 0.2))
-        np.testing.assert_array_equal(f2, u.u[1] * u.u[1])
+        np.testing.assert_array_equal(f2, u[1] * u[1])
 
     def test_batch_cost_definition(self):
         _, u, x0 = _random_batch(3, seed=4)
@@ -212,7 +212,7 @@ class TestNormalMatrix:
                 mask = np.zeros(n, bool)
                 mask[keep] = True
                 u1 = np.where(mask, u1, 0.0)
-            q = ils_normal_matrix(SubfilterOutputs(np.stack([np.zeros(n), u1])))
+            q = ils_normal_matrix(np.stack([np.zeros(n), u1]))
             assert q[0, 0] * q[1, 1] - q[0, 1] ** 2 > 0.0
 
     def test_determinant_zero_for_at_most_one_nonzero(self):
@@ -221,7 +221,7 @@ class TestNormalMatrix:
             u1 = np.zeros(n)
             if hot is not None:
                 u1[hot] = 1.5
-            q = ils_normal_matrix(SubfilterOutputs(np.stack([np.zeros(n), u1])))
+            q = ils_normal_matrix(np.stack([np.zeros(n), u1]))
             assert q[0, 0] * q[1, 1] - q[0, 1] ** 2 == 0.0
 
     def test_equals_newton_hessian_for_first_degree(self):
@@ -252,7 +252,7 @@ class TestFirstDegreeEquivalence:
 
     def test_simplified_is_the_first_ils_iteration(self):
         bank, u, x0 = _random_batch(4, seed=16)
-        n = u.n_samples
+        n = u.shape[-1]
         rng = np.random.default_rng(17)
         x1 = rng.standard_normal(n + bank.order)
         ref = rng.standard_normal(n + bank.group_delay)
@@ -266,8 +266,8 @@ class TestFirstDegreeEquivalence:
         _, u, x0 = _random_batch(4, seed=18)
         params = estimate_from_outputs(u, x0, EstimatorConfig(method="simplified")).params
         q = ils_normal_matrix(u)
-        want = np.linalg.solve(q, np.array([_index_weighted(u.u[1] * (u.u[0] - x0))[1],
-                                            _index_weighted(u.u[1] * (u.u[0] - x0))[0]]))
+        want = np.linalg.solve(q, np.array([_index_weighted(u[1] * (u[0] - x0))[1],
+                                            _index_weighted(u[1] * (u[0] - x0))[0]]))
         np.testing.assert_allclose([params.delta, params.epsilon], -want, rtol=1e-10)
 
 
@@ -393,7 +393,7 @@ class TestEstimateDriver:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError):
-                estimate_from_outputs(u, x0[gd : gd + u.n_samples] * scale, EstimatorConfig(method=method, sfo_only=sfo_only))
+                estimate_from_outputs(u, x0[gd : gd + u.shape[-1]] * scale, EstimatorConfig(method=method, sfo_only=sfo_only))
 
     @pytest.mark.parametrize("method,sfo_only", ALL_VARIANTS)
     def test_a_window_scaled_to_near_overflow_keeps_its_estimate(self, method, sfo_only):
@@ -404,7 +404,7 @@ class TestEstimateDriver:
         want = estimate_from_outputs(u, x0, config).params
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = estimate_from_outputs(SubfilterOutputs(u.u * 1e150), x0 * 1e150, config).params
+            got = estimate_from_outputs(u * 1e150, x0 * 1e150, config).params
         assert got.delta == pytest.approx(want.delta, rel=1e-12)
         assert got.epsilon == pytest.approx(want.epsilon, rel=1e-12, abs=0.0)
         if (method, sfo_only) == ("newton", True):
@@ -436,13 +436,13 @@ class TestEstimateDriver:
             estimate(np.zeros(8), np.zeros(14), bank, EstimatorConfig())
         u = compute_subfilter_outputs(np.ones(40), bank)
         with pytest.raises(TypeError):
-            estimate_from_outputs(SubfilterOutputs(u.u + 0j), np.zeros(u.n_samples), EstimatorConfig())
+            estimate_from_outputs(u + 0j, np.zeros(u.shape[-1]), EstimatorConfig())
         with pytest.raises(TypeError):
-            estimate_from_outputs(u, np.zeros(u.n_samples, complex), EstimatorConfig())
+            estimate_from_outputs(u, np.zeros(u.shape[-1], complex), EstimatorConfig())
         with pytest.raises(ValueError, match="does not match"):
-            estimate_from_outputs(u, np.zeros(u.n_samples + 1), EstimatorConfig())
+            estimate_from_outputs(u, np.zeros(u.shape[-1] + 1), EstimatorConfig())
         with pytest.raises(ValueError, match="more than 2"):
-            estimate_from_outputs(SubfilterOutputs(u.u[:, :2]), np.zeros(2), EstimatorConfig())
+            estimate_from_outputs(u[:, :2], np.zeros(2), EstimatorConfig())
         with pytest.raises(ValueError):
             EstimatorConfig(method="bfgs")
         with pytest.raises(ValueError):
@@ -461,8 +461,8 @@ class TestEstimateDriver:
         model = make_multisine(seed=28)
         x0, x1 = sample_pair(model, ImpairmentSpec(delta=1e-4, epsilon=0.01), 200 + bank.order, start=-gd)
         u = compute_subfilter_outputs(x1, bank)
-        ref = x0[gd : gd + u.n_samples].copy()
-        target = {"x0": x0, "x1": x1, "u": u.u[2], "ref": ref}[channel]
+        ref = x0[gd : gd + u.shape[-1]].copy()
+        target = {"x0": x0, "x1": x1, "u": u[2], "ref": ref}[channel]
         config = EstimatorConfig(method=method)
         for bad in (np.nan, np.inf):
             target[gd + 50] = bad
@@ -521,7 +521,7 @@ class TestTrialAxis:
         models = [make_multisine(seed=40 + k) for k in range(len(offsets))]
         impairments = [ImpairmentSpec(delta=d, epsilon=e) for d, e in offsets]
         x0, x1 = sample_pairs(models, impairments, n + bank.order, start=-gd)
-        u = SubfilterOutputs(np.stack([compute_subfilter_outputs(row, bank).u for row in x1]))
+        u = np.stack([compute_subfilter_outputs(row, bank) for row in x1])
         return u, np.ascontiguousarray(x0[:, gd : gd + n])
 
     OFFSETS = [(2e-4, 0.1), (-3e-4, 0.25), (0.0, 0.0), (1e-5, -0.02), (4e-4, -0.3)]
@@ -544,7 +544,7 @@ class TestTrialAxis:
         batch = estimate_batch(u, ref, config)
         assert not batch.singular.any()
         for k in range(len(self.OFFSETS)):
-            one = estimate_from_outputs(SubfilterOutputs(u.u[k]), ref[k], config)
+            one = estimate_from_outputs(u[k], ref[k], config)
             assert batch.iterations[k] == one.iterations
             assert batch.converged[k] == one.converged
             for m, rec in enumerate(one.records):
@@ -558,15 +558,15 @@ class TestTrialAxis:
     def test_a_degenerate_row_is_flagged_alone(self, method, sfo_only):
         config = EstimatorConfig(method=method, max_iterations=2, sfo_only=sfo_only)
         u, ref = self._windows(self.OFFSETS[:3])
-        healthy = estimate_batch(SubfilterOutputs(u.u[[0, 2]]), ref[[0, 2]], config)
-        u.u[1, 1:] = 0.0  # u_1 (and every higher branch) identically zero
+        healthy = estimate_batch(u[[0, 2]], ref[[0, 2]], config)
+        u[1, 1:] = 0.0  # u_1 (and every higher branch) identically zero
         batch = estimate_batch(u, ref, config)
         np.testing.assert_array_equal(batch.singular, [False, True, False])
         for got, want in ((0, 0), (2, 1)):
             assert batch.iterations[got] == healthy.iterations[want]
             assert (batch.params.delta[got], batch.params.epsilon[got]) == (healthy.params.delta[want], healthy.params.epsilon[want])
         with pytest.raises(SingularSystemError):
-            estimate_from_outputs(SubfilterOutputs(u.u[1]), ref[1], config)
+            estimate_from_outputs(u[1], ref[1], config)
 
     @settings(max_examples=40)
     @given(
@@ -588,13 +588,13 @@ class TestTrialAxis:
         u = rng.standard_normal((trials, degree + 1, n))
         ref = u[:, 0] + 0.05 * rng.standard_normal((trials, n))
         config = EstimatorConfig(method=method, max_iterations=iterations, sfo_only=sfo_only)
-        batch = estimate_batch(SubfilterOutputs(u), ref, config)
+        batch = estimate_batch(u, ref, config)
         for k in range(trials):
             if batch.singular[k]:
                 with pytest.raises(SingularSystemError):
-                    estimate_from_outputs(SubfilterOutputs(u[k]), ref[k], config)
+                    estimate_from_outputs(u[k], ref[k], config)
                 continue
-            one = estimate_from_outputs(SubfilterOutputs(u[k]), ref[k], config)
+            one = estimate_from_outputs(u[k], ref[k], config)
             assert (batch.iterations[k], batch.converged[k]) == (one.iterations, one.converged)
             got = [(h.delta[k], h.epsilon[k]) for h in batch.history[: one.iterations]]
             assert _same_bits(np.array(got), np.array([(r.params.delta, r.params.epsilon) for r in one.records]))
@@ -620,8 +620,9 @@ def _same_bits(got, want) -> bool:
 
 def _reference_terms(u, x0, params):
     """Newton's per-sample terms (P0, P1, P2) from out-of-place Horner passes over the delay sequence."""
-    degree, branches = u.degree, u.branches
-    d = delay_sequence(params, u.n_samples)
+    degree = u.shape[-2] - 1
+    branches = [u[..., k, :] for k in range(degree + 1)]
+    d = delay_sequence(params, u.shape[-1])
     p0 = branches[degree].copy()
     for k in range(degree - 1, -1, -1):
         p0 = p0 * d + branches[k]
@@ -652,7 +653,7 @@ class TestAtRestAndInPlace:
         rng = np.random.default_rng(degree)
         deltas, epsilons = TestAtRestAndInPlace.POINTS[point]
         shape = (3,) if batch else ()
-        u = SubfilterOutputs(rng.standard_normal(shape + (degree + 1, 97)))
+        u = rng.standard_normal(shape + (degree + 1, 97))
         x0 = rng.standard_normal(shape + (97,))
         params = OffsetParams(np.array(deltas), np.array(epsilons)) if batch else OffsetParams(deltas[0], epsilons[0])
         return u, x0, params
@@ -662,13 +663,13 @@ class TestAtRestAndInPlace:
     @pytest.mark.parametrize("degree", range(1, 8))
     def test_steps_match_out_of_place_horner(self, degree, batch, point):
         u, x0, params = self._case(degree, batch, point)
-        before = u.u.copy()
+        before = u.copy()
         p0, p1, p2 = _reference_terms(u, x0, params)
         f1, f2 = p0 * p1, p1 * p1 if p2 is None else p1 * p1 + p0 * p2
 
         got = per_sample_derivatives(u, x0, params)
         assert _same_bits(got[0], f1) and _same_bits(got[1], f2)
-        assert _same_bits(u.u, before)
+        assert _same_bits(u, before)
 
         g0, g1, _ = _index_weighted(f1)
         h0, h1, h2 = _index_weighted(f2)
@@ -678,16 +679,16 @@ class TestAtRestAndInPlace:
         assert _same_bits(state.hessian, np.array([[h2, h1], [h1, h0]]))
         assert _same_bits(state.step, np.array([sd, se]))
         assert _same_bits(state.params.delta, params.delta - sd) and _same_bits(state.params.epsilon, params.epsilon - se)
-        assert _same_bits(u.u, before)
+        assert _same_bits(u, before)
 
         q = ils_normal_matrix(u)
-        c0, c1, _ = _index_weighted(u.branches[1] * p0)
+        c0, c1, _ = _index_weighted(u[..., 1, :] * p0)
         sd, se, _ = solve_sym2x2(q[0, 0], q[0, 1], q[1, 1], c1, c0)
         new, step, c = ils_step(u, x0, params, q)
         assert _same_bits(c, np.array([c1, c0]))
         assert _same_bits(step, np.array([sd, se]))
         assert _same_bits(new.delta, params.delta - sd) and _same_bits(new.epsilon, params.epsilon - se)
-        assert _same_bits(u.u, before)
+        assert _same_bits(u, before)
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_a_rest_point_with_its_own_law_axis_broadcasts_as_horner_does(self, degree):
@@ -696,12 +697,12 @@ class TestAtRestAndInPlace:
         params = OffsetParams(np.zeros(2), np.zeros(2))
         p0, p1, p2 = _reference_terms(u, x0, params)
         f1, f2 = per_sample_derivatives(u, x0, params)
-        assert f1.shape == (2, u.n_samples)
+        assert f1.shape == (2, u.shape[-1])
         assert _same_bits(f1, p0 * p1) and _same_bits(f2, p1 * p1 if p2 is None else p1 * p1 + p0 * p2)
 
     @pytest.mark.parametrize("shape", [(50,), (4, 50)], ids=["one_trial", "batch"])
     def test_two_accumulators_give_the_first_two_cascade_sums(self, shape):
         v = np.random.default_rng(0).standard_normal(shape)
-        s0, s1 = _index_weighted_01(v)
+        s0, s1 = _index_weighted(v, 2)
         want0, want1, _ = _index_weighted(v)
         assert _same_bits(s0, want0) and _same_bits(s1, want1)

@@ -13,7 +13,6 @@ from farrowsync.estimation import OffsetParams
 from farrowsync.farrow import (
     _FILTER_BLOCK,
     CoefficientBank,
-    SubfilterOutputs,
     bank_from_text,
     bank_to_text,
     compute_subfilter_outputs,
@@ -38,8 +37,8 @@ def canonical_bank():
 def test_hand_computed_branch_outputs_and_combination():
     bank = _tiny_bank()
     u = compute_subfilter_outputs(np.array([1.0, 2.0, 4.0, 8.0]), bank)
-    np.testing.assert_array_equal(u.u[0], [2.0, 4.0])
-    np.testing.assert_array_equal(u.u[1], [1.5, 3.0])
+    np.testing.assert_array_equal(u[0], [2.0, 4.0])
+    np.testing.assert_array_equal(u[1], [1.5, 3.0])
     y = farrow_output(u, OffsetParams(delta=0.1, epsilon=-0.05))
     np.testing.assert_allclose(y, [2.0 - 0.05 * 1.5, 4.0 + 0.05 * 3.0], rtol=0, atol=1e-15)
 
@@ -49,10 +48,10 @@ def test_zero_delay_output_is_branch_zero_bitwise(canonical_bank):
     x1 = rng.standard_normal(200)
     u = compute_subfilter_outputs(x1, canonical_bank)
     y = farrow_output(u, OffsetParams())
-    np.testing.assert_array_equal(y, u.u[0])
+    np.testing.assert_array_equal(y, u[0])
     # Branch zero is the pure bulk delay.
     gd = canonical_bank.group_delay
-    np.testing.assert_array_equal(u.u[0], x1[gd : gd + u.n_samples])
+    np.testing.assert_array_equal(u[0], x1[gd : gd + u.shape[-1]])
 
 
 def test_horner_matches_direct_polynomial(canonical_bank):
@@ -60,7 +59,7 @@ def test_horner_matches_direct_polynomial(canonical_bank):
     x1 = rng.standard_normal(150)
     u = compute_subfilter_outputs(x1, canonical_bank)
     params = OffsetParams(delta=0.0, epsilon=0.31)
-    direct = sum(0.31**k * u.u[k] for k in range(u.degree + 1))
+    direct = sum(0.31**k * u[k] for k in range(len(u)))
     y = farrow_output(u, params)
     np.testing.assert_allclose(y, direct, rtol=1e-13)
 
@@ -91,7 +90,7 @@ def test_output_bits_equal_an_out_of_place_horner_loop(degree, kind):
         for n0 in (0, -7, 11):
             d = np.arange(n0, n0 + n, dtype=np.float64) * delta[..., None] + epsilon[..., None]
             want = _out_of_place_horner(u, d)
-            y = farrow_output(SubfilterOutputs(u), OffsetParams(delta, epsilon), n0)
+            y = farrow_output(u, OffsetParams(delta, epsilon), n0)
             assert (y.shape, y.dtype) == (want.shape, want.dtype) == (np.broadcast_shapes(u.shape[:-2], delta.shape) + (n,), kind)
             assert y.tobytes() == want.tobytes(), (delta.shape, n0)
 
@@ -104,7 +103,7 @@ def test_delay_fidelity_within_measured_error(canonical_bank):
         x1 = np.cos(omega * t + 0.4)
         u = compute_subfilter_outputs(x1, canonical_bank)
         y = farrow_output(u, OffsetParams(delta=0.0, epsilon=d))
-        want = np.cos(omega * (np.arange(u.n_samples) + gd - d) + 0.4)
+        want = np.cos(omega * (np.arange(u.shape[-1]) + gd - d) + 0.4)
         assert np.max(np.abs(y - want)) <= 2.0 * delta_c
 
 
@@ -124,9 +123,9 @@ def test_window_origin_offset():
     bank = _tiny_bank()
     u = compute_subfilter_outputs(np.arange(8.0), bank)
     shifted = farrow_output(u, OffsetParams(delta=0.01, epsilon=0.0), n0=5)
-    d = (np.arange(u.n_samples) + 5) * 0.01
-    np.testing.assert_allclose(shifted, u.u[0] + d * u.u[1], rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(delay_sequence(OffsetParams(0.01, 0.0), u.n_samples, n0=5), d)
+    d = (np.arange(u.shape[-1]) + 5) * 0.01
+    np.testing.assert_allclose(shifted, u[0] + d * u[1], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(delay_sequence(OffsetParams(0.01, 0.0), u.shape[-1], n0=5), d)
 
 
 @pytest.mark.parametrize("kind", [np.float64, np.complex128])
@@ -141,7 +140,7 @@ def test_the_delay_law_takes_the_branch_dtype_and_a_real_one_no_copy(kind, monke
 
     monkeypatch.setattr(farrow, "delay_sequence", law)
     monkeypatch.setattr(farrow, "_horner", lambda d, terms: seen.append(d))
-    farrow_output(SubfilterOutputs(np.ones((3, 16), dtype=kind)), OffsetParams(np.array([1e-4, 2e-4]), np.array([0.1, -0.1])))
+    farrow_output(np.ones((3, 16), dtype=kind), OffsetParams(np.array([1e-4, 2e-4]), np.array([0.1, -0.1])))
     assert seen[0].dtype == kind and np.array_equal(seen[0], laws[0])
     assert (seen[0] is laws[0]) == (kind is np.float64)
 
@@ -155,11 +154,11 @@ def test_complex_compensation_is_componentwise(canonical_bank):
     u = compute_subfilter_outputs(z, canonical_bank)
     u_re = compute_subfilter_outputs(z.real, canonical_bank)
     u_im = compute_subfilter_outputs(np.ascontiguousarray(z.imag), canonical_bank)
-    assert u.u.dtype == np.complex128
-    np.testing.assert_array_equal(u.u.real, u_re.u)
-    np.testing.assert_array_equal(u.u.imag, u_im.u)
-    assert np.array_equal(np.signbit(u.u.real), np.signbit(u_re.u))
-    assert np.array_equal(np.signbit(u.u.imag), np.signbit(u_im.u))
+    assert u.dtype == np.complex128
+    np.testing.assert_array_equal(u.real, u_re)
+    np.testing.assert_array_equal(u.imag, u_im)
+    assert np.array_equal(np.signbit(u.real), np.signbit(u_re))
+    assert np.array_equal(np.signbit(u.imag), np.signbit(u_im))
     params = OffsetParams(delta=1e-4, epsilon=-0.1)
     y = farrow_output(u, params)
     np.testing.assert_array_equal(y.real, farrow_output(u_re, params))
@@ -180,13 +179,13 @@ def test_a_batch_of_delay_laws_gives_each_row_its_one_law_bits(canonical_bank, i
 
     # Params of shape (K,) on one stream's (L+1, N) outputs.
     y = farrow_output(streams[0], OffsetParams(delta[0], epsilon[0]), n0=-7)
-    assert y.shape == (5, streams[0].n_samples) and y.dtype == streams[0].u.dtype
+    assert y.shape == (5, streams[0].shape[-1]) and y.dtype == streams[0].dtype
     for k in range(5):
         assert np.array_equal(y[k], one_law(0, k))
     # Params of shape (B, K) on (B, 1, L+1, N) outputs.
-    batch = SubfilterOutputs(np.stack([s.u for s in streams])[:, None])
+    batch = np.stack(streams)[:, None]
     y = farrow_output(batch, OffsetParams(delta, epsilon), n0=-7)
-    assert y.shape == (3, 5, streams[0].n_samples)
+    assert y.shape == (3, 5, streams[0].shape[-1])
     for b in range(3):
         for k in range(5):
             assert np.array_equal(y[b, k], one_law(b, k))
@@ -201,7 +200,7 @@ def test_branch_outputs_match_a_convolution_for_every_frontier_shape(degree, ord
     bank = CoefficientBank(taps)
     x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     for stream in (x.real, x):
-        u = compute_subfilter_outputs(stream, bank).u
+        u = compute_subfilter_outputs(stream, bank)
         want = np.array([np.convolve(stream, row)[order : stream.size] for row in taps])
         assert u.dtype == want.dtype
         assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
@@ -213,7 +212,7 @@ def test_branch_outputs_match_a_convolution_across_column_blocks(canonical_bank)
     rng = np.random.default_rng(11)
     x = rng.standard_normal(2 * 4096 + 100 + order) + 1j * rng.standard_normal(2 * 4096 + 100 + order)
     for stream in (x.real, x):
-        u = compute_subfilter_outputs(stream, canonical_bank).u
+        u = compute_subfilter_outputs(stream, canonical_bank)
         want = np.array([np.convolve(stream, row)[order : stream.size] for row in canonical_bank.taps])
         assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -226,10 +225,10 @@ def test_a_batch_of_streams_gives_every_row_the_bits_of_a_one_stream_call(canoni
     z = rng.standard_normal(trials + (n,)) + 1j * rng.standard_normal(trials + (n,))
     x = {"real": np.ascontiguousarray(z.real), "complex": z, "strided_real": z.real}[kind]
     shape = (canonical_bank.degree + 1, n - canonical_bank.order)
-    u = compute_subfilter_outputs(x, canonical_bank).u
+    u = compute_subfilter_outputs(x, canonical_bank)
     assert u.shape == trials + shape
     for trial in np.ndindex(trials):
-        one = compute_subfilter_outputs(x[trial], canonical_bank).u
+        one = compute_subfilter_outputs(x[trial], canonical_bank)
         assert one.shape == shape
         assert u[trial].dtype == one.dtype and u[trial].tobytes() == one.tobytes(), trial
 
@@ -273,7 +272,7 @@ def test_branch_outputs_have_the_bits_of_the_strided_window_product(canonical_ba
             "long_real": np.ascontiguousarray(z[1].real),
             "long_complex": z[1],
         }[kind]
-        got, want = compute_subfilter_outputs(x, bank).u, _strided_subfilter_outputs(x, bank)
+        got, want = compute_subfilter_outputs(x, bank), _strided_subfilter_outputs(x, bank)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), (bank.degree, bank.order)
 
@@ -288,7 +287,7 @@ def test_branch_filter_memory_does_not_grow_with_the_window_matrix(canonical_ban
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - u.u.nbytes < 4 * 2**20
+    assert peak - u.nbytes < 4 * 2**20
 
 
 def test_a_batch_of_streams_holds_its_branch_outputs_once(canonical_bank):
@@ -301,7 +300,7 @@ def test_a_batch_of_streams_holds_its_branch_outputs_once(canonical_bank):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * u.u.nbytes, (peak, u.u.nbytes)
+    assert peak < 1.25 * u.nbytes, (peak, u.nbytes)
 
 
 def test_subfilter_outputs_reject_short_input(canonical_bank):
@@ -363,6 +362,6 @@ def test_combination_matches_direct_sum_for_any_delay_law(delta, epsilon, seed):
     x1 = rng.standard_normal(40)
     u = compute_subfilter_outputs(x1, bank)
     params = OffsetParams(delta, epsilon)
-    d = delay_sequence(params, u.n_samples)
-    direct = u.u[0] + d * u.u[1]
+    d = delay_sequence(params, u.shape[-1])
+    direct = u[0] + d * u[1]
     np.testing.assert_allclose(farrow_output(u, params), direct, rtol=0, atol=1e-12)

@@ -29,7 +29,7 @@ from farrowsync.harness import (
 )
 from farrowsync.cli import main
 from farrowsync.estimation import EstimatorConfig, estimate_batch
-from farrowsync.farrow import SubfilterOutputs, compute_subfilter_outputs
+from farrowsync.farrow import compute_subfilter_outputs
 from farrowsync.signals import OfdmSpec, sample_pair
 
 
@@ -275,8 +275,8 @@ class TestRunExperiment:
         if singular_row is not None:
             u[singular_row, 1:] = 0.0  # u_1 identically zero: Q is singular
         simplified = EstimatorConfig(method="simplified")
-        (_, got), _ = harness._estimate_chunk(SubfilterOutputs(u), ref, [("ils", EstimatorConfig(method="ils")), ("simplified", simplified)])
-        want = estimate_batch(SubfilterOutputs(u), ref, simplified)
+        (_, got), _ = harness._estimate_chunk(u, ref, [("ils", EstimatorConfig(method="ils")), ("simplified", simplified)])
+        want = estimate_batch(u, ref, simplified)
         assert len(got.history) == len(got.rhs) == 1
         for g, w in [(got.history[0].delta, want.history[0].delta), (got.history[0].epsilon, want.history[0].epsilon), (got.rhs[0], want.rhs[0])]:
             assert g.tobytes() == w.tobytes()
@@ -481,10 +481,10 @@ class TestRunExperiment:
                 want_ref = want_x0[gd : gd + span]
                 if real:
                     want_ref, want_x1 = want_ref.real, want_x1.real
-                want_u = compute_subfilter_outputs(want_x1, bank).u
+                want_u = compute_subfilter_outputs(want_x1, bank)
                 assert ref[row].dtype == want_ref.dtype and ref[row].tobytes() == want_ref.tobytes(), t
-                assert u.u[row].dtype == want_u.dtype and u.u[row].tobytes() == want_u.tobytes(), t
-            held[:] = weakref.ref(u.u), weakref.ref(ref), x0
+                assert u[row].dtype == want_u.dtype and u[row].tobytes() == want_u.tobytes(), t
+            held[:] = weakref.ref(u), weakref.ref(ref), x0
             return chunk, extras
 
         model = {"multisine": harness.make_multisine, "ofdm": lambda seed: harness.make_ofdm(OfdmSpec(qam_order=16, seed=seed))[0]}[signal]

@@ -15,6 +15,7 @@ def _load(name):
     return module
 
 
+code_size = _load("code_size")
 csv_deviation = _load("csv_deviation")
 stage_times = _load("stage_times")
 
@@ -71,3 +72,13 @@ def test_stage_times_rejects_bad_arguments(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         stage_times.main(argv)
     assert exit_info.value.code == 2 and "usage:" in capsys.readouterr().err
+
+
+def test_code_size_counts_lines_code_tokens_and_long_lines(tmp_path, capsys):
+    # A docstring is one code token and a comment none; a line of 150 bytes is not long, one of 156 is.
+    lines = ['"""A docstring of several words."""', "", "# " + "c" * 148, "x = 1  # trailing comment", "y = '" + "a" * 150 + "'"]
+    _write(tmp_path / "pkg" / "mod.py", "\n".join(lines) + "\n")
+    assert code_size.module_size(tmp_path / "pkg" / "mod.py") == (5, 7, 1)
+    assert code_size.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["module", "lines", "tokens", "long"], ["pkg/mod.py", "5", "7", "1"], ["total", "5", "7", "1"]]
