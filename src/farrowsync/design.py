@@ -20,12 +20,11 @@ touch the real part.
 
 A plain unweighted fit minimizes the mean-square grid residual and leaves the
 worst-case error concentrated at the band-edge/half-delay corner, several dB
-above the minimax optimum.  ``design_bank`` therefore applies a few Lawson
-reweighting passes by default: after each solve the grid weights are
-multiplied by the combined complex residual magnitude and renormalized, which
-pushes the solution toward the minimax one while staying a (weighted) linear
-least-squares problem on the same grid.  ``reweight_passes=0`` recovers the
-plain fit.
+above the minimax optimum.  ``design_bank`` therefore applies a fixed
+:data:`_LAWSON_PASSES` = 4 Lawson reweighting passes: after each solve the
+grid weights are multiplied by the combined complex residual magnitude and
+renormalized, which pushes the solution toward the minimax one while staying
+a (weighted) linear least-squares problem on the same grid.
 
 Each system is separable on the grid.  At frequency ``omega_i`` its rows,
 weighted by ``r_i = sqrt(w_i)``, are ``diag(r_i) P (x) s_i`` with
@@ -74,6 +73,9 @@ ERROR_FRONTIER: tuple[tuple[int, int, int], ...] = (
     (-95, 7, 62),
 )
 
+#: Lawson reweighting passes after the first, plain solve.
+_LAWSON_PASSES = 4
+
 
 class DesignError(RuntimeError):
     """Raised when the least-squares design problem is rank deficient."""
@@ -97,7 +99,6 @@ class DesignSpec:
     d_max: float = 0.5
     n_freq: int | None = None  # default 16 * order
     n_delay: int = 33
-    reweight_passes: int = 4
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -109,8 +110,6 @@ class DesignSpec:
             raise ValueError(f"frequency grid too coarse: need at least {8 * self.order} points")
         if self.n_delay < 16:
             raise ValueError("delay grid too coarse: need at least 16 points")
-        if self.reweight_passes < 0:
-            raise ValueError("reweight_passes must be non-negative")
 
     @property
     def freq_points(self) -> int:
@@ -134,9 +133,9 @@ class ErrorReport:
 def design_bank(spec: DesignSpec) -> CoefficientBank:
     """Solve the two decoupled least-squares problems and assemble the bank.
 
-    With ``spec.reweight_passes > 0`` the solve is repeated with Lawson
-    weights (grid weight times combined residual magnitude, renormalized)
-    to pull the worst-case error down toward the minimax level.
+    The solve is repeated :data:`_LAWSON_PASSES` times with Lawson weights
+    (grid weight times combined residual magnitude, renormalized) to pull
+    the worst-case error down toward the minimax level.
     """
     half = spec.order // 2
     omega = np.linspace(0.0, spec.omega_c, spec.freq_points)
@@ -152,7 +151,7 @@ def design_bank(spec: DesignSpec) -> CoefficientBank:
     cosine = np.concatenate([np.ones((omega.size, 1)), 2.0 * np.cos(np.outer(omega, m_idx))], axis=1)
 
     weights = np.ones(wd.shape)
-    for _ in range(spec.reweight_passes + 1):
+    for _ in range(_LAWSON_PASSES + 1):
         root = np.sqrt(weights)
         c_odd, resid_odd = _fit(delay, odd_rows, sine, b_odd, root, "antisymmetric")
         # Degree 1 leaves the real part uncorrected.

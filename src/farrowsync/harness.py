@@ -48,6 +48,7 @@ import numpy as np
 
 from .design import DesignError, DesignSpec, ERROR_FRONTIER, design_bank, measure_error
 from .estimation import BatchEstimate, EstimatorConfig, OffsetParams, batch_cost, count_operations, estimate, estimate_batch, estimate_from_outputs
+from .estimation import SingularSystemError
 from .farrow import CoefficientBank, compute_subfilter_outputs, delay_out_of_range, farrow_output, load_bank, save_bank
 from .metrics import nmse, qam_demod_ber
 from .signals import MAX_SNR_DB, ImpairmentSpec, OfdmSpec, demodulation_plan, make_bandpass_noise, make_multisine, make_ofdm, ofdm_demodulate, sample_pair, sample_pairs, valid_snr_db
@@ -663,7 +664,8 @@ def single_rows(
     With ``dump_signals`` it also returns ``("signals.csv", header, rows)``
     for the generated signal pair.  With the defaults the induced delay
     exceeds the design range near the end of the window, which shows up in
-    the trace flag.  Uses the canonical bank.
+    the trace flag.  Uses the canonical bank.  A singular update in either
+    method drops the trial whole: no rows and one failure.
     """
     bank = get_bank()
     gd = bank.group_delay
@@ -671,14 +673,18 @@ def single_rows(
     impairment = ImpairmentSpec(delta=delta_ppm * 1e-6, epsilon=epsilon, snr_db=snr_db, seed=stable_seed(base_seed, "single", "noise"))
     x0, x1 = sample_pair(model, impairment, n_samples + bank.order, start=-gd)
     u, ref = compute_subfilter_outputs(x1, bank), x0[gd : gd + n_samples]
-    rows = [
-        (method, rec.iteration, rec.params.delta_ppm, rec.params.epsilon, rec.residual_norm, batch_cost(u, ref, rec.params), rec.delay_exceeded)
-        for method, config in _newton_ils(max_iterations=iterations)
-        for rec in estimate_from_outputs(u, ref, config).records
-    ]
+    rows, failures = [], 0
+    try:
+        rows = [
+            (method, rec.iteration, rec.params.delta_ppm, rec.params.epsilon, rec.residual_norm, batch_cost(u, ref, rec.params), rec.delay_exceeded)
+            for method, config in _newton_ils(max_iterations=iterations)
+            for rec in estimate_from_outputs(u, ref, config).records
+        ]
+    except SingularSystemError:
+        failures = 1
     if not dump_signals:
-        return rows, 0
-    return rows, 0, ("signals.csv", SIGNAL_DUMP_HEADER, signal_dump_rows(x0, x1, start=-gd))
+        return rows, failures
+    return rows, failures, ("signals.csv", SIGNAL_DUMP_HEADER, signal_dump_rows(x0, x1, start=-gd))
 
 
 def signal_dump_rows(x0: np.ndarray, x1: np.ndarray, start: int) -> list[tuple]:

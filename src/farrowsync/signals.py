@@ -10,8 +10,10 @@ frequency grid reduces to a chirp-z transform; that fast path agrees with
 direct evaluation to about 1e-10 of the peak sample magnitude (7.99e-11 to
 1.09e-10 measured for 16-QAM OFDM models of 1537 tones over 1036 samples,
 2.2e-11 to 2.7e-11 in RMS; the tests bound that case at 1.25e-10 and a
-multisine case at 1e-10) and is used automatically for large products of
-tone count and sample count.
+multisine case at 1e-10).  The sampler picks the path from its inputs
+alone: the chirp-z transform for a uniform grid whose tone count times
+sample count exceeds :data:`_FAST_PATH_THRESHOLD`, the direct sum for
+every other row.
 The transform is Bluestein's algorithm (Rabiner, Schafer & Rader, "The
 chirp z-transform algorithm", BSTJ 1969) on ``numpy.fft``, written here with
 the arithmetic of ``scipy.signal.CZT`` at start point 1, so the samples are
@@ -32,10 +34,11 @@ plan budget: the plan cache may fill all of it, the layout cache a
 sixteenth, and the input and the output phase caches a thirty-second each.
 A cached plan or vector is the result of the same arithmetic on the same
 inputs as a fresh one, so the samples are bit for bit those of one built on
-every call.  The transform runs in place on one zero-padded buffer per
-padded length and call: each row's input is written straight into the
-buffer's head, only the padding is zeroed, and the plans of that length
-reuse the buffer in turn.  The noise is added in place.
+every call.  The transform runs in place on one flat zero-padded buffer
+per call, sized for the largest group of rows that share a plan: each
+row's input is written straight into the head of its padded row, only the
+padding is zeroed, and every plan of the call reuses the buffer in turn.
+The noise is added in place.
 
 The sampler has a leading trial axis: :func:`sample_pairs` samples one
 model under one impairment per row, and :func:`sample_pair` is its
@@ -120,8 +123,7 @@ class _ChirpZPlan:
     ``scipy.signal.CZT(n, m, w, 1+0j)``, so the output is bit for bit that
     class's.  The chirps are computed once.  :meth:`transform` runs in place
     on a caller's buffer of ``nfft`` columns whose first ``n`` hold the
-    input; calling the plan copies ``x`` into a buffer of its own first.
-    Either way the result is a view of the buffer.
+    input, and the result is a view of the buffer.
     """
 
     def __init__(self, n: int, m: int, w: complex) -> None:
@@ -132,11 +134,6 @@ class _ChirpZPlan:
         self._wk2_m = wk2[:m]
         self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self.nfft)
         self.nbytes = sum(v.nbytes for v in (self._wk2_n, self._wk2_m, self._fwk2))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        a = np.empty(x.shape[:-1] + (self.nfft,), dtype=np.complex128)
-        a[..., : self.n] = x
-        return self.transform(a)
 
     def transform(self, a: np.ndarray) -> np.ndarray:
         """Transform the input held in ``a[..., :n]``, zeroing the padding ``a[..., n:]``; ``a`` (complex, C-contiguous) is overwritten."""
@@ -290,47 +287,30 @@ class HarmonicSignalModel:
         result = self._tone_sum(t.reshape(-1)).reshape(t.shape)
         return result if self.is_complex else result.real
 
-    def evaluate_affine(self, t0: float, step: float, count: int, fast: bool | None = None) -> np.ndarray:
-        """Evaluate on the grid ``t0 + step*arange(count)``.
 
-        ``fast=None`` picks the chirp-z path automatically for large jobs;
-        ``fast=True`` forces it (requires a uniform frequency grid) and
-        ``fast=False`` forces direct summation.
-        """
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        if count == 0:
-            return np.zeros(0, dtype=np.complex128 if self.is_complex else np.float64)
-        result = _tone_sums([self], [t0], [step], count, fast)[0]
-        return result if self.is_complex else result.real
-
-
-def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], steps: Sequence[float], count: int, fast: bool | None) -> np.ndarray:
+def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], steps: Sequence[float], count: int) -> np.ndarray:
     """Complex tone sums of ``models[b]`` on the grid ``t0s[b] + steps[b]*arange(count)``, one row each.
 
-    Rows on the chirp-z path are grouped by plan and transformed by one
+    A row takes the chirp-z path when its model's grid is uniform and
+    ``n_tones * count`` exceeds :data:`_FAST_PATH_THRESHOLD`, and the direct
+    sum otherwise.  Chirp-z rows are grouped by plan and transformed by one
     stacked call per plan; the phase multiplies around it run row by row.
-    Each row's input goes straight into the head of the plan's zero-padded
-    buffer, and the plans of one padded length share one buffer per call.
+    Each row's input goes straight into the head of its padded row in one
+    flat buffer per call, sized for the largest group, which every group
+    reuses in turn.
     """
     out = np.empty((len(models), count), dtype=np.complex128)
     groups: dict[tuple, list[int]] = {}
     for row, (model, t0, step) in enumerate(zip(models, t0s, steps)):
-        use_fast = model.has_uniform_grid and model.n_tones * count > _FAST_PATH_THRESHOLD if fast is None else fast
-        if not use_fast:
-            out[row] = model._tone_sum(np.asarray(t0 + step * np.arange(count), dtype=np.float64))
-        elif not model.has_uniform_grid:
-            raise ValueError("fast evaluation requires a uniform frequency grid")
-        else:
+        if model.has_uniform_grid and model.n_tones * count > _FAST_PATH_THRESHOLD:
             groups.setdefault((model.n_tones, count, np.exp(1j * model._grid.dw * float(step))), []).append(row)
+        else:
+            out[row] = model._tone_sum(np.asarray(t0 + step * np.arange(count), dtype=np.float64))
     plans = {key: _czt_plan(*key) for key in groups}
-    rows_per_length: dict[int, int] = {}
-    for key, plan in plans.items():
-        rows_per_length[plan.nfft] = max(rows_per_length.get(plan.nfft, 0), len(groups[key]))
-    buffers = {nfft: np.empty((rows, nfft), dtype=np.complex128) for nfft, rows in rows_per_length.items()}
+    buffer = np.empty(max((len(rows) * plans[key].nfft for key, rows in groups.items()), default=0), dtype=np.complex128)
     for key, rows in groups.items():
         plan, n_tones = plans[key], key[0]
-        a = buffers[plan.nfft][: len(rows)]
+        a = buffer[: len(rows) * plan.nfft].reshape(len(rows), plan.nfft)
         for i, row in enumerate(rows):
             # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
             phases = _input_phases(_TWO_FLOATS.pack(models[row]._grid.dw, t0s[row]), n_tones)
@@ -610,9 +590,9 @@ def sample_pairs(
     if not is_complex and any(imp.cfo_fraction != 0.0 or imp.phase_offset != 0.0 for imp in impairments):
         raise ValueError("carrier impairments require a complex model")
     t0 = float(start)
-    x0 = _tone_sums(models, [t0] * len(models), [1.0] * len(models), n_total, None)
+    x0 = _tone_sums(models, [t0] * len(models), [1.0] * len(models), n_total)
     steps = [1.0 + imp.delta for imp in impairments]
-    x1 = _tone_sums(models, [t0 * (1.0 + imp.delta) + imp.epsilon for imp in impairments], steps, n_total, None)
+    x1 = _tone_sums(models, [t0 * (1.0 + imp.delta) + imp.epsilon for imp in impairments], steps, n_total)
     if not is_complex:
         x0, x1 = np.ascontiguousarray(x0.real), np.ascontiguousarray(x1.real)
     # With ``real``, x1's noise goes to its real rows alone, so its imaginary

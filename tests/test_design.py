@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from farrowsync import design
 from farrowsync.design import (
     ERROR_FRONTIER,
     DesignError,
@@ -54,9 +55,10 @@ def test_canonical_bank_meets_its_target(canonical):
     assert abs(report.worst_delay) <= 0.5
 
 
-def test_reweighting_tightens_the_worst_case():
-    plain = design_bank(DesignSpec(degree=4, order=36, reweight_passes=0))
+def test_reweighting_tightens_the_worst_case(monkeypatch):
     shaped = design_bank(DesignSpec(degree=4, order=36))
+    monkeypatch.setattr(design, "_LAWSON_PASSES", 0)
+    plain = design_bank(DesignSpec(degree=4, order=36))
     assert measure_error(shaped).max_error < measure_error(plain).max_error
 
 
@@ -87,8 +89,6 @@ def test_spec_preconditions():
         DesignSpec(degree=2, order=12, n_freq=50)
     with pytest.raises(ValueError, match="delay grid"):
         DesignSpec(degree=2, order=12, n_delay=8)
-    with pytest.raises(ValueError, match="reweight"):
-        DesignSpec(degree=2, order=12, reweight_passes=-1)
 
 
 def test_rank_deficiency_is_reported():
@@ -113,8 +113,8 @@ def test_measurement_grid_guards(canonical):
 
 
 
-def _full_grid_design(spec: DesignSpec) -> np.ndarray:
-    """Taps of the same Lawson-weighted design solved as two full ``(n_freq*n_delay)``-row problems."""
+def _full_grid_design(spec: DesignSpec, passes: int) -> np.ndarray:
+    """Taps of the same design, with ``passes`` Lawson passes, solved as two full ``(n_freq*n_delay)``-row problems."""
     half = spec.order // 2
     omega = np.linspace(0.0, spec.omega_c, spec.freq_points)
     delay = np.linspace(-spec.d_max, spec.d_max, spec.n_delay)
@@ -128,7 +128,7 @@ def _full_grid_design(spec: DesignSpec) -> np.ndarray:
     if even:
         systems.append((even, np.hstack([dg[:, None] ** k * cosine for k in even]), np.cos(wg * dg) - 1.0))
     weights = np.ones(wg.size)
-    for _ in range(spec.reweight_passes + 1):
+    for _ in range(passes + 1):
         root = np.sqrt(weights)
         coefs = [np.linalg.lstsq(a * root[:, None], b * root, rcond=None)[0] for _, a, b in systems]
         resid = [a @ c - b for (_, a, b), c in zip(systems, coefs)]
@@ -146,12 +146,13 @@ def _full_grid_design(spec: DesignSpec) -> np.ndarray:
     return taps
 
 
-@pytest.mark.parametrize("reweight_passes", [0, 4])
+@pytest.mark.parametrize("lawson_passes", [0, 4])
 @pytest.mark.parametrize("n_delay", [16, 17])
 @pytest.mark.parametrize("degree,order", [(1, 8), (2, 8), (5, 10), (7, 12)])
-def test_compressed_design_matches_the_full_grid_solve(degree, order, n_delay, reweight_passes):
-    spec = DesignSpec(degree=degree, order=order, n_delay=n_delay, reweight_passes=reweight_passes)
-    want = _full_grid_design(spec)
+def test_compressed_design_matches_the_full_grid_solve(degree, order, n_delay, lawson_passes, monkeypatch):
+    monkeypatch.setattr(design, "_LAWSON_PASSES", lawson_passes)
+    spec = DesignSpec(degree=degree, order=order, n_delay=n_delay)
+    want = _full_grid_design(spec, lawson_passes)
     got = design_bank(spec).taps
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 

@@ -601,6 +601,43 @@ class TestTrialAxis:
             norms = [abs(float(b[k])) if sfo_only else math.hypot(*b[:, k].tolist()) for b in batch.rhs[: one.iterations]]
             assert norms == [r.residual_norm for r in one.records]
 
+    @settings(max_examples=200)
+    @given(
+        n=st.integers(3, 256),
+        degree=st.integers(1, 5),
+        trials=st.integers(1, 3),
+        decades=st.tuples(st.integers(-300, 300), st.integers(-300, 300), st.integers(0, 300)),
+        zeros=st.sampled_from([0.0, 0.02, 0.3]),
+        zero_u1=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.tuples(st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans(), st.integers(0, 2**16)),
+    )
+    @example(n=3, degree=1, trials=1, decades=(300, -300, 0), zeros=0.0, zero_u1=True, seed=0, bad=(np.nan, True, 0))
+    @example(n=256, degree=5, trials=3, decades=(0, 0, 300), zeros=0.3, zero_u1=False, seed=1, bad=(-np.inf, False, 7))
+    def test_every_finite_window_gives_finite_offsets_or_a_singular_flag(self, n, degree, trials, decades, zeros, zero_u1, seed, bad):
+        # Branch outputs and references centred on 1e[u_decade] and 1e[ref_decade],
+        # each sample spread over 1e[+-spread] and clipped to 1e+-300, with
+        # sparse zeros and optionally no first-degree branch at all.
+        u_decade, ref_decade, spread = decades
+        rng = np.random.default_rng(seed)
+
+        def draw(shape, decade):
+            power = np.clip(decade + rng.integers(-spread, spread + 1, shape), -300, 300)
+            return np.where(rng.random(shape) < zeros, 0.0, rng.standard_normal(shape) * 10.0 ** power)
+
+        u, ref = draw((trials, degree + 1, n), u_decade), draw((trials, n), ref_decade)
+        if zero_u1:
+            u[:, 1] = 0.0
+        for method, sfo_only in TestEstimateDriver.ALL_VARIANTS:
+            batch = estimate_batch(u, ref, EstimatorConfig(method=method, max_iterations=3, sfo_only=sfo_only))
+            finite = np.all([np.isfinite(h.delta) & np.isfinite(h.epsilon) for h in batch.history], axis=0)
+            assert np.all(finite | batch.singular), (method, sfo_only)
+        value, in_u, index = bad
+        target = u if in_u else ref
+        target.flat[index % target.size] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_batch(u, ref, EstimatorConfig())
+
     def test_batch_input_guards(self):
         u, ref = self._windows(self.OFFSETS[:2])
         with pytest.raises(ValueError, match="does not match"):

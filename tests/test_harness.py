@@ -742,6 +742,17 @@ class TestCli:
         assert blob == (tmp_path / "b" / "single.csv").read_bytes()
         assert blob != (tmp_path / "c" / "single.csv").read_bytes()
 
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_a_singular_single_trial_exits_two_with_a_header_only_csv(self, dump, tmp_path, capsys):
+        # At -3000 dB the noise swamps the signal and the first update is not finite.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nexperiment = single\nsnr_db = -3000\n" + ("dump_signals = true\n" if dump else ""))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "warning: 1 cell(s) failed and were skipped" in capsys.readouterr().err
+        assert read_rows(out / "single.csv") == (list(harness.SINGLE_HEADER), [])
+        assert (out / "signals.csv").exists() == dump
+
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):
             main([])

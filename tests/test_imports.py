@@ -63,7 +63,6 @@ def unread_public_members(sources: list[str]) -> list[str]:
 #: Public members kept without a reader in the package, with the reason.
 READER_EXEMPT = {
     "HarmonicSignalModel.evaluate": "the direct-summation reference that the signal tests compare the fast paths against",
-    "HarmonicSignalModel.evaluate_affine": "the one-model chirp-z entry point that the signal tests compare against",
 }
 
 

@@ -38,6 +38,30 @@ def _toy_model(is_complex=False):
     )
 
 
+@pytest.fixture
+def chirp_z(monkeypatch):
+    """One model's tone sums on one affine grid, with the chirp-z path taken on any uniform grid."""
+    monkeypatch.setattr(signals, "_FAST_PATH_THRESHOLD", 0)
+
+    def evaluate(model, t0, step, count):
+        result = signals._tone_sums([model], [t0], [step], count)[0]
+        return result if model.is_complex else result.real
+
+    return evaluate
+
+
+def _direct(model, t0, step, count):
+    """The direct sum on the grid ``t0 + step*arange(count)``."""
+    return model.evaluate(t0 + step * np.arange(count))
+
+
+def _transform(plan, x):
+    """``plan`` applied to ``x`` through a zero-padded buffer of its own."""
+    a = np.empty(x.shape[:-1] + (plan.nfft,), dtype=np.complex128)
+    a[..., : plan.n] = x
+    return plan.transform(a)
+
+
 class TestHarmonicModel:
     def test_power_convention_matches_time_average(self):
         # Tones on the period-16 grid: the time average over one period is exact.
@@ -49,48 +73,50 @@ class TestHarmonicModel:
         assert np.mean(np.abs(complex_model.evaluate(t)) ** 2) == pytest.approx(np.sum(np.abs(complex_model.coefficients) ** 2), rel=1e-12)
         assert np.sum(np.abs(real_model.coefficients) ** 2) / 2 == pytest.approx(7.0)
 
-    def test_affine_direct_equals_pointwise_evaluate(self):
+    def test_small_jobs_take_the_direct_sum_with_the_bits_of_evaluate(self):
         model = _toy_model(True)
-        got = model.evaluate_affine(-3.25, 1.0 + 4e-4, 50, fast=False)
-        want = model.evaluate(-3.25 + (1.0 + 4e-4) * np.arange(50))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        got = signals._tone_sums([model], [-3.25], [1.0 + 4e-4], 50)[0]
+        assert got.tobytes() == _direct(model, -3.25, 1.0 + 4e-4, 50).tobytes()
 
     @pytest.mark.parametrize("is_complex", [False, True])
-    def test_fast_path_matches_direct(self, is_complex):
+    def test_fast_path_matches_direct(self, is_complex, chirp_z):
         model = make_multisine(seed=5, complex_signal=is_complex)
-        slow = model.evaluate_affine(-18.0, 1.0003, 400, fast=False)
-        fast = model.evaluate_affine(-18.0, 1.0003, 400, fast=True)
+        slow = _direct(model, -18.0, 1.0003, 400)
+        fast = chirp_z(model, -18.0, 1.0003, 400)
         scale = np.max(np.abs(slow))
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-10 * scale)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_fast_path_matches_direct_on_a_desk_ofdm_window(self, seed):
+    def test_fast_path_matches_direct_on_a_desk_ofdm_window(self, seed, chirp_z):
         # 7.99e-11 to 1.09e-10 of the peak over these 12 cases (seed 2, step 0.9995 the worst).
         model, _ = make_ofdm(OfdmSpec(qam_order=16, seed=seed))
         for step in (1.0, 1.0 - 5e-4, 1.0 + 5e-4):
-            slow = model.evaluate_affine(-18.0, step, 1036, fast=False)
-            fast = model.evaluate_affine(-18.0, step, 1036, fast=True)
+            slow = _direct(model, -18.0, step, 1036)
+            fast = chirp_z(model, -18.0, step, 1036)
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1.25e-10 * np.max(np.abs(slow)))
 
     def test_automatic_fast_path_keeps_accuracy(self):
         model, _ = make_ofdm(OfdmSpec(seed=9))
         count = 400  # 1537 tones * 400 > the auto threshold
-        auto = model.evaluate_affine(-1024.0, 1.0 - 3e-4, count)
-        direct = model.evaluate_affine(-1024.0, 1.0 - 3e-4, count, fast=False)
+        auto = signals._tone_sums([model], [-1024.0], [1.0 - 3e-4], count)[0]
+        direct = _direct(model, -1024.0, 1.0 - 3e-4, count)
         scale = np.max(np.abs(direct))
         np.testing.assert_allclose(auto, direct, rtol=0, atol=1e-9 * scale)
 
-    def test_fast_path_requires_uniform_grid(self):
-        model = HarmonicSignalModel(coefficients=np.ones(3), omegas=np.array([0.1, 0.2, 0.5]))
-        assert not model.has_uniform_grid
-        with pytest.raises(ValueError, match="uniform"):
-            model.evaluate_affine(0.0, 1.0, 10, fast=True)
+    def test_a_non_uniform_grid_takes_the_direct_sum_at_any_size(self, chirp_z):
+        misses = _czt_plan.cache_info().misses
+        for is_complex in (False, True):
+            model = HarmonicSignalModel(np.ones(3), np.array([0.1, 0.2, 0.5]), is_complex)
+            assert not model.has_uniform_grid
+            assert chirp_z(model, -2.5, 1.0 + 3e-4, 40).tobytes() == _direct(model, -2.5, 1.0 + 3e-4, 40).tobytes()
+        assert _czt_plan.cache_info().misses == misses
 
-    def test_empty_and_invalid_counts(self):
-        model = _toy_model()
-        assert model.evaluate_affine(0.0, 1.0, 0).size == 0
-        with pytest.raises(ValueError):
-            model.evaluate_affine(0.0, 1.0, -1)
+    @pytest.mark.parametrize("n_total", [0, -1])
+    def test_sampling_needs_a_positive_count(self, n_total):
+        with pytest.raises(ValueError, match="n_total"):
+            sample_pair(_toy_model(), ImpairmentSpec(), n_total)
+        with pytest.raises(ValueError, match="n_total"):
+            sample_pairs([_toy_model()] * 2, [ImpairmentSpec()] * 2, n_total)
 
     def test_construction_guards(self):
         ones = np.ones(2)
@@ -157,10 +183,10 @@ def _uncached_fast_path(model, t0, step, count):
     return result if model.is_complex else result.real
 
 
-def _assert_fast_path_is_fresh(model, cases):
+def _assert_fast_path_is_fresh(chirp_z, model, cases):
     """Each case's samples, and the phase vectors the caches give it, carry the bits of ones built afresh."""
     for t0, step, count in cases:
-        assert model.evaluate_affine(t0, step, count, fast=True).tobytes() == _uncached_fast_path(model, t0, step, count).tobytes()
+        assert chirp_z(model, t0, step, count).tobytes() == _uncached_fast_path(model, t0, step, count).tobytes()
         before = signals._input_phases(signals._TWO_FLOATS.pack(model._grid.dw, t0), model.n_tones)
         after = signals._output_phases(signals._THREE_FLOATS.pack(model._grid.w0, t0, step), count)
         assert [before.tobytes(), after.tobytes()] == [v.tobytes() for v in _fresh_phases(model, t0, step, count)], (t0, step)
@@ -188,7 +214,7 @@ class TestPlanCache:
                 w = np.exp(1j * dw * step)
                 ours, reference = _ChirpZPlan(n, m, w), CZT(n, m, w, 1.0 + 0.0j)
                 for x in (rows[0], rows):
-                    got, want = ours(x), reference(x)
+                    got, want = _transform(ours, x), reference(x)
                     assert got.shape == want.shape == x.shape[:-1] + (m,)
                     assert np.array_equal(got, want), (dw, step, x.ndim)
                     assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
@@ -201,20 +227,20 @@ class TestPlanCache:
             assert _next_fast_len(n) == next_fast_len(n), n
 
     @pytest.mark.parametrize("is_complex", [False, True])
-    def test_cached_fast_path_is_bit_identical_to_a_fresh_plan(self, is_complex):
+    def test_cached_fast_path_is_bit_identical_to_a_fresh_plan(self, is_complex, chirp_z):
         model = make_multisine(seed=5, complex_signal=is_complex)
         cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257), *_SIGNED_ZERO_CASES]
         other = _small_ofdm_model()
         assert _fresh_phases(other, 0.0, -1.0, 300)[1].tobytes() != _fresh_phases(other, -0.0, -1.0, 300)[1].tobytes()
-        _assert_fast_path_is_fresh(model, cases)
-        _assert_fast_path_is_fresh(other, _SIGNED_ZERO_CASES)
+        _assert_fast_path_is_fresh(chirp_z, model, cases)
+        _assert_fast_path_is_fresh(chirp_z, other, _SIGNED_ZERO_CASES)
         # Fill the caches with plans and phases of other models, sizes and
         # steps, then check that the original cases still come out bit-identical.
         for k in range(5):
-            other.evaluate_affine(-7.0, 1.0 + k * 1e-4, 300, fast=True)
-            make_bandpass_noise(seed=k).evaluate_affine(0.0, 1.0 - k * 1e-4, 400, fast=True)
-        _assert_fast_path_is_fresh(model, cases)
-        _assert_fast_path_is_fresh(other, _SIGNED_ZERO_CASES)
+            chirp_z(other, -7.0, 1.0 + k * 1e-4, 300)
+            chirp_z(make_bandpass_noise(seed=k), 0.0, 1.0 - k * 1e-4, 400)
+        _assert_fast_path_is_fresh(chirp_z, model, cases)
+        _assert_fast_path_is_fresh(chirp_z, other, _SIGNED_ZERO_CASES)
 
     def test_desk_grid_builds_one_plan_per_sampling_rate(self, tmp_path, monkeypatch):
         grid_points = 5  # the desk default
@@ -246,14 +272,14 @@ class TestPlanCache:
             with pytest.raises(ValueError):
                 next(iter(cache._values.values()))[0] = 0.0
 
-    def test_phase_caches_stay_within_their_share(self, monkeypatch):
+    def test_phase_caches_stay_within_their_share(self, monkeypatch, chirp_z):
         model = make_bandpass_noise(seed=4)
         budget = 64 * 600 * 16  # a thirty-second holds two 9600-byte output phases (600 samples) or two 8192-byte input phases (512 tones)
         monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", budget)
         for cache in _PHASE_CACHES:
             cache.cache_clear()
         for k in range(80):
-            model.evaluate_affine(k * 0.25, 1.0, 600, fast=True)
+            chirp_z(model, k * 0.25, 1.0, 600)
             assert [cache.cache_info().nbytes <= budget / 32 for cache in _PHASE_CACHES] == [True, True]
         assert [cache.cache_info()[:3] for cache in _PHASE_CACHES] == [(0, 80, 2), (0, 80, 2)]
 
@@ -264,19 +290,19 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             coeffs[0] = 0.0
 
-    def test_cache_stays_bounded(self, monkeypatch):
+    def test_cache_stays_bounded(self, monkeypatch, chirp_z):
         model = make_bandpass_noise(seed=4)
         _czt_plan.cache_clear()
-        model.evaluate_affine(0.0, 1.0, 600, fast=True)
+        chirp_z(model, 0.0, 1.0, 600)
         plan_bytes = _czt_plan.cache_info().nbytes
         monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", 3 * plan_bytes)
         for k in range(1, 81):
-            model.evaluate_affine(0.0, 1.0 + k * 1e-6, 600, fast=True)
+            chirp_z(model, 0.0, 1.0 + k * 1e-6, 600)
             info = _czt_plan.cache_info()
             assert info.nbytes <= 3 * plan_bytes and info.currsize <= 3
         assert (info.hits, info.misses) == (0, 81)
 
-    def test_eviction_keeps_results_bit_identical(self, monkeypatch):
+    def test_eviction_keeps_results_bit_identical(self, monkeypatch, chirp_z):
         model = make_multisine(seed=5, complex_signal=True)
         cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257)]
         # Below one entry's size: each new plan or phase vector evicts the one before and stays alone.
@@ -285,25 +311,22 @@ class TestPlanCache:
             cache.cache_clear()
         for _ in range(2):
             for t0, step, count in cases:
-                assert np.array_equal(model.evaluate_affine(t0, step, count, fast=True), _uncached_fast_path(model, t0, step, count))
+                assert np.array_equal(chirp_z(model, t0, step, count), _uncached_fast_path(model, t0, step, count))
                 assert _czt_plan.cache_info().currsize == 1
                 assert [cache.cache_info().currsize for cache in _PHASE_CACHES] == [1, 1]
         assert _czt_plan.cache_info().hits == 0
         # The first two cases share their start time, so only the second finds its input phases.
         assert [cache.cache_info().hits for cache in _PHASE_CACHES] == [2, 0]
-        _assert_fast_path_is_fresh(model, _SIGNED_ZERO_CASES)
-        _assert_fast_path_is_fresh(_small_ofdm_model(), _SIGNED_ZERO_CASES)
+        _assert_fast_path_is_fresh(chirp_z, model, _SIGNED_ZERO_CASES)
+        _assert_fast_path_is_fresh(chirp_z, _small_ofdm_model(), _SIGNED_ZERO_CASES)
 
-    def test_plan_call_keeps_its_input_and_stacked_rows_match_one_row_calls(self):
+    def test_stacked_rows_match_one_row_transforms(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((5, 1537)) + 1j * rng.standard_normal((5, 1537))
-        x.setflags(write=False)
-        before = x.copy()
         plan = _ChirpZPlan(1537, 1036, np.exp(1j * 2.0 * np.pi / 2048 * (1.0 + 3e-4)))
-        stacked = plan(x)
-        assert np.array_equal(x, before)
+        stacked = _transform(plan, x)
         for row in range(5):
-            one = plan(x[row])
+            one = _transform(plan, x[row])
             assert np.array_equal(one, stacked[row])
             assert np.array_equal(np.signbit(one.view(np.float64)), np.signbit(stacked[row].view(np.float64)))
 
@@ -345,6 +368,34 @@ class TestPlanCache:
         padded = len(models) * _next_fast_len(models[0].n_tones + 1036 - 1) * np.dtype(np.complex128).itemsize
         assert peak < x0.nbytes + x1.nbytes + padded, (peak, x0.nbytes + x1.nbytes + padded)
 
+    @staticmethod
+    def _warm_tone_sums_peak(models, t0, step, count):
+        """Traced peak bytes of a warm ``_tone_sums`` call on one grid, and its output's bytes."""
+        args = (models, [t0] * len(models), [step] * len(models), count)
+        signals._tone_sums(*args)
+        tracemalloc.start()
+        try:
+            out = signals._tone_sums(*args)
+            return tracemalloc.get_traced_memory()[1], out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_plan_groups_of_two_padded_lengths_share_one_buffer(self):
+        # 8 multisine rows and 8 bandpass rows take the chirp-z path at two
+        # padded lengths.  The mixed call holds what the bandpass rows' call
+        # alone holds (their output, the buffer and the transform's own
+        # temporaries) plus the multisine rows' output: no second buffer.
+        models = [make_multisine(seed=k) for k in range(8)] + [make_bandpass_noise(seed=k) for k in range(8)]
+        step, count = 1.0 + 1e-4, 5000
+        lengths = [_czt_plan(m.n_tones, count, np.exp(1j * m._grid.dw * step)).nfft for m in (models[0], models[8])]
+        assert lengths[0] < lengths[1]
+        peak, out_bytes = self._warm_tone_sums_peak(models, -18.0, step, count)
+        alone, alone_bytes = self._warm_tone_sums_peak(models[8:], -18.0, step, count)
+        bound = alone + out_bytes - alone_bytes + 16 * 1024  # 16 KiB for the call's lists and dicts
+        assert peak < bound, (peak, bound)
+        # The smaller group's padded rows, which a buffer per length would add.
+        assert 8 * lengths[0] * np.dtype(np.complex128).itemsize > 16 * 1024
+
     def test_transform_zeroes_the_padding_of_a_used_buffer(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
@@ -353,7 +404,7 @@ class TestPlanCache:
         buffer[:3, : plan.n] = x
         got = plan.transform(buffer[:3])
         assert np.shares_memory(got, buffer)
-        assert np.array_equal(got, plan(x))
+        assert np.array_equal(got, _transform(plan, x))
 
 
 class TestGenerators:
