@@ -258,22 +258,17 @@ def _sample_chunk(chunk: list[tuple], draw: Callable, bank: CoefficientBank, spa
     return work(chunk, extras, u, ref)
 
 
-def _simplified_from(ils: BatchEstimate) -> BatchEstimate:
-    """The simplified estimate an ILS run holds: its first iteration, the bits of a simplified run."""
-    done = np.minimum(ils.iterations, 1)
-    return BatchEstimate(ils.history[:1], ils.rhs[:1], done, done == 1, done == 0)
-
-
 def _estimate_chunk(u: np.ndarray, ref: np.ndarray, configs: _Variants) -> tuple[list[BatchEstimate], np.ndarray]:
     """Each config's estimates for a batch of trials, and the mask of trials that no config flagged singular.
 
-    A ``simplified`` config that follows a joint ILS config is read from that
-    run's first iteration rather than estimated again.
+    A ``simplified`` config that follows a joint ILS config gets that ILS
+    run itself, whose first iteration is the simplified estimate bit for
+    bit; a trial singular at that iteration is flagged by the ILS run.
     """
     results: list[BatchEstimate] = []
     for _, config in configs:
         ils = [result for (_, c), result in zip(configs, results) if c.method == "ils" and not c.sfo_only]
-        results.append(_simplified_from(ils[0]) if config.method == "simplified" and ils else estimate_batch(u, ref, config))
+        results.append(ils[0] if config.method == "simplified" and ils else estimate_batch(u, ref, config))
     return results, ~np.logical_or.reduce([result.singular for result in results])
 
 
@@ -336,33 +331,34 @@ def _iteration_rows(
     scores their window; ``columns(y, *trial)`` gives the tuple ``more`` per
     set from that ``(sets, span)`` block ``y``.  ``truth`` adds a row
     ``"true"`` of iteration 0 per trial, compensated with those offsets.
-    Each variant's history is read into Python floats once per chunk.
+    The parameter sets are built once per chunk and grouped by the branches
+    they compensate with.  No variant sets a tolerance, so every kept trial
+    has every iteration.
     """
     n = 1024
     window = slice(lead, lead + n)
 
     def work(chunk, extras, u, ref):
         results, ok = _estimate_chunk(u.real[..., window], ref[:, window].real, variants)
-        histories = [
-            (label, config.method == "simplified", [(p.delta.tolist(), p.epsilon.tolist()) for p in result.history], result.iterations.tolist())
+        # (label, iteration, branches, delta per trial, epsilon per trial) per
+        # set; ``branches`` slices the bank rows: 2 for the first-degree truncation.
+        sets = [
+            (label, m + 1, 2 if config.method == "simplified" else None, p.delta.tolist(), p.epsilon.tolist())
             for (label, config), result in zip(variants, results)
+            for m, p in enumerate(result.history[:1] if config.method == "simplified" else result.history)
         ]
+        sets += [("true", 0, None, [truth.delta] * len(chunk), [truth.epsilon] * len(chunk))] if truth else []
+        groups = {key: [i for i, entry in enumerate(sets) if entry[2] == key] for key in dict.fromkeys(entry[2] for entry in sets)}
         rows: list[tuple] = []
         for b in np.flatnonzero(ok).tolist():
             trial = (*chunk[b], *(extra[b] for extra in extras))
-            scored = [
-                (label, m + 1, d[b], e[b], first_degree) for label, first_degree, history, done in histories for m, (d, e) in enumerate(history[: done[b]])
-            ]
-            scored += [("true", 0, truth.delta, truth.epsilon, False)] if truth else []
-            scores = [None] * len(scored)
-            for first_degree, outputs in ((False, u[b]), (True, u[b, :2])):
-                batch = [i for i, entry in enumerate(scored) if entry[4] == first_degree]
-                if batch:
-                    params = OffsetParams(np.array([scored[i][2] for i in batch]), np.array([scored[i][3] for i in batch]))
-                    y = farrow_output(outputs, params, n0=-lead)
-                    for i, err, more in zip(batch, nmse(y[:, window], ref[b, window]).tolist(), columns(y, *trial)):
-                        scores[i] = (err, more)
-            rows += [row(trial, label, iteration, d, e, err, more) for (label, iteration, d, e, _), (err, more) in zip(scored, scores)]
+            scores = [None] * len(sets)
+            for branches, batch in groups.items():
+                params = OffsetParams(np.array([sets[i][3][b] for i in batch]), np.array([sets[i][4][b] for i in batch]))
+                y = farrow_output(u[b, :branches], params, n0=-lead)
+                for i, err, more in zip(batch, nmse(y[:, window], ref[b, window]).tolist(), columns(y, *trial)):
+                    scores[i] = (err, more)
+            rows += [row(trial, label, m, d[b], e[b], *score) for (label, m, _, d, e), score in zip(sets, scores)]
         return rows, int(np.count_nonzero(~ok))
 
     chunks = _run_chunks(keys, draw, get_bank(), span, work, lead)

@@ -9,11 +9,14 @@ A model evaluated on an affine time grid ``t_j = t0 + j*step`` with a uniform
 frequency grid reduces to a chirp-z transform; that fast path agrees with
 direct evaluation to about 1e-10 of the peak sample magnitude (7.99e-11 to
 1.09e-10 measured for 16-QAM OFDM models of 1537 tones over 1036 samples,
-2.2e-11 to 2.7e-11 in RMS; the tests bound that case at 1.25e-10 and a
-multisine case at 1e-10).  The sampler picks the path from its inputs
-alone: the chirp-z transform for a uniform grid whose tone count times
-sample count exceeds :data:`_FAST_PATH_THRESHOLD`, the direct sum for
-every other row.
+2.2e-11 to 2.7e-11 in RMS; the tests bound that case at 1.25e-10).  The
+error grows with the sample count: at most 2.5e-12 of the peak for the
+64-tone multisine over 1060 samples, 1.6e-12 to 9.6e-12 for 512-line
+bandpass noise over 100 to 548 samples, 4.8e-16 to 5.2e-12 for a 3-tone
+model over 5 to 500 samples, and 0 for one tone (the tests bound the
+multisine and the small models at 1e-11).  The path follows the grid
+alone: the chirp-z transform for every uniform grid, at any size, and the
+direct sum for every other one.
 The transform is Bluestein's algorithm (Rabiner, Schafer & Rader, "The
 chirp z-transform algorithm", BSTJ 1969) on ``numpy.fft``, written here with
 the arithmetic of ``scipy.signal.CZT`` at start point 1, so the samples are
@@ -88,9 +91,6 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 MAX_OMEGA = 0.9 * np.pi
-
-# Above this many tone-sample products, evaluation switches to the CZT.
-_FAST_PATH_THRESHOLD = 1 << 18
 
 _DIRECT_CHUNK = 4096
 
@@ -291,10 +291,10 @@ class HarmonicSignalModel:
 def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], steps: Sequence[float], count: int) -> np.ndarray:
     """Complex tone sums of ``models[b]`` on the grid ``t0s[b] + steps[b]*arange(count)``, one row each.
 
-    A row takes the chirp-z path when its model's grid is uniform and
-    ``n_tones * count`` exceeds :data:`_FAST_PATH_THRESHOLD`, and the direct
-    sum otherwise.  Chirp-z rows are grouped by plan and transformed by one
-    stacked call per plan; the phase multiplies around it run row by row.
+    A row takes the chirp-z path when its model's grid is uniform, whatever
+    the sizes, and the direct sum otherwise.  Chirp-z rows are grouped by
+    plan and transformed by one stacked call per plan; the phase multiplies
+    around it run row by row.
     Each row's input goes straight into the head of its padded row in one
     flat buffer per call, sized for the largest group, which every group
     reuses in turn.
@@ -302,7 +302,7 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
     out = np.empty((len(models), count), dtype=np.complex128)
     groups: dict[tuple, list[int]] = {}
     for row, (model, t0, step) in enumerate(zip(models, t0s, steps)):
-        if model.has_uniform_grid and model.n_tones * count > _FAST_PATH_THRESHOLD:
+        if model.has_uniform_grid:
             groups.setdefault((model.n_tones, count, np.exp(1j * model._grid.dw * float(step))), []).append(row)
         else:
             out[row] = model._tone_sum(np.asarray(t0 + step * np.arange(count), dtype=np.float64))
@@ -591,10 +591,13 @@ def sample_pairs(
         raise ValueError("carrier impairments require a complex model")
     t0 = float(start)
     x0 = _tone_sums(models, [t0] * len(models), [1.0] * len(models), n_total)
+    # A real model's x0 drops its complex sums before x1's are formed.
+    if not is_complex:
+        x0 = np.ascontiguousarray(x0.real)
     steps = [1.0 + imp.delta for imp in impairments]
     x1 = _tone_sums(models, [t0 * (1.0 + imp.delta) + imp.epsilon for imp in impairments], steps, n_total)
     if not is_complex:
-        x0, x1 = np.ascontiguousarray(x0.real), np.ascontiguousarray(x1.real)
+        x1 = np.ascontiguousarray(x1.real)
     # With ``real``, x1's noise goes to its real rows alone, so its imaginary
     # part's, the last draw, is not drawn.  x0's is, since x1's follows it.
     y1 = np.empty(x1.shape) if real and is_complex else x1

@@ -38,16 +38,10 @@ def _toy_model(is_complex=False):
     )
 
 
-@pytest.fixture
-def chirp_z(monkeypatch):
-    """One model's tone sums on one affine grid, with the chirp-z path taken on any uniform grid."""
-    monkeypatch.setattr(signals, "_FAST_PATH_THRESHOLD", 0)
-
-    def evaluate(model, t0, step, count):
-        result = signals._tone_sums([model], [t0], [step], count)[0]
-        return result if model.is_complex else result.real
-
-    return evaluate
+def chirp_z(model, t0, step, count):
+    """One model's tone sums on one affine grid: the chirp-z transform on a uniform grid, the direct sum otherwise."""
+    result = signals._tone_sums([model], [t0], [step], count)[0]
+    return result if model.is_complex else result.real
 
 
 def _direct(model, t0, step, count):
@@ -73,21 +67,38 @@ class TestHarmonicModel:
         assert np.mean(np.abs(complex_model.evaluate(t)) ** 2) == pytest.approx(np.sum(np.abs(complex_model.coefficients) ** 2), rel=1e-12)
         assert np.sum(np.abs(real_model.coefficients) ** 2) / 2 == pytest.approx(7.0)
 
-    def test_small_jobs_take_the_direct_sum_with_the_bits_of_evaluate(self):
-        model = _toy_model(True)
-        got = signals._tone_sums([model], [-3.25], [1.0 + 4e-4], 50)[0]
-        assert got.tobytes() == _direct(model, -3.25, 1.0 + 4e-4, 50).tobytes()
+    @pytest.mark.parametrize("count", [5, 50, 500])
+    def test_small_uniform_jobs_take_the_chirp_z_path(self, count):
+        # 4.8e-16, 3.7e-14 and 5.2e-12 of the peak for the toy model; 0 for one tone.
+        one_tone = HarmonicSignalModel(np.array([2.0 - 1.5j]), np.array([0.3]), is_complex=True)
+        for model in (_toy_model(False), _toy_model(True), one_tone):
+            assert model.has_uniform_grid
+            _czt_plan.cache_clear()
+            fast = chirp_z(model, -3.25, 1.0 + 4e-4, count)
+            assert _czt_plan.cache_info().misses == 1
+            slow = _direct(model, -3.25, 1.0 + 4e-4, count)
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-11 * np.max(np.abs(slow)))
 
     @pytest.mark.parametrize("is_complex", [False, True])
-    def test_fast_path_matches_direct(self, is_complex, chirp_z):
+    def test_fast_path_matches_direct(self, is_complex):
         model = make_multisine(seed=5, complex_signal=is_complex)
         slow = _direct(model, -18.0, 1.0003, 400)
         fast = chirp_z(model, -18.0, 1.0003, 400)
         scale = np.max(np.abs(slow))
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-10 * scale)
 
+    @pytest.mark.parametrize("delta, epsilon", [(400e-6, -0.2), (300e-6, 300e-6)], ids=["example1", "table3"])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_fast_path_matches_direct_on_a_desk_multisine_window(self, delta, epsilon, is_complex):
+        # 2.54e-12 of the peak at worst over seeds 0-19, both channels, real and complex.
+        for seed in range(4):
+            model = make_multisine(seed=seed, complex_signal=is_complex)
+            for t0, step in ((-18.0, 1.0), (-18.0 * (1.0 + delta) + epsilon, 1.0 + delta)):
+                slow = _direct(model, t0, step, 1060)
+                np.testing.assert_allclose(chirp_z(model, t0, step, 1060), slow, rtol=0, atol=1e-11 * np.max(np.abs(slow)))
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_fast_path_matches_direct_on_a_desk_ofdm_window(self, seed, chirp_z):
+    def test_fast_path_matches_direct_on_a_desk_ofdm_window(self, seed):
         # 7.99e-11 to 1.09e-10 of the peak over these 12 cases (seed 2, step 0.9995 the worst).
         model, _ = make_ofdm(OfdmSpec(qam_order=16, seed=seed))
         for step in (1.0, 1.0 - 5e-4, 1.0 + 5e-4):
@@ -97,13 +108,13 @@ class TestHarmonicModel:
 
     def test_automatic_fast_path_keeps_accuracy(self):
         model, _ = make_ofdm(OfdmSpec(seed=9))
-        count = 400  # 1537 tones * 400 > the auto threshold
+        count = 400  # fewer samples than tones
         auto = signals._tone_sums([model], [-1024.0], [1.0 - 3e-4], count)[0]
         direct = _direct(model, -1024.0, 1.0 - 3e-4, count)
         scale = np.max(np.abs(direct))
         np.testing.assert_allclose(auto, direct, rtol=0, atol=1e-9 * scale)
 
-    def test_a_non_uniform_grid_takes_the_direct_sum_at_any_size(self, chirp_z):
+    def test_a_non_uniform_grid_takes_the_direct_sum_at_any_size(self):
         misses = _czt_plan.cache_info().misses
         for is_complex in (False, True):
             model = HarmonicSignalModel(np.ones(3), np.array([0.1, 0.2, 0.5]), is_complex)
@@ -183,7 +194,7 @@ def _uncached_fast_path(model, t0, step, count):
     return result if model.is_complex else result.real
 
 
-def _assert_fast_path_is_fresh(chirp_z, model, cases):
+def _assert_fast_path_is_fresh(model, cases):
     """Each case's samples, and the phase vectors the caches give it, carry the bits of ones built afresh."""
     for t0, step, count in cases:
         assert chirp_z(model, t0, step, count).tobytes() == _uncached_fast_path(model, t0, step, count).tobytes()
@@ -227,20 +238,20 @@ class TestPlanCache:
             assert _next_fast_len(n) == next_fast_len(n), n
 
     @pytest.mark.parametrize("is_complex", [False, True])
-    def test_cached_fast_path_is_bit_identical_to_a_fresh_plan(self, is_complex, chirp_z):
+    def test_cached_fast_path_is_bit_identical_to_a_fresh_plan(self, is_complex):
         model = make_multisine(seed=5, complex_signal=is_complex)
         cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257), *_SIGNED_ZERO_CASES]
         other = _small_ofdm_model()
         assert _fresh_phases(other, 0.0, -1.0, 300)[1].tobytes() != _fresh_phases(other, -0.0, -1.0, 300)[1].tobytes()
-        _assert_fast_path_is_fresh(chirp_z, model, cases)
-        _assert_fast_path_is_fresh(chirp_z, other, _SIGNED_ZERO_CASES)
+        _assert_fast_path_is_fresh(model, cases)
+        _assert_fast_path_is_fresh(other, _SIGNED_ZERO_CASES)
         # Fill the caches with plans and phases of other models, sizes and
         # steps, then check that the original cases still come out bit-identical.
         for k in range(5):
             chirp_z(other, -7.0, 1.0 + k * 1e-4, 300)
             chirp_z(make_bandpass_noise(seed=k), 0.0, 1.0 - k * 1e-4, 400)
-        _assert_fast_path_is_fresh(chirp_z, model, cases)
-        _assert_fast_path_is_fresh(chirp_z, other, _SIGNED_ZERO_CASES)
+        _assert_fast_path_is_fresh(model, cases)
+        _assert_fast_path_is_fresh(other, _SIGNED_ZERO_CASES)
 
     def test_desk_grid_builds_one_plan_per_sampling_rate(self, tmp_path, monkeypatch):
         grid_points = 5  # the desk default
@@ -272,7 +283,7 @@ class TestPlanCache:
             with pytest.raises(ValueError):
                 next(iter(cache._values.values()))[0] = 0.0
 
-    def test_phase_caches_stay_within_their_share(self, monkeypatch, chirp_z):
+    def test_phase_caches_stay_within_their_share(self, monkeypatch):
         model = make_bandpass_noise(seed=4)
         budget = 64 * 600 * 16  # a thirty-second holds two 9600-byte output phases (600 samples) or two 8192-byte input phases (512 tones)
         monkeypatch.setattr(signals, "_CZT_PLAN_CACHE_BYTES", budget)
@@ -290,7 +301,7 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             coeffs[0] = 0.0
 
-    def test_cache_stays_bounded(self, monkeypatch, chirp_z):
+    def test_cache_stays_bounded(self, monkeypatch):
         model = make_bandpass_noise(seed=4)
         _czt_plan.cache_clear()
         chirp_z(model, 0.0, 1.0, 600)
@@ -302,7 +313,7 @@ class TestPlanCache:
             assert info.nbytes <= 3 * plan_bytes and info.currsize <= 3
         assert (info.hits, info.misses) == (0, 81)
 
-    def test_eviction_keeps_results_bit_identical(self, monkeypatch, chirp_z):
+    def test_eviction_keeps_results_bit_identical(self, monkeypatch):
         model = make_multisine(seed=5, complex_signal=True)
         cases = [(-18.0, 1.0003, 400), (-18.0, 1.0, 400), (3.5, 1.0 - 2e-4, 257)]
         # Below one entry's size: each new plan or phase vector evicts the one before and stays alone.
@@ -317,8 +328,8 @@ class TestPlanCache:
         assert _czt_plan.cache_info().hits == 0
         # The first two cases share their start time, so only the second finds its input phases.
         assert [cache.cache_info().hits for cache in _PHASE_CACHES] == [2, 0]
-        _assert_fast_path_is_fresh(chirp_z, model, _SIGNED_ZERO_CASES)
-        _assert_fast_path_is_fresh(chirp_z, _small_ofdm_model(), _SIGNED_ZERO_CASES)
+        _assert_fast_path_is_fresh(model, _SIGNED_ZERO_CASES)
+        _assert_fast_path_is_fresh(_small_ofdm_model(), _SIGNED_ZERO_CASES)
 
     def test_stacked_rows_match_one_row_transforms(self):
         rng = np.random.default_rng(8)
@@ -358,27 +369,26 @@ class TestPlanCache:
         # buffer: a (rows, tones) coefficient stack beside x0, x1 and that
         # buffer (1.2 MB here) would not fit under this bound.
         models, impairments = self._grid_chunk()
-        sample_pairs(models, impairments, 1036, start=-18)
-        tracemalloc.start()
-        try:
-            x0, x1 = sample_pairs(models, impairments, 1036, start=-18)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (x0, x1) = self._warm_peak(sample_pairs, models, impairments, 1036, -18)
         padded = len(models) * _next_fast_len(models[0].n_tones + 1036 - 1) * np.dtype(np.complex128).itemsize
         assert peak < x0.nbytes + x1.nbytes + padded, (peak, x0.nbytes + x1.nbytes + padded)
 
     @staticmethod
-    def _warm_tone_sums_peak(models, t0, step, count):
-        """Traced peak bytes of a warm ``_tone_sums`` call on one grid, and its output's bytes."""
-        args = (models, [t0] * len(models), [step] * len(models), count)
-        signals._tone_sums(*args)
+    def _warm_peak(call, *args):
+        """Traced peak bytes of a warm ``call(*args)``, and what it returns."""
+        call(*args)
         tracemalloc.start()
         try:
-            out = signals._tone_sums(*args)
-            return tracemalloc.get_traced_memory()[1], out.nbytes
+            out = call(*args)
+            return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
+
+    @classmethod
+    def _warm_tone_sums_peak(cls, models, t0, step, count):
+        """Traced peak bytes of a warm ``_tone_sums`` call on one grid, and its output's bytes."""
+        peak, out = cls._warm_peak(signals._tone_sums, models, [t0] * len(models), [step] * len(models), count)
+        return peak, out.nbytes
 
     def test_plan_groups_of_two_padded_lengths_share_one_buffer(self):
         # 8 multisine rows and 8 bandpass rows take the chirp-z path at two
@@ -395,6 +405,13 @@ class TestPlanCache:
         assert peak < bound, (peak, bound)
         # The smaller group's padded rows, which a buffer per length would add.
         assert 8 * lengths[0] * np.dtype(np.complex128).itemsize > 16 * 1024
+
+    def test_real_models_drop_x0s_complex_tone_sums_before_x1s_are_formed(self):
+        # 2.4 MiB traced; with x0's complex sums held while x1's are formed it was 3.7 MiB.
+        models = [make_multisine(seed=k) for k in range(8)] + [make_bandpass_noise(seed=k) for k in range(8)]
+        impairments = [ImpairmentSpec(delta=1e-4 * (k % 3), epsilon=0.01 * k, snr_db=30.0, seed=k) for k in range(16)]
+        peak, _ = self._warm_peak(sample_pairs, models, impairments, 5000, -18)
+        assert peak < 3.0 * 2**20, peak
 
     def test_transform_zeroes_the_padding_of_a_used_buffer(self):
         rng = np.random.default_rng(12)
@@ -580,9 +597,16 @@ class TestImpairments:
             assert all(np.all(np.isfinite(x)) for x in sample_pair(model, ImpairmentSpec(snr_db=snr_db, seed=5), 32))
 
 
+def _non_uniform_model(seed, is_complex=False):
+    """Forty unit tones at sorted random frequencies: a grid that takes the direct sum."""
+    rng = np.random.default_rng(seed)
+    return HarmonicSignalModel(np.exp(2j * np.pi * rng.random(40)), np.sort(rng.uniform(-2.5, 2.5, 40)), is_complex)
+
+
 _REAL_MODELS = st.one_of(
     st.builds(make_multisine, n_tones=st.sampled_from([16, 64, 300]), seed=st.integers(0, 99)),
     st.builds(make_bandpass_noise, n_lines=st.sampled_from([64, 200, 512]), seed=st.integers(0, 99)),
+    st.builds(_non_uniform_model, seed=st.integers(0, 99)),
 )
 _COMPLEX_MODELS = st.one_of(
     st.builds(
@@ -591,6 +615,7 @@ _COMPLEX_MODELS = st.one_of(
         st.integers(0, 99),
     ),
     st.builds(make_multisine, n_tones=st.sampled_from([16, 300]), seed=st.integers(0, 99), complex_signal=st.just(True)),
+    st.builds(_non_uniform_model, seed=st.integers(0, 99), is_complex=st.just(True)),
 )
 
 
@@ -612,13 +637,14 @@ class TestTrialAxis:
 
     @staticmethod
     def _models(is_complex):
-        # Three tone grids: two sizes of OFDM (complex only) or multisine and
-        # bandpass noise, so several chirp-z plans and the direct path mix.
+        # Uniform grids of two or three sizes (two of OFDM, complex only, or
+        # multisine and bandpass noise) and a non-uniform one, so several
+        # chirp-z plans and the direct path mix.
         if is_complex:
             small = [make_ofdm(OfdmSpec(n_fft=256, active_subcarriers=128, qam_order=16, seed=k))[0] for k in range(3)]
-            large = [make_ofdm(OfdmSpec(qam_order=16, seed=k))[0] for k in range(3)]
-            return small + large + [make_multisine(seed=9, complex_signal=True)]
-        return [make_multisine(seed=k) for k in range(3)] + [make_bandpass_noise(seed=k) for k in range(4)]
+            large = [make_ofdm(OfdmSpec(qam_order=16, seed=k))[0] for k in range(2)]
+            return small + large + [make_multisine(seed=9, complex_signal=True), _non_uniform_model(1, is_complex=True)]
+        return [make_multisine(seed=k) for k in range(3)] + [make_bandpass_noise(seed=k) for k in range(3)] + [_non_uniform_model(1)]
 
     @staticmethod
     def _impairments(is_complex):
@@ -659,8 +685,9 @@ class TestTrialAxis:
         start=st.integers(-40, 40),
     )
     def test_mixed_batches_equal_per_trial_calls(self, trials, n_total, start):
-        # Tone counts of 16 to 1537 over 3 to 2100 samples put direct rows and
-        # chirp-z rows of several padded lengths into one call.
+        # Uniform grids of 16 to 1537 tones over 3 to 2100 samples put chirp-z
+        # rows of several padded lengths into one call, beside direct rows of
+        # non-uniform grids.
         models, impairments = zip(*trials)
         x0, x1 = sample_pairs(models, impairments, n_total, start=start)
         for row, (model, imp) in enumerate(trials):
