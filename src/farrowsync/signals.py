@@ -10,50 +10,60 @@ frequency grid reduces to a chirp-z transform; that fast path agrees with
 direct evaluation to about 1e-10 of the peak sample magnitude (7.99e-11 to
 1.09e-10 measured for 16-QAM OFDM models of 1537 tones over 1036 samples,
 2.2e-11 to 2.7e-11 in RMS; the tests bound that case at 1.25e-10).  The
-error grows with the sample count: at most 2.5e-12 of the peak for the
+error grows with the sample count: at most 2.6e-12 of the peak for the
 64-tone multisine over 1060 samples, 1.6e-12 to 9.6e-12 for 512-line
-bandpass noise over 100 to 548 samples, 4.8e-16 to 5.2e-12 for a 3-tone
+bandpass noise over 100 to 548 samples, 3.3e-16 to 4.5e-12 for a 3-tone
 model over 5 to 500 samples, and 0 for one tone (the tests bound the
 multisine and the small models at 1e-11).  The path follows the grid
 alone: the chirp-z transform for every uniform grid, at any size, and the
-direct sum for every other one.
+direct sum for every other one.  A grid is uniform when every tone lies
+within ``n_tones*eps*max|omega|`` of the progression ``omega_0 + k*dw``
+(``dw = omega_1 - omega_0``) that the transform assumes; steps that each
+agree with the first to 1e-12 can still drift the last tone further off.
 The transform is Bluestein's algorithm (Rabiner, Schafer & Rader, "The
-chirp z-transform algorithm", BSTJ 1969) on ``numpy.fft``, written here with
-the arithmetic of ``scipy.signal.CZT`` at start point 1, so the samples are
-bit for bit those of that class; the package itself needs NumPy alone and
-imports no SciPy module.
+chirp z-transform algorithm", BSTJ 1969) on ``numpy.fft``: each row is
+multiplied by an input chirp, convolved with the inverse chirp, and
+multiplied by an output chirp.  The convolution has the arithmetic of
+``scipy.signal.CZT`` at start point 1, bit for bit; the package itself needs
+NumPy alone and imports no SciPy module.  Each row's chirps carry its
+start-time phases, ``exp(1j*dw*t0*k)`` over the tones and
+``exp(1j*w0*(t0 + step*j))`` over the samples, fused into Bluestein's
+chirps, so a row takes one multiply before and one after its convolution.
+Its samples agree with SciPy's CZT times those phases to about 1e-15 of
+the peak (8.1e-16 at worst measured over OFDM, multisine and bandpass
+models; the tests bound it at 4e-15).
 A chirp-z plan depends only on ``(n_tones, count, w)``, and within a
 campaign the sizes are fixed and ``w = exp(1j*dw*step)`` takes one value per
 sampling rate, so plans are kept in a module-level cache bounded by the
 bytes of their arrays (:data:`_CZT_PLAN_CACHE_BYTES`) and shared across
 trials and models.  OFDM models share one read-only layout, which carries
 its frequency grid already checked, so an OFDM model checks only its
-coefficients; every other model checks its grid as it is built.  The phase
-vectors that multiply a row before and after the transform depend only on
-the grid's spacing or first tone, the row's start time and step, and the
-sizes, which a campaign's offset grid fixes, so they are cached too, by the
-exact bits of those inputs.  Plans, layouts and phase vectors share the
-plan budget: the plan cache may fill all of it, the layout cache a
-sixteenth, and the input and the output phase caches a thirty-second each.
-A cached plan or vector is the result of the same arithmetic on the same
-inputs as a fresh one, so the samples are bit for bit those of one built on
-every call.  The transform runs in place on one flat zero-padded buffer
-per call, sized for the largest group of rows that share a plan: each
-row's input is written straight into the head of its padded row, only the
-padding is zeroed, and every plan of the call reuses the buffer in turn.
-The noise is added in place.
+coefficients; every other model checks its grid as it is built.  A row's
+fused chirps depend only on its plan, the grid's spacing and first tone,
+and the row's start time and step, which a campaign's offset grid fixes,
+so they are cached too, keyed by the plan and the exact bits of those
+floats.  Plans, layouts and row chirps share the plan budget: the plan
+cache may fill all of it, and the layout and the row-chirp caches a
+sixteenth each.  A cached plan or chirp is the result of the same
+arithmetic on the same inputs as a fresh one, so the samples are bit for
+bit those of one built on every call.  The convolution runs in place on
+one flat zero-padded buffer per call, sized for the largest group of rows
+that share a plan: each row's chirped input is written straight into the
+head of its padded row, only the padding is zeroed, and every plan of the
+call reuses the buffer in turn.  The noise is added in place.
 
 The sampler has a leading trial axis: :func:`sample_pairs` samples one
 model under one impairment per row, and :func:`sample_pair` is its
 one-trial case.  Rows whose models share a chirp-z plan go through one
-stacked transform, and rows with one start time and step read one cached
-pair of phase vectors.  Stacked FFTs and real elementwise operations
+stacked convolution, and rows with one grid, start time and step read one
+cached row chirp.  Stacked FFTs and real elementwise operations
 give every row exactly the bits of a one-row call, but a complex multiply
 broadcast across rows can differ from the one-row product in the last bit
-(about 1e-13 was seen on x0), so the phase multiplies before and after the
-transform, the carrier rotation and the noise run row by row on contiguous
-rows.  Every Monte-Carlo campaign samples its trials through it, capped at
-``harness.TRIAL_CHUNK`` rows a batch, which bounds the memory a batch holds.
+(about 1e-13 was seen on x0), so the chirp multiplies before and after the
+convolution, the carrier rotation and the noise run row by row on
+contiguous rows.  Every Monte-Carlo campaign samples its trials through
+it, capped at ``harness.TRIAL_CHUNK`` rows a batch, which bounds the
+memory a batch holds.
 
 With ``real=True`` the sampler returns the real components alone, each row
 bit for bit the real part of that row in a complex call, for campaigns that
@@ -97,10 +107,10 @@ _DIRECT_CHUNK = 4096
 # Bytes of plan arrays the chirp-z cache may hold.  A desk campaign needs at
 # most 30 plans at once (approx_sweep: 15 window lengths times 2 sampling
 # rates) of about 0.1 MiB each; one (512, 2**20) plan alone holds 32 MiB.
-# The OFDM-layout cache gets a sixteenth of it and each phase-vector cache a
-# thirty-second (2 MiB: a desk grid's 25 + 25 vectors take 0.6 + 0.4 MiB), so
-# the four together hold at most 72 MiB of arrays beyond the entry each built
-# last, which always stays.
+# The OFDM-layout cache and the row-chirp cache get a sixteenth of it each
+# (4 MiB: a desk grid's 25 row chirps take 1.0 MiB), so the three together
+# hold at most 72 MiB of arrays beyond the entry each built last, which
+# always stays.
 _CZT_PLAN_CACHE_BYTES = 64 << 20
 
 
@@ -117,34 +127,31 @@ def _next_fast_len(n: int) -> int:
 
 
 class _ChirpZPlan:
-    """Chirp-z transform ``y[..., j] = sum_k x[..., k] * w**(j*k)``, ``k < n``, ``j < m``, along the last axis.
+    """Bluestein's chirp-z transform ``y[..., j] = sum_k x[..., k] * w**(j*k)``, ``k < n``, ``j < m``, along the last axis.
 
-    Bluestein's algorithm on ``numpy.fft`` with exactly the arithmetic of
-    ``scipy.signal.CZT(n, m, w, 1+0j)``, so the output is bit for bit that
-    class's.  The chirps are computed once.  :meth:`transform` runs in place
-    on a caller's buffer of ``nfft`` columns whose first ``n`` hold the
-    input, and the result is a view of the buffer.
+    ``wk2_m * convolve(x * wk2_n)`` is the transform with exactly the
+    arithmetic of ``scipy.signal.CZT(n, m, w, 1+0j)``, so it is bit for bit
+    that class's output.  The chirps are computed once.  :meth:`convolve`
+    runs in place on a caller's buffer of ``nfft`` columns whose first ``n``
+    hold the chirped input, and the result is a view of the buffer.
     """
 
     def __init__(self, n: int, m: int, w: complex) -> None:
         wk2 = w ** (np.arange(max(m, n)) ** 2 / 2.0)
         self.n, self.m = n, m
         self.nfft = _next_fast_len(n + m - 1)
-        self._wk2_n = wk2[:n]
-        self._wk2_m = wk2[:m]
+        self.wk2_n = wk2[:n]
+        self.wk2_m = wk2[:m]
         self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self.nfft)
-        self.nbytes = sum(v.nbytes for v in (self._wk2_n, self._wk2_m, self._fwk2))
+        self.nbytes = sum(v.nbytes for v in (self.wk2_n, self.wk2_m, self._fwk2))
 
-    def transform(self, a: np.ndarray) -> np.ndarray:
-        """Transform the input held in ``a[..., :n]``, zeroing the padding ``a[..., n:]``; ``a`` (complex, C-contiguous) is overwritten."""
-        head = a[..., : self.n]
-        np.multiply(head, self._wk2_n, out=head)
+    def convolve(self, a: np.ndarray) -> np.ndarray:
+        """Convolve the chirped input in ``a[..., :n]`` with the inverse chirp, zeroing the padding; ``a`` (complex, C-contiguous) is overwritten."""
         a[..., self.n :] = 0.0
         np.fft.fft(a, out=a)
         # Operands in this order: a complex multiply is not bitwise commutative.
         np.multiply(self._fwk2, a, out=a)
-        y = np.fft.ifft(a, out=a)[..., self.n - 1 : self.n + self.m - 1]
-        return np.multiply(y, self._wk2_m, out=y)
+        return np.fft.ifft(a, out=a)[..., self.n - 1 : self.n + self.m - 1]
 
 
 class _CacheInfo(NamedTuple):
@@ -205,39 +212,38 @@ def _check_grid(omegas: np.ndarray) -> _Grid:
     """Validate the tone frequencies ``omegas`` (float64) and describe their grid."""
     if not np.all(np.isfinite(omegas)):
         raise ValueError("model parameters must be finite")
-    if np.max(np.abs(omegas)) > MAX_OMEGA + 1e-12:
-        raise ValueError(f"tone frequencies must satisfy |omega| <= 0.9*pi, got {np.max(np.abs(omegas)):.6f}")
+    peak = np.max(np.abs(omegas))
+    if peak > MAX_OMEGA + 1e-12:
+        raise ValueError(f"tone frequencies must satisfy |omega| <= 0.9*pi, got {peak:.6f}")
     steps = np.diff(omegas)
     if np.any(steps <= 0):
         raise ValueError("omegas must be strictly increasing")
-    uniform = omegas.size < 3 or bool(np.all(np.abs(steps - steps[0]) <= 1e-12))
+    # Uniform when every tone lies within rounding of the progression the chirp-z transform assumes.
+    deviation = omegas - (omegas[0] + steps[0] * np.arange(omegas.size)) if omegas.size > 2 else 0.0
+    uniform = bool(np.all(np.abs(deviation) <= omegas.size * np.finfo(float).eps * peak))
     return _Grid(uniform, float(omegas[0]), float(steps[0]) if steps.size else 0.0)
 
 
 # Chirp-z plans by ``(n, m, w)``.
 _czt_plan = _ByteLRU(_ChirpZPlan)
 
-# The phase vectors around a chirp-z transform are keyed by the bytes of their
-# float inputs: a dict takes -0.0 and 0.0 for one key, yet the two can give
-# vectors that differ in the sign of a zero (an output phase at a negative
-# step, for one).
-_TWO_FLOATS, _THREE_FLOATS = struct.Struct("2d"), struct.Struct("3d")
+
+def _row_chirp(n: int, m: int, w: complex, floats: bytes) -> np.ndarray:
+    """The ``n + m`` chirps of one chirp-z row, for ``(dw, w0, t0, step)`` packed in ``floats`` as four doubles.
+
+    ``exp(1j*dw*t0*arange(n)) * wk2_n`` moves the row's start time into its
+    coefficients, and ``wk2_m * exp(1j*w0*(t0 + step*arange(m)))`` moves the
+    transform to the grid's first tone; ``wk2_n`` and ``wk2_m`` are the
+    chirps of the plan ``(n, m, w)``.  The key holds the exact bits of the
+    floats, where a dict would take -0.0 for 0.0, so a cached chirp is the
+    one a fresh build gives for its own inputs.
+    """
+    plan = _czt_plan(n, m, w)
+    dw, w0, t0, step = struct.unpack("4d", floats)
+    return _read_only(np.concatenate((np.exp(1j * dw * t0 * np.arange(n)) * plan.wk2_n, plan.wk2_m * np.exp(1j * w0 * (t0 + step * np.arange(m))))))
 
 
-def _input_phase(floats: bytes, n: int) -> np.ndarray:
-    """``exp(1j*dw*t0*arange(n))`` for ``(dw, t0)`` packed in ``floats``: it moves a row's start time into its coefficients."""
-    dw, t0 = _TWO_FLOATS.unpack(floats)
-    return _read_only(np.exp(1j * dw * t0 * np.arange(n)))
-
-
-def _output_phase(floats: bytes, count: int) -> np.ndarray:
-    """``exp(1j*w0*(t0 + step*arange(count)))`` for ``(w0, t0, step)`` packed in ``floats``: it moves a transform to the grid's first tone."""
-    w0, t0, step = _THREE_FLOATS.unpack(floats)
-    return _read_only(np.exp(1j * w0 * (t0 + step * np.arange(count))))
-
-
-_input_phases = _ByteLRU(_input_phase, share=1 / 32)
-_output_phases = _ByteLRU(_output_phase, share=1 / 32)
+_row_chirps = _ByteLRU(_row_chirp, share=1 / 16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +275,7 @@ class HarmonicSignalModel:
 
     @property
     def has_uniform_grid(self) -> bool:
-        """True when the tone frequencies form an exact arithmetic progression."""
+        """True when every tone frequency lies within rounding of the arithmetic progression of the first two."""
         return self._grid.uniform
 
     def _tone_sum(self, t: np.ndarray) -> np.ndarray:
@@ -293,11 +299,11 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
 
     A row takes the chirp-z path when its model's grid is uniform, whatever
     the sizes, and the direct sum otherwise.  Chirp-z rows are grouped by
-    plan and transformed by one stacked call per plan; the phase multiplies
-    around it run row by row.
-    Each row's input goes straight into the head of its padded row in one
-    flat buffer per call, sized for the largest group, which every group
-    reuses in turn.
+    plan and convolved by one stacked call per plan; the multiplies by the
+    row's chirps around it run row by row.
+    Each row's chirped input goes straight into the head of its padded row
+    in one flat buffer per call, sized for the largest group, which every
+    group reuses in turn.
     """
     out = np.empty((len(models), count), dtype=np.complex128)
     groups: dict[tuple, list[int]] = {}
@@ -311,14 +317,13 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
     for key, rows in groups.items():
         plan, n_tones = plans[key], key[0]
         a = buffer[: len(rows) * plan.nfft].reshape(len(rows), plan.nfft)
+        # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
+        chirps = [_row_chirps(*key, struct.pack("4d", models[row]._grid.dw, models[row]._grid.w0, t0s[row], steps[row])) for row in rows]
         for i, row in enumerate(rows):
-            # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
-            phases = _input_phases(_TWO_FLOATS.pack(models[row]._grid.dw, t0s[row]), n_tones)
-            np.multiply(models[row].coefficients, phases, out=a[i, :n_tones])
-        spectrum = plan.transform(a)
+            np.multiply(models[row].coefficients, chirps[i][:n_tones], out=a[i, :n_tones])
+        convolution = plan.convolve(a)
         for i, row in enumerate(rows):
-            phases = _output_phases(_THREE_FLOATS.pack(models[row]._grid.w0, t0s[row], steps[row]), count)
-            np.multiply(spectrum[i], phases, out=out[row])
+            np.multiply(convolution[i], chirps[i][n_tones:], out=out[row])
     return out
 
 

@@ -594,17 +594,17 @@ GOLDEN_RUNS = [
 ]
 
 GOLDEN_SHA256 = {
-    "0_example1/example1.csv": "217134fcd9d9610107855c44af385057cbf51e4979cc1da65d339001641868c8",
-    "1_table3/table3.csv": "efd248581adb431012b361bbd6918cdef9d2555a349761b8048939e382fa5012",
-    "2_grid/grid.csv": "81e3d485370e4e704b4db23b77fa6e401411f39fc05658613666d7904889b876",
-    "3_impaired/impaired.csv": "ab8e46e3f5327b2a953a569ae2f49ce860d2d0833fea0148ada4aa2fcd446d58",
-    "4_ber/ber.csv": "8cd97e969cf379f8139bb9c6a8f1521462cd2e812e29c25b5be6bdf13d2e254a",
-    "5_approx_sweep/approx_sweep.csv": "4620f43af65313ea03dde24e1df8767ba799ee62dc3b0fa398c21eb94c1091d9",
-    "6_nsweep/nsweep.csv": "85bd902f55b373bcb814871c5935069d32abd399730db78720e966e4b24a2861",
+    "0_example1/example1.csv": "b14eaa31148eb73da763909b79d3af79485f08d247cf9617852f2a8d764ffa88",
+    "1_table3/table3.csv": "9438b024b3cff35518cfd7f53eed049b2d79af6772d688b0dc1d1c61b6fd0795",
+    "2_grid/grid.csv": "6f3081f325af25fa5331c248c9dbb65f06b4fea0347057429f682fd5a3a495ad",
+    "3_impaired/impaired.csv": "530f41f3810e196b73f161365d53dfeef79ab9bb0463e60e58f755a445df7aec",
+    "4_ber/ber.csv": "2b04c33f2fe8a027a7019eddd5f2fc4c1e0094ef4810f1f3e4777a05ddb52e43",
+    "5_approx_sweep/approx_sweep.csv": "5efc5d78cf85bbe1bbbbbf8fda0a31dc1aca6bb922ec47fdf811856cbfda021b",
+    "6_nsweep/nsweep.csv": "3458bcf843a04bcbb1fbca1bc61ecdd655986e3edae4fc653ddd92bdb5ce0cbe",
     "7_opcounts/opcounts.csv": "8f63f195c21dfd794fdc23e59eba00e48cbd23bb196545ce789bcb4d9990d2af",
-    "8_single/signals.csv": "9d99be811e768247d440e0315241b17028cc5f598e9c8938c40a963bf59cb7ac",
-    "8_single/single.csv": "e73dac193fb18930931cfd5962728c9827384c10db14372bc1ee657cc3d636cd",
-    "9_single/single.csv": "bb09c790950eb1c61e0ad3961b950e5c6bff617f4c120140a7b68bc20f980f33",
+    "8_single/signals.csv": "3b0f8f010f0636c2b0539a4de8dd3a294a9571afdbb6b4e07537bc113911e1bb",
+    "8_single/single.csv": "8dfb2c941fc370342739194b08025e7300facdad8157b77cfa803bdadb0ef5d5",
+    "9_single/single.csv": "ea32b4dd6c6f9f564745f0bdb55af5b67874ab6300d0f76c3c07d4735667f12f",
     "design/bank_L2_NG8.txt": "264c2aa23375b8542adf9b42342482e9b6368ad5ce1597425463b7eeb0c43a12",
     "design/design_report.csv": "11224d52ef4cacf85e2974292798ed0db675fed5844cd435a493d04b8d9b8ac6",
     "design/measure.csv": "11224d52ef4cacf85e2974292798ed0db675fed5844cd435a493d04b8d9b8ac6",

@@ -50,8 +50,7 @@ STAGES = (
 CACHES = (
     ("signals", "_czt_plan"),
     ("signals", "_ofdm_layouts"),
-    ("signals", "_input_phases"),
-    ("signals", "_output_phases"),
+    ("signals", "_row_chirps"),
     ("estimation", "_cascade_weights"),
 )
 
