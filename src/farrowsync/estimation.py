@@ -64,7 +64,7 @@ case and raises :class:`SingularSystemError` from that flag.  Every
 Monte-Carlo campaign hands it at most ``harness.TRIAL_CHUNK`` trials at a
 time.
 
-Operation counters account for a fixed-point reference datapath, not for the
+Operation counts account for a fixed-point reference datapath, not for the
 numpy arithmetic executed here: multiplies by compile-time constants count as
 fixed multiplications, and work shared with the compensator (the branch
 convolutions and the Farrow output y itself) is excluded.  Per batch of N
@@ -72,11 +72,14 @@ samples and one iteration the totals are, for Newton with degree L >= 2,
 ``max(L+1,4)*N+8`` general multiplications, ``(2L-2)*N+5`` fixed,
 ``(2L+5)*N+4`` additions and one division; for degree 1 and for ILS,
 ``2N+8`` general, five fixed, ``7N+4`` additions and one division.  ILS
-iterations after the first reuse Q and are cheaper; see
-:func:`count_operations`.  The power-of-two scaling in :func:`solve_sym2x2`
-shifts exponents only and is not counted.  The at-rest first iteration
-leaves these counts as they are, because they model the reference datapath
-and not this code.
+iterations after the first reuse Q and are cheaper.
+:func:`count_operations` owns these closed forms and gives the reason for
+each term, and :attr:`EstimationResult.total_ops` is that function over the
+iterations a run completed: the forms restated, not a tally of this code's
+operations.  The power-of-two scaling in :func:`solve_sym2x2` shifts
+exponents only and is not counted.  The at-rest first iteration leaves
+these counts as they are, because they model the reference datapath and
+not this code.
 """
 
 from __future__ import annotations
@@ -110,20 +113,12 @@ class OffsetParams:
 
 @dataclass(frozen=True)
 class OpCounts:
-    """Reference-datapath operation tallies for one or more iterations."""
+    """Reference-datapath operation counts of one or more iterations."""
 
     fixed_mults: int = 0
     general_mults: int = 0
     additions: int = 0
     divisions: int = 0
-
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.fixed_mults + other.fixed_mults,
-            self.general_mults + other.general_mults,
-            self.additions + other.additions,
-            self.divisions + other.divisions,
-        )
 
 
 @lru_cache(maxsize=8)
@@ -337,7 +332,6 @@ class IterationRecord:
     params: OffsetParams
     residual_norm: float  # 2-norm of the solved right-hand side (g or c)
     delay_exceeded: bool  # any |d(n)| > 0.5 over the window at params
-    ops: OpCounts
 
 
 @dataclass(frozen=True)
@@ -345,61 +339,54 @@ class EstimationResult:
     params: OffsetParams
     records: tuple[IterationRecord, ...]
     converged: bool
+    total_ops: OpCounts  # count_operations over the iterations completed; zero for sfo_only
 
     @property
     def iterations(self) -> int:
         return len(self.records)
 
-    @property
-    def total_ops(self) -> OpCounts:
-        total = OpCounts()
-        for rec in self.records:
-            total = total + rec.ops
-        return total
-
-
-@lru_cache(maxsize=None)
-def _iteration_ops(method: str, degree: int, n: int, first: bool) -> OpCounts:
-    """Stage-by-stage tally of one iteration; sums to the closed forms in the module docstring.
-
-    ILS builds Q on its first iteration and reuses it after; the simplified
-    estimate is a first ILS iteration at rest, which needs no delay sequence.
-    """
-    if method == "newton":
-        if degree >= 2:
-            ops = OpCounts(general_mults=max(degree - 3, 0) * n, additions=n)  # d and its powers
-            ops = ops + OpCounts(general_mults=4 * n, fixed_mults=(2 * degree - 2) * n, additions=(2 * degree - 1) * n)
-        else:
-            ops = OpCounts(general_mults=2 * n, additions=2 * n)  # delay law plus derivative products
-    elif first:
-        ops = OpCounts(additions=n if method == "simplified" else 2 * n)  # residual y - x0, and the delay sequence off rest
-        ops = ops + OpCounts(general_mults=2 * n)  # u1*r and u1*u1
-    else:
-        ops = OpCounts(additions=2 * n)  # delay sequence and residual y - x0
-        ops = ops + OpCounts(general_mults=n)  # u1*r only
-        ops = ops + OpCounts(fixed_mults=1, additions=2 * (n - 1) + 1)  # c accumulators and their combine
-    if method == "newton" or first:
-        ops = ops + OpCounts(additions=5 * (n - 1))  # five cascaded accumulators
-        ops = ops + OpCounts(fixed_mults=5, additions=4)  # index-weighted combines
-    ops = ops + OpCounts(general_mults=8, additions=3, divisions=1)  # 2x2 solve
-    return ops + OpCounts(additions=2)  # parameter update
-
 
 def count_operations(method: str, degree: int, n_samples: int, iterations: int = 1) -> OpCounts:
-    """Closed-form operation counts of a full estimation run.
+    """Closed-form operation counts of an estimation run of ``iterations`` iterations over ``n_samples``.
 
-    Per iteration these match the module-docstring formulas; for ILS the
-    first iteration includes assembling Q and later ones reuse it.  The
-    simplified estimate is always one iteration.
+    The simplified estimate is always one iteration.  The terms of one
+    iteration, stage by stage, as (fixed, general, additions, divisions):
+
+    ======================================  =========  ===========  =========  ===
+    stage                                   fixed      general      additions  div
+    ======================================  =========  ===========  =========  ===
+    Newton, L >= 2: d and its powers                   max(L-3,0)N  N
+    Newton, L >= 2: P0, P1, P2, F', F''     (2L-2)*N   4N           (2L-1)*N
+    Newton, L = 1: d, F', F''                          2N           2N
+    first ILS: d and y - x0 (simplified: y - x0)                    2N (N)
+    first ILS: u_1*r and u_1*u_1                       2N
+    later ILS: d and y - x0                                         2N
+    later ILS: u_1*r, c's accumulators      1          N            2N - 1
+    Newton, first ILS: five accumulators                            5N - 5
+    Newton, first ILS: weighted combines    5                       4
+    2x2 solve                                          8            3          1
+    parameter update                                                2
+    ======================================  =========  ===========  =========  ===
+
+    Later ILS iterations reuse Q, so they run neither its accumulators nor
+    its combines.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
+    if degree < 1 or degree != int(degree):
+        raise ValueError(f"degree must be a positive integer, got {degree}")
+    if n_samples <= 2:
+        raise ValueError(f"need more than 2 window samples, got {n_samples}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    total = OpCounts()
-    for m in range(1 if method == "simplified" else iterations):
-        total = total + _iteration_ops(method, degree, n_samples, m == 0)
-    return total
+    n = n_samples
+    first = (5, 2 * n + 8, 7 * n + 4, 1)  # Newton with L = 1, and the first ILS iteration
+    if method == "newton":
+        each = ((2 * degree - 2) * n + 5, max(degree + 1, 4) * n + 8, (2 * degree + 5) * n + 4, 1) if degree >= 2 else first
+        return OpCounts(*(iterations * c for c in each))
+    if method == "simplified":
+        return OpCounts(5, 2 * n + 8, 6 * n + 4, 1)
+    return OpCounts(*(c + (iterations - 1) * later for c, later in zip(first, (1, n + 8, 4 * n + 4, 1))))
 
 
 @dataclass(frozen=True)
@@ -523,20 +510,17 @@ def estimate_from_outputs(u: np.ndarray, ref: np.ndarray, config: EstimatorConfi
     records = []
     for m in range(done):
         params = OffsetParams(float(batch.history[m].delta), float(batch.history[m].epsilon))
-        if config.sfo_only:
-            rhs_norm, ops = abs(float(batch.rhs[m])), OpCounts()
-        else:
-            rhs_norm, ops = math.hypot(*batch.rhs[m].tolist()), _iteration_ops(config.method, u.shape[-2] - 1, n, m == 0)
+        rhs_norm = abs(float(batch.rhs[m])) if config.sfo_only else math.hypot(*batch.rhs[m].tolist())
         records.append(
             IterationRecord(
                 iteration=m + 1,
                 params=params,
                 residual_norm=rhs_norm,
                 delay_exceeded=delay_out_of_range(params, n),
-                ops=ops,
             )
         )
-    return EstimationResult(params=records[-1].params, records=tuple(records), converged=bool(batch.converged))
+    ops = OpCounts() if config.sfo_only else count_operations(config.method, u.shape[-2] - 1, n, done)
+    return EstimationResult(params=records[-1].params, records=tuple(records), converged=bool(batch.converged), total_ops=ops)
 
 
 def estimate(x0: np.ndarray, x1: np.ndarray, bank: CoefficientBank, config: EstimatorConfig) -> EstimationResult:

@@ -22,7 +22,8 @@ per-trial campaigns (``example1``, ``table3``, ``impaired`` and ``ber``)
 compensate and score the complex stream in :func:`_iteration_rows`, with
 one Horner pass and one ``nmse`` call per kept trial and bank.  The chunk
 size changes no output byte.  ``single`` (one traced realization) and
-``opcounts`` (the instrumented :func:`estimate`) run outside the runner.
+``opcounts`` (the operation counts of :func:`estimate` runs) run outside
+the runner.
 
 Signal generation places the time origin in the middle of the filter run-up:
 arrays start at sample index ``-N_G/2`` so that window sample ``n`` of the
@@ -618,12 +619,14 @@ OPCOUNT_HEADER = ("method", "degree", "n_samples", "iterations", "source", "fixe
 
 
 def opcount_rows(base_seed: int) -> tuple[list[tuple], int]:
-    """Closed-form operation counts side by side with instrumented runs.
+    """Closed-form operation counts side by side with those of :func:`estimate` runs.
 
-    The instrumented source executes :func:`estimate` on synthetic data with
-    a bank of each degree 1 to 7 (order 12 up to degree 5, else 16) at
-    window lengths 64 and 1024, and reports the tallies its iteration
-    records accumulated; formula and instrumented rows must agree exactly.
+    The ``measured`` source runs :func:`estimate` on synthetic data with a
+    bank of each degree 1 to 7 (order 12 up to degree 5, else 16) at window
+    lengths 64 and 1024 and reports its ``total_ops``: the closed forms over
+    the iterations that run completed, not a count of executed operations.
+    So it checks the iteration bookkeeping, and the two sources must agree
+    exactly.
     """
     rows: list[tuple] = []
     rng = np.random.default_rng(stable_seed(base_seed, "opcounts"))

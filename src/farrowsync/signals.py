@@ -41,16 +41,17 @@ its frequency grid already checked, so an OFDM model checks only its
 coefficients; every other model checks its grid as it is built.  A row's
 fused chirps depend only on its plan, the grid's spacing and first tone,
 and the row's start time and step, which a campaign's offset grid fixes,
-so they are cached too, keyed by the plan and the exact bits of those
-floats.  Plans, layouts and row chirps share the plan budget: the plan
-cache may fill all of it, and the layout and the row-chirp caches a
-sixteenth each.  A cached plan or chirp is the result of the same
-arithmetic on the same inputs as a fresh one, so the samples are bit for
-bit those of one built on every call.  The convolution runs in place on
-one flat zero-padded buffer per call, sized for the largest group of rows
-that share a plan: each row's chirped input is written straight into the
-head of its padded row, only the padding is zeroed, and every plan of the
-call reuses the buffer in turn.  The noise is added in place.
+so they are cached too, keyed by the plan and those four floats.  Plans,
+layouts and row chirps share the plan budget: the plan cache may fill all
+of it, and the layout and the row-chirp caches a sixteenth each.  A cached
+plan or chirp is the result of the same arithmetic on the same inputs as a
+fresh one (a start time of -0.0 reads the chirps of 0.0, which have the
+same bits), so the samples are bit for bit those of one built on every
+call.  The convolution runs in place on one flat zero-padded buffer per
+call, sized for the largest group of rows that share a plan: each row's
+chirped input is written straight into the head of its padded row, only
+the padding is zeroed, and every plan of the call reuses the buffer in
+turn.  The noise is added in place.
 
 The sampler has a leading trial axis: :func:`sample_pairs` samples one
 model under one impairment per row, and :func:`sample_pair` is its
@@ -93,7 +94,6 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
@@ -228,18 +228,19 @@ def _check_grid(omegas: np.ndarray) -> _Grid:
 _czt_plan = _ByteLRU(_ChirpZPlan)
 
 
-def _row_chirp(n: int, m: int, w: complex, floats: bytes) -> np.ndarray:
-    """The ``n + m`` chirps of one chirp-z row, for ``(dw, w0, t0, step)`` packed in ``floats`` as four doubles.
+def _row_chirp(n: int, m: int, w: complex, dw: float, w0: float, t0: float, step: float) -> np.ndarray:
+    """The ``n + m`` chirps of one chirp-z row of grid spacing ``dw`` and first tone ``w0``, from ``t0`` by ``step``.
 
     ``exp(1j*dw*t0*arange(n)) * wk2_n`` moves the row's start time into its
     coefficients, and ``wk2_m * exp(1j*w0*(t0 + step*arange(m)))`` moves the
     transform to the grid's first tone; ``wk2_n`` and ``wk2_m`` are the
-    chirps of the plan ``(n, m, w)``.  The key holds the exact bits of the
-    floats, where a dict would take -0.0 for 0.0, so a cached chirp is the
-    one a fresh build gives for its own inputs.
+    chirps of the plan ``(n, m, w)``.  A dict takes -0.0 for 0.0, so a start
+    time of -0.0 reads the chirps built for 0.0.  They have the same bits:
+    at a start time of +-0 the start-time phases are 1 +- 0j, and a product
+    with 1 +- 0j keeps the bits of every chirp entry without a zero part,
+    and of the 1 + 0j at index 0.
     """
     plan = _czt_plan(n, m, w)
-    dw, w0, t0, step = struct.unpack("4d", floats)
     return _read_only(np.concatenate((np.exp(1j * dw * t0 * np.arange(n)) * plan.wk2_n, plan.wk2_m * np.exp(1j * w0 * (t0 + step * np.arange(m))))))
 
 
@@ -318,7 +319,7 @@ def _tone_sums(models: Sequence[HarmonicSignalModel], t0s: Sequence[float], step
         plan, n_tones = plans[key], key[0]
         a = buffer[: len(rows) * plan.nfft].reshape(len(rows), plan.nfft)
         # sum_m c_m e^{j omega_m t_j} = e^{j w0 t_j} * sum_m (c_m e^{j dw m t0}) e^{j dw s j m}
-        chirps = [_row_chirps(*key, struct.pack("4d", models[row]._grid.dw, models[row]._grid.w0, t0s[row], steps[row])) for row in rows]
+        chirps = [_row_chirps(*key, models[row]._grid.dw, models[row]._grid.w0, t0s[row], steps[row]) for row in rows]
         for i, row in enumerate(rows):
             np.multiply(models[row].coefficients, chirps[i][:n_tones], out=a[i, :n_tones])
         convolution = plan.convolve(a)

@@ -311,6 +311,16 @@ class TestOperationCounts:
         simp = count_operations("simplified", 4, 64)
         assert (simp.general_mults, simp.fixed_mults, simp.additions, simp.divisions) == (136, 5, 388, 1)
 
+    def test_three_iterations_by_hand(self):
+        # N = 64.  Newton repeats one iteration's counts; ILS adds (1, 72, 260, 1) per iteration after the first.
+        for method, degree, want in [
+            ("newton", 1, (3 * 136, 3 * 5, 3 * 452, 3)),
+            ("newton", 4, (3 * 328, 3 * 389, 3 * 836, 3)),
+            ("ils", 4, (136 + 2 * 72, 5 + 2 * 1, 452 + 2 * 260, 3)),
+        ]:
+            ops = count_operations(method, degree, 64, 3)
+            assert (ops.general_mults, ops.fixed_mults, ops.additions, ops.divisions) == want, (method, degree)
+
     def test_instrumented_runs_equal_the_formulas(self):
         rng = np.random.default_rng(22)
         for degree, method, iterations in [(1, "newton", 2), (4, "newton", 1), (4, "ils", 2), (4, "simplified", 1)]:
@@ -320,14 +330,23 @@ class TestOperationCounts:
             x0 = rng.standard_normal(n + bank.group_delay)
             result = estimate(x0, x1, bank, EstimatorConfig(method=method, max_iterations=iterations))
             assert result.total_ops == count_operations(method, degree, n, iterations)
+        # A run the tolerance stops counts the iterations it completed.
+        bank, n = small_bank(2), 256
+        x0, x1 = sample_pair(make_multisine(seed=24), ImpairmentSpec(delta=1e-4, epsilon=0.01), n + bank.order, start=-bank.group_delay)
+        for method in ("newton", "ils"):
+            result = estimate(x0, x1, bank, EstimatorConfig(method=method, max_iterations=8, tolerance=1e-9))
+            assert result.converged and 1 < result.iterations < 8, method
+            assert result.total_ops == count_operations(method, 2, n, result.iterations)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             count_operations("gauss", 2, 64)
         with pytest.raises(ValueError):
             count_operations("newton", 2, 64, iterations=0)
-        total = OpCounts(fixed_mults=1, general_mults=2, additions=3, divisions=4) + OpCounts(additions=1)
-        assert total == OpCounts(fixed_mults=1, general_mults=2, additions=4, divisions=4)
+        # Banks of degree below 1 or of fractional degree do not exist, and a window needs more than 2 samples.
+        for degree, n in [(0, 64), (-1, 64), (2.5, 64), (4, -5), (4, 0), (4, 2)]:
+            with pytest.raises(ValueError):
+                count_operations("newton", degree, n)
 
 
 class TestEstimateDriver:
@@ -481,7 +500,7 @@ class TestEstimateDriver:
         config = EstimatorConfig(method="newton")
         for x0_n, x1_n in ((x0, x1[: n + bank.order].copy()), (x0[: n + gd].copy(), x1)):
             want = estimate(x0_n, x1_n, bank, config)
-            assert want.records[0].ops == count_operations("newton", 2, n)  # the window is n samples
+            assert want.total_ops == count_operations("newton", 2, n, 2)  # the window is n samples
             longer = x0_n if x0_n.size > n + gd else x1_n
             longer[-1] = np.nan
             got = estimate(x0_n, x1_n, bank, config)

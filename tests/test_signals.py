@@ -1,6 +1,5 @@
 """Harmonic signal models, OFDM framing, and impairment generation."""
 
-import struct
 import tracemalloc
 
 import numpy as np
@@ -225,7 +224,7 @@ def _scipy_fast_path(model, t0, step, count):
 def _cached_chirp(model, t0, step, count):
     """The row chirps the cache holds for one row."""
     grid = model._grid
-    return signals._row_chirps(model.n_tones, count, np.exp(1j * grid.dw * step), struct.pack("4d", grid.dw, grid.w0, t0, step))
+    return signals._row_chirps(model.n_tones, count, np.exp(1j * grid.dw * step), grid.dw, grid.w0, t0, step)
 
 
 def _assert_fast_path_is_fresh(model, cases):
